@@ -10,48 +10,26 @@ declared root-of-unity order).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .characters import chi
-from .dt_vertex import (
-    box_counting_series,
-    r_bullet_zero,
-    reduced_vertex_closed,
-    correspondence_report,
-    volume_counts,
-)
-from .gw_vertex import (
-    abelian_lift,
-    connected_profile_series,
-    g_bullet_mu,
-    mv_a1_check,
-    quantum_dim_hook,
-    quantum_dim_sine,
-    r_bullet_tau,
-    transport_back,
-)
-from .hurwitz import (
-    PhiKernel,
-    burnside_value,
-    factorization_oracle,
-    phi_composition_check,
-)
+from .dt_vertex import box_counting_series, r_bullet_zero, reduced_vertex_closed, volume_counts
+from .gw_vertex import r_bullet_tau
+from .hurwitz import burnside_value, factorization_oracle
 from .localgw import (
+    _partition_label,
     block_to_data,
     cap_family,
     cap_level0,
-    cap_series,
     emit_table,
-    glue,
-    identity_block,
     run_glue_plan,
-    LocalBlock,
 )
-from .partitions import check_partition, partitions_of, z_aut
-from .series import PrecisionError
+from .partitions import check_partition, partitions_of
+from .series import PrecisionError, _frac_str
+from .verify import SUITES
 
 CHAR_DEGREE_LIMIT = 8
 ORACLE_DEGREE_LIMIT = 4
@@ -61,9 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_GUARD = 3
-
-DEFAULT_CORRESPONDENCE_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
-
 
 class UsageError(Exception):
     """Bad flags or flag combinations."""
@@ -90,15 +65,6 @@ def _parse_partition(text: str) -> tuple:
         return check_partition(parts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _frac_str(value) -> str:
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _partition_label(part) -> str:
-    return "(" + ",".join(str(p) for p in part) + ")"
 
 
 def _config_echo(args) -> dict:
@@ -248,200 +214,23 @@ def cmd_local_gw(args) -> int:
     return _emit_json(args, block_to_data(block))
 
 
-# -- verification suites -----------------------------------------------------
-
-
-def _suite_phi(args) -> list:
-    d_max = args.d if args.d is not None else 6
-    order = args.lambda_order if args.lambda_order is not None else 6
-    checks = []
-    for d in range(1, d_max + 1):
-        ok = True
-        for nu in partitions_of(d):
-            for mu in partitions_of(d):
-                expected = Fraction(1, z_aut(nu)) if nu == mu else Fraction(0)
-                if PhiKernel(nu, mu).at_zero() != expected:
-                    ok = False
-        checks.append({"name": f"kernel-at-zero-d{d}", "passed": ok})
-    for d in range(1, min(d_max, 4) + 1):
-        ok = all(
-            phi_composition_check(nu, mu, order)
-            for nu in partitions_of(d)
-            for mu in partitions_of(d)
-        )
-        checks.append({"name": f"kernel-composition-d{d}-order{order}", "passed": ok})
-    return checks
-
-
-def _suite_burnside(args) -> list:
-    d_max = args.d if args.d is not None else 3
-    r_max = args.r if args.r is not None else 4
-    if d_max > ORACLE_DEGREE_LIMIT:
+def cmd_verify(args) -> int:
+    suite = SUITES.get(args.suite)
+    if suite is None:
+        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    if args.suite == "burnside" and args.d is not None and args.d > ORACLE_DEGREE_LIMIT:
         raise GuardError(
             f"the factorization oracle is guarded to degree {ORACLE_DEGREE_LIMIT}"
         )
-    checks = []
-    for d in range(1, d_max + 1):
-        ok = True
-        table = []
-        for nu in partitions_of(d):
-            for mu in partitions_of(d):
-                for r in range(r_max + 1):
-                    chi_euler = len(nu) + len(mu) - r
-                    value = burnside_value(chi_euler, nu, mu)
-                    oracle = factorization_oracle(chi_euler, nu, mu)
-                    if value != oracle:
-                        ok = False
-                    table.append(
-                        {
-                            "nu": list(nu),
-                            "mu": list(mu),
-                            "r": r,
-                            "value": _frac_str(value),
-                        }
-                    )
-        checks.append({"name": f"burnside-vs-oracle-d{d}", "passed": ok, "values": table})
-    spots = (
-        burnside_value(2, (1,), (1,)) == Fraction(1)
-        and burnside_value(0, (2,), (2,)) == Fraction(1, 2)
-    )
-    checks.append({"name": "spot-values", "passed": spots})
-    return checks
-
-
-def _suite_correspondence(args) -> list:
-    lam_max = args.lambda_order if args.lambda_order is not None else 5
-    x_deg_max = args.x_order if args.x_order is not None else 4
-    if args.a is not None and args.d is not None:
-        pairs = ((args.a, args.d),)
-    elif args.a is None and args.d is None:
-        pairs = DEFAULT_CORRESPONDENCE_PAIRS
-    else:
+    if args.suite == "correspondence" and (args.a is None) != (args.d is None):
         raise UsageError("correspondence takes --a and --d together, or neither")
-    checks = []
-    for a, d in pairs:
-        for mu, agree in correspondence_report(a, d, lam_max=lam_max, x_deg_max=x_deg_max):
-            checks.append(
-                {
-                    "name": f"correspondence-a{a}-mu{_partition_label(mu)}",
-                    "passed": agree,
-                }
-            )
-    return checks
-
-
-def _suite_mv_a1(args) -> list:
-    d_max = args.d if args.d is not None else 4
-    order = args.lambda_order if args.lambda_order is not None else 8
-    checks = []
-    for d in range(1, d_max + 1):
-        for mu in partitions_of(d):
-            checks.append(
-                {
-                    "name": f"character-sum-mu{_partition_label(mu)}-order{order}",
-                    "passed": mv_a1_check(mu, lam_trunc=order),
-                }
-            )
-    return checks
-
-
-def _suite_quantum_dim(args) -> list:
-    size_max = args.d if args.d is not None else 5
-    order = args.lambda_order if args.lambda_order is not None else 10
-    checks = []
-    for d in range(1, size_max + 1):
-        ok = all(
-            quantum_dim_hook(nu, lam_trunc=order) == quantum_dim_sine(nu, lam_trunc=order)
-            for nu in partitions_of(d)
-        )
-        checks.append({"name": f"hook-vs-sine-size{d}-order{order}", "passed": ok})
-    return checks
-
-
-def _suite_gluing(args) -> list:
-    d_max = args.d if args.d is not None else 3
-    checks = []
-    for a in (1, 2):
-        for d in range(1, d_max + 1):
-            fam = cap_family(a, d, lam_max=4, x_deg_max=2)
-            ident = identity_block(a, d)
-            two_sided = glue(fam, ident, d) == fam and glue(ident, fam, d) == fam
-            checks.append({"name": f"identity-kernel-a{a}-d{d}", "passed": two_sided})
-            tensor = LocalBlock(
-                d=d,
-                a_list=(a, a),
-                slots=2,
-                data={
-                    (m1, m2): fam.data[(m1,)] * fam.data[(m2,)]
-                    for m1 in partitions_of(d)
-                    for m2 in partitions_of(d)
-                },
-            )
-            assoc = glue(glue(fam, tensor, d), fam, d) == glue(fam, glue(tensor, fam, d), d)
-            checks.append({"name": f"associativity-a{a}-d{d}", "passed": assoc})
-    from .exactnum import field_for
-
-    i_unit = field_for(1).imaginary_unit()
-    for d in range(1, d_max + 1):
-        ok = True
-        for mu in partitions_of(d):
-            cap = cap_series(1, mu, lam_max=5)
-            base = g_bullet_mu(1, mu, lam_max=5)
-            scalar = i_unit ** (d - len(mu))
-            shifted = {(key[0] + d,): c * scalar for key, c in base.terms.items()}
-            if shifted != dict(cap.terms):
-                ok = False
-        checks.append({"name": f"cap-vs-framed-series-d{d}", "passed": ok})
-    return checks
-
-
-def _suite_abelian(args) -> list:
-    d_max = args.d if args.d is not None else 3
-    lam_max = args.lambda_order if args.lambda_order is not None else 4
-    tau = args.tau if args.tau is not None else 0
-    checks = []
-    base = connected_profile_series(2, (1,), tau, d_max, lam_max=lam_max)
-    names = base.ctx.names
-    lam_i = names.index("lam")
-    p_idx = [i for i, n in enumerate(names) if n.startswith("p")]
-    lifts = {
-        "cyclic4": abelian_lift((4,), (2,), ((1,),), tau, d_max, lam_max=lam_max),
-        "klein4": abelian_lift((2, 2), (1, 0), ((1, 0),), tau, d_max, lam_max=lam_max),
+    # A suite reads the flags named by its parameters and ignores the rest.
+    flags = {
+        name: getattr(args, name)
+        for name in inspect.signature(suite).parameters
+        if getattr(args, name, None) is not None
     }
-    K = 2
-    for label, lift in lifts.items():
-        ok = len(lift.terms) == len(base.terms)
-        for key, coeff in base.terms.items():
-            j = key[lam_i]
-            parts = sum(key[i] for i in p_idx)
-            want = coeff * Fraction(K) ** (1 + j - parts)
-            if lift.terms.get(key) != want:
-                ok = False
-        checks.append({"name": f"term-scaling-{label}", "passed": ok})
-    checks.append(
-        {
-            "name": "lift-independence-of-presentation",
-            "passed": lifts["cyclic4"].terms == lifts["klein4"].terms,
-        }
-    )
-    return checks
-
-
-SUITES = {
-    "phi": _suite_phi,
-    "burnside": _suite_burnside,
-    "correspondence": _suite_correspondence,
-    "mv-a1": _suite_mv_a1,
-    "quantum-dim": _suite_quantum_dim,
-    "gluing": _suite_gluing,
-    "abelian": _suite_abelian,
-}
-
-
-def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    checks = SUITES[args.suite](args)
+    checks = suite(**flags)
     passed = all(c["passed"] for c in checks)
     first_failure = next((c["name"] for c in checks if not c["passed"]), None)
     result = {"suite": args.suite, "passed": passed, "checks": checks}
@@ -463,7 +252,6 @@ def _add_common(sub):
     sub.add_argument("--r", type=int, help="number of simple branch points")
     sub.add_argument("--lambda-order", type=int, dest="lambda_order", help="series order in lam")
     sub.add_argument("--x-order", type=int, dest="x_order", help="total x-degree bound")
-    sub.add_argument("--q-order", type=int, dest="q_order", help="series order in q")
     sub.add_argument("--enumerate", type=int, help="brute-force enumeration size")
     sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     sub.add_argument("--out", help="output file path (default stdout)")

@@ -63,12 +63,16 @@ def gw_context(a: int, d_max: int) -> SeriesContext:
     return SeriesContext(var_specs, caps=[GradeCap("xdeg", xw), GradeCap("pweight", pw)])
 
 
+def _exp_diff(ctx: SeriesContext, k: int, lam_fill: int, i) -> Series:
+    # e^{i k lam/2} - e^{-i k lam/2} (that is, 2i sin(k lam/2)), i the imaginary unit.
+    return Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(k, 2), maxes={"lam": lam_fill}) - \
+        Series.exp_monomial(ctx, {"lam": 1}, -i * Fraction(k, 2), maxes={"lam": lam_fill})
+
+
 def _inv_two_sin(ctx: SeriesContext, d: int, lam_fill: int, field) -> Series:
     # 1/(2 sin(d lam/2)) as an exact Laurent series.
     i = field.imaginary_unit()
-    diff = Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(d, 2), maxes={"lam": lam_fill}) - \
-        Series.exp_monomial(ctx, {"lam": 1}, -i * Fraction(d, 2), maxes={"lam": lam_fill})
-    return diff.invert() * i
+    return _exp_diff(ctx, d, lam_fill, i).invert() * i
 
 
 def _cap_series(ctx: SeriesContext, a: int, d: int, gamma: tuple, lam_fill: int, inv_sin=None):
@@ -171,9 +175,7 @@ def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
 
 def _sin_half(ctx: SeriesContext, k: int, lam_fill: int, field) -> Series:
     i = field.imaginary_unit()
-    diff = Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(k, 2), maxes={"lam": lam_fill}) - \
-        Series.exp_monomial(ctx, {"lam": 1}, -i * Fraction(k, 2), maxes={"lam": lam_fill})
-    return diff * (field.from_fraction(Fraction(1, 2)) * i ** (-1))
+    return _exp_diff(ctx, k, lam_fill, i) * (field.from_fraction(Fraction(1, 2)) * i ** (-1))
 
 
 def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
@@ -187,9 +189,7 @@ def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
     fill = lam_trunc + 2 * len(hs) + 2
     out = Series.one(ctx) * i ** sum(nu)
     for h in hs:
-        diff = Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(h, 2), maxes={"lam": fill}) - \
-            Series.exp_monomial(ctx, {"lam": 1}, -i * Fraction(h, 2), maxes={"lam": fill})
-        out = out * diff.invert()
+        out = out * _exp_diff(ctx, h, fill, i).invert()
     if sum(nu):
         out = out.require_window(maxes={"lam": lam_trunc})
     return out.restrict(maxes={"lam": lam_trunc})

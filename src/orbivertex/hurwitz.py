@@ -156,6 +156,3 @@ def phi_composition_check(nu, mu, order: int = 6) -> bool:
         rhs = rhs + z_aut(rho) * (left * right)
     return lhs == rhs
 
-
-def transport_context() -> SeriesContext:
-    return SeriesContext([VarSpec("t")])

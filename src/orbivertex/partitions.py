@@ -17,14 +17,6 @@ def check_partition(mu) -> Partition:
     return mu
 
 
-def size(mu) -> int:
-    return sum(mu)
-
-
-def length(mu) -> int:
-    return len(mu)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(d: int) -> tuple:
     """All partitions of d, in deterministic reverse lexicographic order."""

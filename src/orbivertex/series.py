@@ -664,57 +664,27 @@ class Series:
         return self
 
     def substitute(self, bindings: dict) -> "Series":
-        """Replace variables by series.
-
-        Two supported shapes: every binding is a scalar multiple of the
-        variable itself (a diagonal rescaling, exact on any window), or the
-        series depends on each bound variable exactly (no truncation in it),
-        in which case bindings may be arbitrary invertible series in the
-        same context.
-        """
+        """Rescale variables: each binding must be a scalar multiple of the
+        variable itself (a diagonal rescaling, exact on any window)."""
         ctx = self.ctx
-        idx = {ctx.index[name]: b for name, b in bindings.items()}
-        if all(self._is_diagonal(i, b) for i, b in idx.items()):
-            scalars = {i: next(iter(b.terms.values())) for i, b in idx.items()}
-            out = {}
-            for k, c in self.terms.items():
-                factor = _as_coeff(1)
-                for i, s in scalars.items():
-                    e = Fraction(k[i], ctx.dens[i])
-                    if e.denominator != 1:
-                        raise PrecisionError("diagonal substitution needs integer exponents")
-                    factor = factor * (s ** int(e) if isinstance(s, CycloNum) else s ** int(e))
-                nc = factor * c
-                if nc:
-                    out[k] = nc
-            return Series(ctx, out, self.floors, self.maxes, self.cap_bounds)
-        for i in idx:
-            if self.maxes[i] is not None:
-                raise PrecisionError(
-                    f"general substitution for {ctx.names[i]!r} needs exact dependence on it"
-                )
-            for ci in range(len(ctx.caps)):
-                if self.cap_bounds[ci] is not None and ctx._w[ci][i]:
-                    raise PrecisionError(
-                        f"general substitution for {ctx.names[i]!r} blocked by cap {ctx.caps[ci].name!r}"
-                    )
-        for b in idx.values():
-            self._require_same_ctx(b)
-        acc = Series.zero(ctx)
-        pow_cache = {}
+        scalars = {}
+        for name, b in bindings.items():
+            i = ctx.index[name]
+            if not self._is_diagonal(i, b):
+                raise ValueError(f"substitution for {name!r} must be a scalar multiple of {name!r}")
+            scalars[i] = next(iter(b.terms.values()))
+        out = {}
         for k, c in self.terms.items():
-            rest = {ctx.names[i]: ctx.natural(i, k[i]) for i in range(ctx.n) if i not in idx and k[i]}
-            piece = Series.monomial(ctx, rest, c)
-            for i, b in idx.items():
+            factor = _as_coeff(1)
+            for i, s in scalars.items():
                 e = Fraction(k[i], ctx.dens[i])
                 if e.denominator != 1:
-                    raise PrecisionError("substitution needs integer exponents in bound variables")
-                e = int(e)
-                if e not in pow_cache.setdefault(i, {}):
-                    pow_cache[i][e] = b ** e
-                piece = piece * pow_cache[i][e]
-            acc = acc + piece
-        return acc
+                    raise PrecisionError("diagonal substitution needs integer exponents")
+                factor = factor * s ** int(e)
+            nc = factor * c
+            if nc:
+                out[k] = nc
+        return Series(ctx, out, self.floors, self.maxes, self.cap_bounds)
 
     def _is_diagonal(self, i: int, b) -> bool:
         if not isinstance(b, Series) or b.ctx.full_signature() != self.ctx.full_signature():

@@ -2,7 +2,10 @@
 
 Each criterion is one test function, so a verbose pytest run prints one
 pass/fail line per criterion.  Every comparison is exact (Fraction or
-cyclotomic equality); there are no tolerances anywhere.
+cyclotomic equality); there are no tolerances anywhere.  Criteria 2, 3, 5,
+6, 10 and 11 and the six-pair part of 4 run the named suites of
+``orbivertex.verify.SUITES`` at explicit windows, the same checks that
+``orbivertex verify`` prints, and pin how many checks each suite ran.
 """
 
 from fractions import Fraction
@@ -13,30 +16,21 @@ from orbivertex.dt_vertex import (
     box_counting_series,
     r_bullet_zero,
     reduced_vertex_closed,
-    verify_correspondence,
     volume_counts,
 )
-from orbivertex.exactnum import field_for
-from orbivertex.gw_vertex import (
-    abelian_lift,
-    connected_profile_series,
-    g_bullet_mu,
-    lambda_g_psi_series,
-    mv_a1_check,
-    quantum_dim_hook,
-    quantum_dim_sine,
-    transport_back,
-)
-from orbivertex.hurwitz import (
-    PhiKernel,
-    burnside_value,
-    factorization_oracle,
-    phi_composition_check,
-)
-from orbivertex.localgw import LocalBlock, cap_family, cap_series, glue, identity_block
+from orbivertex.gw_vertex import g_bullet_mu, lambda_g_psi_series, transport_back
 from orbivertex.partitions import partitions_of, z_aut
+from orbivertex.verify import SUITES
 
 from oracles import chi_oracle, plane_partition_counts, taylor_inverse_sin_ratio
+
+
+def run_suite(name, n_checks, **flags):
+    """Run one registered suite; every check must pass and none may be missing."""
+    checks = SUITES[name](**flags)
+    assert len(checks) == n_checks, [c["name"] for c in checks]
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert not failed, failed
 
 
 def test_criterion_01_characters_match_oracle_and_orthogonality():
@@ -60,29 +54,14 @@ def test_criterion_01_characters_match_oracle_and_orthogonality():
 
 
 def test_criterion_02_kernel_zero_value_and_composition():
-    for d in range(1, 7):
-        for nu in partitions_of(d):
-            for mu in partitions_of(d):
-                expected = Fraction(1, z_aut(nu)) if nu == mu else Fraction(0)
-                assert PhiKernel(nu, mu).at_zero() == expected, (nu, mu)
-    for d in range(1, 5):
-        for nu in partitions_of(d):
-            for mu in partitions_of(d):
-                assert phi_composition_check(nu, mu, order=6), (nu, mu)
+    # Zero values for sizes 1..6, composition through order 6 for sizes 1..4.
+    run_suite("phi", 10, d=6, lambda_order=6)
     print("criterion 2 PASS: kernel is delta/z at zero and composes additively")
 
 
 def test_criterion_03_burnside_matches_factorization_oracle():
-    for d in range(1, 4):
-        for nu in partitions_of(d):
-            for mu in partitions_of(d):
-                for r in range(5):
-                    chi_euler = len(nu) + len(mu) - r
-                    assert burnside_value(chi_euler, nu, mu) == factorization_oracle(
-                        chi_euler, nu, mu
-                    ), (nu, mu, r)
-    assert burnside_value(2, (1,), (1,)) == 1
-    assert burnside_value(0, (2,), (2,)) == Fraction(1, 2)
+    # Sizes 1..3, 0..4 simple branch points, plus the two spot values.
+    run_suite("burnside", 4, d=3, r=4)
     print("criterion 3 PASS: weighted counts match brute-force factorizations")
 
 
@@ -95,24 +74,19 @@ def test_criterion_04_correspondence_with_pinned_initial_value():
     assert g_bullet_mu(1, (1,), lam_max=5).restrict(maxes=window) == series.restrict(
         maxes=window
     )
-    for a, d in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
-        assert verify_correspondence(a, d, lam_max=5, x_deg_max=4), (a, d)
+    # One check per profile over the six default (a, d) pairs.
+    run_suite("correspondence", 10, lambda_order=5, x_order=4)
     print("criterion 4 PASS: both sides agree for all six (a, d) pairs")
 
 
 def test_criterion_05_character_sum_initial_formula():
-    for d in range(1, 5):
-        for mu in partitions_of(d):
-            assert mv_a1_check(mu, lam_trunc=8), mu
+    # Every profile of size 1..4, through order 8.
+    run_suite("mv-a1", 11, d=4, lambda_order=8)
     print("criterion 5 PASS: character sum reproduces the one-leg series at a=1")
 
 
 def test_criterion_06_quantum_dimension_formulas():
-    for d in range(1, 6):
-        for nu in partitions_of(d):
-            assert quantum_dim_hook(nu, lam_trunc=10) == quantum_dim_sine(
-                nu, lam_trunc=10
-            ), nu
+    run_suite("quantum-dim", 5, d=5, lambda_order=10)
     print("criterion 6 PASS: hook and sine-product formulas agree to order 10")
 
 
@@ -161,56 +135,14 @@ def test_criterion_09_framing_transport_round_trip():
 
 
 def test_criterion_10_abelian_lift_term_scaling():
-    d_max = 3
-    K = 2
+    # Two lifts and their agreement, at framing 0 and 1, sizes up to 3, lam^4.
     for tau in (0, 1):
-        base = connected_profile_series(2, (1,), tau, d_max, lam_max=4)
-        names = base.ctx.names
-        lam_i = names.index("lam")
-        p_idx = [i for i, n in enumerate(names) if n.startswith("p")]
-        lifts = (
-            abelian_lift((4,), (2,), ((1,),), tau, d_max, lam_max=4),
-            abelian_lift((2, 2), (1, 0), ((1, 0),), tau, d_max, lam_max=4),
-        )
-        for lift in lifts:
-            assert len(lift.terms) == len(base.terms)
-            for key, coeff in base.terms.items():
-                j = key[lam_i]
-                parts = sum(key[i] for i in p_idx)
-                assert lift.terms[key] == coeff * Fraction(K) ** (1 + j - parts), (
-                    tau,
-                    key,
-                )
-        assert lifts[0].terms == lifts[1].terms
+        run_suite("abelian", 3, d=3, lambda_order=4, tau=tau)
     print("criterion 10 PASS: both order-4 groups lift with the K-power scaling")
 
 
 def test_criterion_11_gluing_algebra_and_cap_consistency():
-    for a in (1, 2):
-        for d in (1, 2, 3):
-            fam = cap_family(a, d, lam_max=3, x_deg_max=2)
-            ident = identity_block(a, d)
-            assert glue(fam, ident, d) == fam, (a, d)
-            assert glue(ident, fam, d) == fam, (a, d)
-            tensor = LocalBlock(
-                d=d,
-                a_list=(a, a),
-                slots=2,
-                data={
-                    (m1, m2): fam.data[(m1,)] * fam.data[(m2,)]
-                    for m1 in partitions_of(d)
-                    for m2 in partitions_of(d)
-                },
-            )
-            lhs = glue(glue(fam, tensor, d), fam, d)
-            rhs = glue(fam, glue(tensor, fam, d), d)
-            assert lhs == rhs, (a, d)
-    i_unit = field_for(1).imaginary_unit()
-    for d in (1, 2, 3):
-        for mu in partitions_of(d):
-            cap = cap_series(1, mu, lam_max=4)
-            base = g_bullet_mu(1, mu, lam_max=4)
-            scalar = i_unit ** (d - len(mu))
-            shifted = {(key[0] + d,): c * scalar for key, c in base.terms.items()}
-            assert shifted == dict(cap.terms), mu
+    # Identity and associativity for a in {1, 2}, sizes 1..3 through lam^3;
+    # caps at a=1 against the framed series through lam^4.
+    run_suite("gluing", 15, d=3, lambda_order=3)
     print("criterion 11 PASS: gluing identity and associativity hold; caps consistent")

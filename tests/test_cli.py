@@ -2,10 +2,12 @@
 
 import json
 
+from orbivertex import verify
 from orbivertex.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     main,
 )
 
@@ -94,6 +96,18 @@ def test_verify_suite_passes(capsys):
     assert all(c["passed"] for c in payload["result"]["checks"])
 
 
+def test_verify_failure_exits_two_and_names_check(monkeypatch, capsys):
+    def failing(*, d=None):
+        return [{"name": "fine", "passed": True}, {"name": "broken", "passed": False}]
+
+    monkeypatch.setitem(verify.SUITES, "phi", failing)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "phi", "--d", "3")
+    assert code == EXIT_VERIFY
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    assert result["first_failure"] == "broken"
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "gw", "--mu", "1")
     assert code == EXIT_USAGE
@@ -101,6 +115,8 @@ def test_usage_errors_exit_one(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "mystery")
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "char", "--d", "3", "--mu", "oops")
+    assert code == EXIT_USAGE
+    code, _, _ = run_cli(capsys, "dt", "--a", "1", "--nu", "1", "--q-order", "4")
     assert code == EXIT_USAGE
 
 

@@ -135,6 +135,8 @@ def test_substitute_diagonal_rescaling():
     assert doubled.coefficient({"q": 1}) == 4
     assert doubled.coefficient({"q": 2}) == 12
     assert doubled.maxes == s.maxes
+    with pytest.raises(ValueError, match="'q'"):
+        s.substitute({"q": Series.monomial(ctx, {"q": 2}, 2)})
 
 
 def test_fractional_lattice_exponents():
