@@ -1,20 +1,11 @@
-"""Symmetric group characters and Schur evaluations at colored alphabets.
-
-Characters are computed by the border-strip recursion on beta numbers.
-Schur functions are evaluated at the graded alphabet whose letters are
-``(prod_{j>l} q_j) * q^m`` for ``l`` in ``0..a-1`` and ``m >= 0``; power
-sums at this alphabet are rational in q with polynomial dependence on the
-``q_l``, which keeps the series windows exact in every variable but q.
-"""
+"""Symmetric group characters, computed by the border-strip recursion on
+beta numbers."""
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import check_partition, conjugate, partitions_of, z_aut
-from .series import Series, SeriesContext, VarSpec
+from .partitions import check_partition, partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -56,93 +47,3 @@ def character_table(d: int) -> dict:
     """All character values for the symmetric group on d letters."""
     rows = partitions_of(d)
     return {(nu, mu): chi(nu, mu) for nu in rows for mu in rows}
-
-
-def colored_context(a: int) -> SeriesContext:
-    """Series context in q and the color variables q_1 .. q_{a-1}."""
-    if a < 1:
-        raise ValueError("modulus must be a positive integer")
-    return SeriesContext([VarSpec("q")] + [VarSpec(f"q{l}") for l in range(1, a)])
-
-
-def powersum_colored(ctx: SeriesContext, k: int, a: int, q_max: int, sign: int = 1) -> Series:
-    """p_k at the colored alphabet, with q optionally negated (sign=-1)."""
-    if k < 1:
-        raise ValueError("power sum index must be positive")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    den = Series.one(ctx) - Series.monomial(ctx, {"q": k}, sign ** k)
-    geom = den.restrict(maxes={"q": q_max}).invert()
-    total = Series.zero(ctx)
-    for l in range(a):
-        prefix = {f"q{j}": k for j in range(l + 1, a)}
-        total = total + Series.monomial(ctx, prefix, 1) * geom
-    return total
-
-
-def schur_at_colored(nu, a: int, q_max: int, sign: int = 1, ctx: SeriesContext | None = None) -> Series:
-    """Schur function s_nu at the colored alphabet, through q^q_max.
-
-    Computed from the character expansion into power sums.
-    """
-    nu = check_partition(nu)
-    if ctx is None:
-        ctx = colored_context(a)
-    d = sum(nu)
-    if d == 0:
-        return Series.one(ctx)
-    psums = {}
-    total = Series.zero(ctx)
-    for mu in partitions_of(d):
-        c = Fraction(chi(nu, mu), z_aut(mu))
-        if not c:
-            continue
-        prod = Series.one(ctx)
-        for part in mu:
-            if part not in psums:
-                psums[part] = powersum_colored(ctx, part, a, q_max, sign)
-            prod = prod * psums[part]
-        total = total + prod * c
-    return total
-
-
-def schur_at_colored_jt(nu, a: int, q_max: int, sign: int = 1) -> Series:
-    """Schur function at the colored alphabet via the dual Jacobi-Trudi
-    determinant in elementary symmetric functions.  Independent route used
-    to cross-check the character expansion."""
-    nu = check_partition(nu)
-    ctx = colored_context(a)
-    d = sum(nu)
-    if d == 0:
-        return Series.one(ctx)
-    conj = conjugate(nu)
-    # Newton's identities: k e_k = sum_{i=1}^{k} (-1)^(i-1) p_i e_{k-i}.
-    elem = [Series.one(ctx)]
-    psums = {}
-    for k in range(1, d + 1):
-        acc = Series.zero(ctx)
-        for i in range(1, k + 1):
-            if i not in psums:
-                psums[i] = powersum_colored(ctx, i, a, q_max, sign)
-            acc = acc + psums[i] * elem[k - i] * Fraction((-1) ** (i - 1), 1)
-        elem.append(acc / k)
-
-    def ee(k: int) -> Series:
-        if k < 0 or k > d:
-            return Series.zero(ctx)
-        return elem[k]
-
-    n = len(conj)
-    total = Series.zero(ctx)
-    for perm in itertools.permutations(range(n)):
-        sign_p = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign_p = -sign_p
-        prod = Series.one(ctx)
-        for i in range(n):
-            prod = prod * ee(conj[i] - (i + 1) + (perm[i] + 1))
-        total = total + prod * sign_p
-    return total

@@ -11,7 +11,6 @@ trigonometric series all live here.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,8 +23,8 @@ from .partitions import (
     partitions_of,
     z_aut,
 )
-from .exactnum import CycloNum, field_for
-from .series import GradeCap, PrecisionError, Series, SeriesContext, VarSpec, coeff_to_data
+from .exactnum import field_for
+from .series import GradeCap, Series, SeriesContext, VarSpec, _frac_str, coeff_to_data
 
 
 class RationalForm:
@@ -174,15 +173,10 @@ class RationalForm:
     def to_data(self) -> dict:
         """JSON-ready form: numerator terms with natural exponents in q and
         the color variables, denominator as (k, sign, mult) factors."""
-
-        def frac_str(f):
-            f = Fraction(f)
-            return f"{f.numerator}/{f.denominator}"
-
         numerator = []
         for key in sorted(self.num):
-            exps = [frac_str(Fraction(key[0], 2))]
-            exps += [frac_str(Fraction(key[l], self.a)) for l in range(1, self.a)]
+            exps = [_frac_str(Fraction(key[0], 2))]
+            exps += [_frac_str(Fraction(key[l], self.a)) for l in range(1, self.a)]
             numerator.append({"exponents": exps, "coeff": coeff_to_data(self.num[key])})
         denominator = [
             {"k": k, "sign": s, "mult": m} for (k, s), m in sorted(self.den.items())
@@ -471,20 +465,20 @@ def _transported(rf: RationalForm, d: int, lam_max: int, x_deg_max: int) -> Seri
 
 def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Framing-zero disconnected generating series for one ramification
-    profile, from the closed product form: the composite degree token
-    times the conjugate Schur sum at the sign-flipped colored alphabet."""
+    profile: the composite degree token times the conjugate Schur sum
+    sum_nu chi^nu(mu)/z_mu s_{nu'} at the sign-flipped colored alphabet.
+    Since chi^{nu'}(mu) = (-1)^(d - len(mu)) chi^nu(mu) and
+    p_mu = sum_nu chi^nu(mu) s_nu, that sum is the single product
+    (-1)^(d - len(mu)) / z_mu * prod_k p_{mu_k}."""
     mu = check_partition(mu)
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))
-    acc = RationalForm.zero(a)
-    for nu in partitions_of(d):
-        c = Fraction(chi(nu, mu), z_aut(mu))
-        if not c:
-            continue
-        acc = acc + schur_rational(conjugate(nu), a).flip_q_sign() * c
-    lead = RationalForm.monomial(a, Fraction(d, 2), tuple(-Fraction(d * l, a) for l in range(1, a)))
-    return _transported(lead * acc, d, lam_max, x_deg_max)
+    token = tuple(-Fraction(d * l, a) for l in range(1, a))
+    prod = RationalForm.monomial(a, Fraction(d, 2), token, Fraction((-1) ** (d - len(mu)), z_aut(mu)))
+    for part in mu:
+        prod = prod * powersum_rational(a, part).flip_q_sign()
+    return _transported(prod, d, lam_max, x_deg_max)
 
 
 def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4, axis: str = "col") -> Series:

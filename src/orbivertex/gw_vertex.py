@@ -129,20 +129,6 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
     return total.restrict(cap_bounds={"xdeg": x_deg_max, "pweight": d_max})
 
 
-def _to_trig(series: Series, a: int) -> Series:
-    # Rebuild a (lam, x)-only series produced by extract() in the shared
-    # trigonometric context so it can mix with vertex-side series.
-    ctx = trig_context(a)
-    src = series.ctx
-    if src.names != ctx.names or src.dens != ctx.dens:
-        raise ValueError("series is not in (lam, x) form")
-    bound = None
-    for ci, cap in enumerate(src.caps):
-        if cap.name == "xdeg":
-            bound = series.cap_bounds[ci]
-    return Series(ctx, dict(series.terms), series.floors, series.maxes, (bound,))
-
-
 def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Coefficient of p_mu in the exponential of the connected generating
     function at framing zero."""
@@ -156,7 +142,7 @@ def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     fixed = {}
     for k in range(1, d + 1):
         fixed[f"p{k}"] = mu.count(k)
-    out = _to_trig(bullet.extract(fixed), a)
+    out = bullet.extract(fixed).embed(trig_context(a))
     out = out.require_window(maxes={"lam": lam_max})
     return out.restrict(maxes={"lam": lam_max})
 
@@ -219,7 +205,7 @@ def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
 
 
 def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
-    """Framing-zero disconnected series from the closed colored-Schur form."""
+    """Framing-zero disconnected series from the closed power-sum product."""
     return _r_bullet_zero_closed(a, mu, lam_max, x_deg_max)
 
 
@@ -249,27 +235,30 @@ def mv_a1_check(mu, lam_trunc: int = 8) -> bool:
     return lhs.restrict(maxes=window) == rhs.require_window(maxes=window).restrict(maxes=window)
 
 
+def _transport(a: int, mu: tuple, tau: int, lam_max: int, series_of) -> Series:
+    # sum_nu z_nu series_of(nu) Phi_{nu,mu}(i tau lam) over |nu| = |mu| = d.
+    # Every series_of(nu) starts at lam^(-d) or above, so the kernel must be
+    # expanded d orders further for the product window to reach lam_max.
+    ctx = trig_context(a)
+    d = sum(mu)
+    scale = field_for(a).imaginary_unit() * tau
+    total = Series.zero(ctx)
+    for nu in partitions_of(d):
+        kernel = PhiKernel(nu, mu).series(ctx, "lam", scale, maxes={"lam": lam_max + d})
+        total = total + series_of(nu) * kernel * z_aut(nu)
+    return total.restrict(maxes={"lam": lam_max})
+
+
 def r_bullet_tau(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -> FramedVertex:
     """Framing transport: the framing-zero series pushed through the
     exponential kernel at argument i*lam*tau."""
     mu = check_partition(mu)
     if not isinstance(tau, int):
         raise ValueError("framing must be an integer")
-    d = sum(mu)
-    ctx = trig_context(a)
-    if d == 0:
-        return FramedVertex(a, mu, tau, Series.one(ctx))
-    field = field_for(a)
-    scale = field.imaginary_unit() * tau
-    total = Series.zero(ctx)
-    for nu in partitions_of(d):
-        base = r_bullet_zero(a, nu, lam_max, x_deg_max)
-        # The base series starts at lam^(-len(nu)), so the kernel must be
-        # expanded len(nu) orders further for the product window to reach
-        # lam_max; d bounds len(nu) over the whole sum.
-        kernel = PhiKernel(nu, mu).series(ctx, "lam", scale, maxes={"lam": lam_max + d})
-        total = total + base * kernel * z_aut(nu)
-    return FramedVertex(a, mu, tau, total.restrict(maxes={"lam": lam_max}))
+    if not mu:
+        return FramedVertex(a, mu, tau, Series.one(trig_context(a)))
+    series = _transport(a, mu, tau, lam_max, lambda nu: r_bullet_zero(a, nu, lam_max, x_deg_max))
+    return FramedVertex(a, mu, tau, series)
 
 
 def transport_back(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -> Series:
@@ -277,17 +266,9 @@ def transport_back(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -
     opposite argument; by the composition and initial-value laws this
     recovers the framing-zero series of mu."""
     mu = check_partition(mu)
-    ctx = trig_context(a)
-    field = field_for(a)
-    scale = field.imaginary_unit() * (-tau)
-    d = sum(mu)
-    total = Series.zero(ctx)
-    for nu in partitions_of(d):
-        inner = r_bullet_tau(a, nu, tau, lam_max, x_deg_max).series
-        total = total + inner * PhiKernel(nu, mu).series(
-            ctx, "lam", scale, maxes={"lam": lam_max + d}
-        ) * z_aut(nu)
-    return total.restrict(maxes={"lam": lam_max})
+    return _transport(
+        a, mu, -tau, lam_max, lambda nu: r_bullet_tau(a, nu, tau, lam_max, x_deg_max).series
+    )
 
 
 # -- abelian lift -------------------------------------------------------------
@@ -315,23 +296,6 @@ def project_element(group_orders, phi, g, a: int) -> int:
     return int(scaled) % a
 
 
-def _pad_key(key, src: SeriesContext, dst: SeriesContext) -> tuple:
-    exps = dict(zip(src.names, key))
-    return tuple(exps.get(name, 0) for name in dst.names)
-
-
-def _carried_window(series: Series):
-    maxes = {}
-    for i, name in enumerate(series.ctx.names):
-        if series.maxes[i] is not None:
-            maxes[name] = series.ctx.natural(i, series.maxes[i])
-    bounds = {}
-    for ci, cap in enumerate(series.ctx.caps):
-        if series.cap_bounds[ci] is not None:
-            bounds[cap.name] = series.cap_bounds[ci]
-    return maxes, bounds
-
-
 def connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_max: int = 5) -> Series:
     """Coefficient of the color monomial prod x_{colors} in the logarithm
     of the disconnected generating function, as a series in (lam, p)."""
@@ -341,14 +305,7 @@ def connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_ma
     total = Series.one(ctx)
     for d in range(1, d_max + 1):
         for mu in partitions_of(d):
-            fv = r_bullet_tau(a, mu, tau, lam_inner, n_colors)
-            maxes, bounds = _carried_window(fv.series)
-            lifted = Series.from_terms(
-                ctx,
-                {_pad_key(k, fv.series.ctx, ctx): c for k, c in fv.series.terms.items()},
-                maxes=maxes,
-                cap_bounds=bounds,
-            )
+            lifted = r_bullet_tau(a, mu, tau, lam_inner, n_colors).series.embed(ctx)
             exps = {}
             for k in mu:
                 exps[f"p{k}"] = exps.get(f"p{k}", 0) + 1

@@ -222,6 +222,8 @@ class Series:
 
         Window arguments are given in natural units, keyed by variable or
         cap name; missing entries mean no truncation in that direction.
+        Without ``floors`` they are read off the stored terms, so a series
+        with no stored terms and a finite window needs explicit floors.
         """
         stored = {}
         for exps, c in terms.items():
@@ -242,6 +244,8 @@ class Series:
         if floors is None:
             if stored:
                 floors_v = tuple(min(k[i] for k in stored) for i in range(ctx.n))
+            elif any(v is not None for v in maxes_v + bounds_v):
+                raise ValueError("no stored terms to read floors from: pass floors")
             else:
                 floors_v = (0,) * ctx.n
         else:
@@ -632,6 +636,32 @@ class Series:
             if all(k[i] == e for i, e in fixed_idx.items()):
                 out[tuple(k[i] for i in keep)] = c
         return Series(new_ctx, out, new_floors, new_maxes, tuple(new_bounds))
+
+    def embed(self, ctx: SeriesContext) -> "Series":
+        """The same series in another context, matching variables and caps
+        by name.  A variable the source lacks gets exponent 0, no max and
+        floor 0; floors, maxes and cap bounds carry over unchanged.  Raises
+        ValueError on a changed lattice denominator, on a dropped variable
+        with terms or a finite max, and on a finite cap bound that would be
+        dropped or reweighted."""
+        src = self.ctx
+        for i, name in enumerate(src.names):
+            if name in ctx.index:
+                if ctx.dens[ctx.index[name]] != src.dens[i]:
+                    raise ValueError(f"variable {name!r} has a different exponent lattice")
+            elif self.maxes[i] is not None or any(k[i] for k in self.terms):
+                raise ValueError(f"variable {name!r} carries data the target context lacks")
+        for ci, cap in enumerate(src.caps):
+            kept = ctx.caps[ctx.cap_index[cap.name]].weights if cap.name in ctx.cap_index else {}
+            reweighted = any(kept.get(v, 0) != cap.weights.get(v, 0) for v in src.names)
+            if self.cap_bounds[ci] is not None and reweighted:
+                raise ValueError(f"finite bound of cap {cap.name!r} would be dropped or reweighted")
+        picks = [src.index.get(name) for name in ctx.names]
+        terms = {tuple(0 if j is None else k[j] for j in picks): c for k, c in self.terms.items()}
+        floors = tuple(0 if j is None else self.floors[j] for j in picks)
+        maxes = tuple(None if j is None else self.maxes[j] for j in picks)
+        have = dict(zip((cap.name for cap in src.caps), self.cap_bounds))
+        return Series(ctx, terms, floors, maxes, tuple(have.get(cap.name) for cap in ctx.caps))
 
     def restrict(self, maxes=None, cap_bounds=None) -> "Series":
         """Shrink the window (never grow it) and prune stored terms."""

@@ -1,20 +1,19 @@
-"""Symmetric group characters and Schur evaluations at colored alphabets."""
+"""Symmetric group characters, and the colored-alphabet Schur oracles."""
 
 from fractions import Fraction
 
 import pytest
 
-from orbivertex.characters import (
-    character_table,
-    chi,
+from orbivertex.characters import character_table, chi
+from orbivertex.partitions import conjugate, partitions_of, z_aut
+
+from oracles import (
+    chi_oracle,
     colored_context,
     powersum_colored,
     schur_at_colored,
     schur_at_colored_jt,
 )
-from orbivertex.partitions import conjugate, partitions_of, z_aut
-
-from oracles import chi_oracle
 
 
 def test_chi_matches_independent_oracle_through_degree_five():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from orbivertex.characters import colored_context, schur_at_colored
 from orbivertex.dt_vertex import (
     RationalForm,
     box_context,
@@ -19,12 +18,16 @@ from orbivertex.dt_vertex import (
 )
 from orbivertex.partitions import partitions_of
 
-from oracles import plane_partition_counts, taylor_inverse_sin_ratio
+from oracles import (
+    colored_context,
+    plane_partition_counts,
+    powersum_colored,
+    schur_at_colored,
+    taylor_inverse_sin_ratio,
+)
 
 
 def test_powersum_rational_expands_to_colored_powersum():
-    from orbivertex.characters import powersum_colored
-
     for a in (1, 2, 3):
         ctx = colored_context(a)
         for k in (1, 2, 3):
@@ -106,11 +109,26 @@ def test_framing_zero_series_is_inverse_sine():
 
 
 def test_vertex_side_matches_framing_zero():
+    # The vertex side sums Schur functions shape by shape; r_bullet_zero is
+    # the collapsed power-sum product, so these inputs compare the two.
     window = {"lam": 4}
-    for a, mu in ((1, (2,)), (2, (1,))):
+    cases = ((1, (2,)), (2, (1,)), (2, (2,)), (2, (1, 1)), (2, (2, 1)), (3, (2,)), (3, (1, 1)))
+    for a, mu in cases:
         lhs = vertex_side_series(a, mu, lam_max=4, x_deg_max=3).restrict(maxes=window)
         rhs = r_bullet_zero(a, mu, lam_max=4, x_deg_max=3).restrict(maxes=window)
         assert lhs == rhs, (a, mu)
+
+
+def test_framing_zero_floor_is_minus_length():
+    # Each power sum contributes one 1/sin pole, so the lam floor is sharp
+    # at -len(mu) and a term sits there.
+    for a in (1, 2, 3):
+        for d in (1, 2, 3):
+            for mu in partitions_of(d):
+                series = r_bullet_zero(a, mu, lam_max=2, x_deg_max=4)
+                lam_floor = series.window_description()["lam"]["floor"]
+                lowest = min(key[0] for key in series.terms)
+                assert lam_floor == lowest == -len(mu), (a, mu)
 
 
 def test_verify_correspondence_smoke():

@@ -11,6 +11,7 @@ from orbivertex.gw_vertex import (
     character_image_order,
     connected_profile_series,
     g_bullet_mu,
+    gw_context,
     lambda_g_psi_series,
     mv_a1_check,
     project_element,
@@ -102,6 +103,19 @@ def test_framed_vertex_at_zero_framing():
     assert fv.series.restrict(maxes=window) == base.restrict(maxes=window)
     with pytest.raises(ValueError):
         r_bullet_tau(1, (2,), Fraction(1, 2), lam_max=4)
+
+
+def test_empty_window_keeps_its_floor_when_lifted():
+    # Through x-degree 1 this series stores no terms, but through x-degree
+    # 2 it has a lam^-2 x^2 term: the lift into the profile context must
+    # carry the floor lam^-2, not read floor 0 off the empty term set.
+    narrow = r_bullet_tau(2, (1, 1), 0, lam_max=3, x_deg_max=1).series
+    assert not narrow.terms
+    wide = r_bullet_tau(2, (1, 1), 0, lam_max=3, x_deg_max=2).series
+    assert wide.coefficient({"lam": -2, "x1": 2})
+    lifted = narrow.embed(gw_context(2, 2))
+    assert lifted.window_description()["lam"] == {"floor": -2, "max": 3}
+    assert lifted.window_description()["cap:xdeg"] == 1
 
 
 def test_character_image_order_and_projection():

@@ -185,3 +185,76 @@ def test_coeff_encoding_forms():
     assert coeff_from_data(blob) == i
     # Rational cyclotomic numbers collapse to plain fraction strings.
     assert coeff_to_data(field.from_fraction(Fraction(2, 3))) == "2/3"
+
+
+def test_from_terms_without_terms_needs_floors():
+    ctx = SeriesContext([VarSpec("q")], caps=[GradeCap("deg", {"q": 1})])
+    # No stored term to read a floor from: floor 0 would be a guess.
+    with pytest.raises(ValueError):
+        Series.from_terms(ctx, {}, maxes={"q": 3})
+    with pytest.raises(ValueError):
+        Series.from_terms(ctx, {}, cap_bounds={"deg": 3})
+    s = Series.from_terms(ctx, {}, maxes={"q": 3}, floors=(-2,))
+    assert s.floors == (-2,)
+    assert s.coefficient({"q": -3}) == 0
+    assert s.coefficient({"q": -1}) == 0
+    zero = Series.from_terms(ctx, {})
+    assert zero.is_exact_zero()
+    assert zero.floors == (0,)
+
+
+def _embed_contexts():
+    src = SeriesContext([VarSpec("lam", 2), VarSpec("x1")], caps=[GradeCap("xdeg", {"x1": 1})])
+    dst = SeriesContext(
+        [VarSpec("lam", 2), VarSpec("x1"), VarSpec("p1")],
+        caps=[GradeCap("xdeg", {"x1": 1}), GradeCap("pweight", {"p1": 1})],
+    )
+    return src, dst
+
+
+def test_embed_matches_variables_and_caps_by_name():
+    src, dst = _embed_contexts()
+    s = Series.from_terms(
+        src,
+        {(Fraction(-1, 2), 1): 3, (Fraction(1, 2), 2): -1},
+        maxes={"lam": 2},
+        cap_bounds={"xdeg": 2},
+        floors=(Fraction(-3, 2), 0),
+    )
+    e = s.embed(dst)
+    assert e.coefficient({"lam": Fraction(-1, 2), "x1": 1}) == 3
+    assert e.coefficient({"lam": Fraction(1, 2), "x1": 2}) == -1
+    assert e.window_description() == {
+        "lam": {"floor": Fraction(-3, 2), "max": 2},
+        "x1": {"floor": 0, "max": None},
+        "p1": {"floor": 0, "max": None},
+        "cap:xdeg": 2,
+        "cap:pweight": None,
+    }
+    # A product with a p-series keeps the carried windows.
+    prod = e * Series.monomial(dst, {"p1": 1}, 2)
+    assert prod.coefficient({"lam": Fraction(-1, 2), "x1": 1, "p1": 1}) == 6
+    with pytest.raises(PrecisionError):
+        prod.coefficient({"lam": 3, "p1": 1})
+    back = e.embed(src)
+    assert back == s
+    assert back.window_description() == s.window_description()
+
+
+def test_embed_refuses_to_change_the_series_or_its_window():
+    src, dst = _embed_contexts()
+    other_lattice = SeriesContext([VarSpec("lam"), VarSpec("x1")], caps=[GradeCap("xdeg", {"x1": 1})])
+    with pytest.raises(ValueError):
+        Series.monomial(src, {"lam": 1}, 1).embed(other_lattice)
+    # A dropped variable may carry neither terms nor a finite max.
+    with pytest.raises(ValueError):
+        Series.monomial(dst, {"p1": 1}, 1).embed(src)
+    with pytest.raises(ValueError):
+        Series.one(dst).restrict(maxes={"p1": 2}).embed(src)
+    # A finite bound of a dropped cap with weights, or of a reweighted cap.
+    with pytest.raises(ValueError):
+        Series.one(dst).restrict(cap_bounds={"pweight": 2}).embed(src)
+    heavier = SeriesContext([VarSpec("lam", 2), VarSpec("x1")], caps=[GradeCap("xdeg", {"x1": 2})])
+    with pytest.raises(ValueError):
+        Series.one(src).restrict(cap_bounds={"xdeg": 2}).embed(heavier)
+    Series.one(src).embed(heavier)
