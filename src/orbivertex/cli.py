@@ -210,7 +210,7 @@ def cmd_local_gw(args) -> int:
     else:
         raise UsageError("local-gw needs --mu, --d, or --glue")
     if args.format == "csv":
-        return _emit_csv(args, emit_table(block, "csv"))
+        return _emit_csv(args, emit_table(block))
     return _emit_json(args, block_to_data(block))
 
 
@@ -253,8 +253,11 @@ def _add_common(sub):
     sub.add_argument("--lambda-order", type=int, dest="lambda_order", help="series order in lam")
     sub.add_argument("--x-order", type=int, dest="x_order", help="total x-degree bound")
     sub.add_argument("--enumerate", type=int, help="brute-force enumeration size")
-    sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     sub.add_argument("--out", help="output file path (default stdout)")
+
+
+def _add_format(sub):
+    sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("char", help="symmetric group character table")
     _add_common(sp)
+    _add_format(sp)
     sp.set_defaults(func=cmd_char)
 
     sp = subs.add_parser("hurwitz", help="weighted branched-cover count")
@@ -280,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("local-gw", help="local invariant blocks and gluing")
     _add_common(sp)
+    _add_format(sp)
     sp.add_argument("--glue", help="JSON gluing plan file")
     sp.set_defaults(func=cmd_local_gw)
 

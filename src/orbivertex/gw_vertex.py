@@ -337,8 +337,7 @@ def abelian_lift(group_orders, phi, gamma_g, tau: int, d_max: int, lam_max: int 
             raise ValueError("insertions must project to nontrivial elements")
         colors.append(v)
     base = connected_profile_series(a, tuple(sorted(colors)), tau, d_max, lam_max)
-    ctx = base.ctx
-    bindings = {"lam": Series.monomial(ctx, {"lam": 1}, Fraction(K))}
+    scalars = {"lam": K}
     for d in range(1, d_max + 1):
-        bindings[f"p{d}"] = Series.monomial(ctx, {f"p{d}": 1}, Fraction(1, K))
-    return base.substitute(bindings) * Fraction(K)
+        scalars[f"p{d}"] = Fraction(1, K)
+    return base.substitute(scalars) * Fraction(K)

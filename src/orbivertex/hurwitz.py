@@ -64,7 +64,12 @@ class PhiKernel:
                 continue
             coeff = scale * Fraction(k, 2)
             total = total + c * Series.exp_monomial(ctx, {var: 1}, coeff, maxes=maxes, cap_bounds=cap_bounds)
-        return total
+        if not total.terms:
+            return total
+        # Exact through the window on one axis, so nothing lies below the
+        # lowest stored term (off-diagonal kernels vanish at argument zero).
+        floors = tuple(min(k[i] for k in total.terms) for i in range(ctx.n))
+        return Series(ctx, total.terms, floors, total.maxes, total.cap_bounds)
 
 
 def burnside_value(chi_euler: int, nu, mu) -> Fraction:

@@ -216,18 +216,14 @@ def block_from_data(data: dict) -> LocalBlock:
     )
 
 
-def emit_table(block: LocalBlock, fmt: str = "csv") -> str:
-    """Render a block as text: CSV coefficient rows or round-trip JSON.
+def emit_table(block: LocalBlock) -> str:
+    """Render a block as CSV coefficient rows.
 
-    CSV rows carry (d, b, gamma, value) per stored term, where b is the
+    Rows carry (d, b, gamma, value) per stored term, where b is the
     lambda exponent as an exact rational "num/den", gamma the x-exponents
     joined by ";", and value the canonical coefficient encoding.  Blocks
     with boundary slots gain a leading boundary column.
     """
-    if fmt == "json":
-        return json.dumps(block_to_data(block), sort_keys=True, indent=2)
-    if fmt != "csv":
-        raise ValueError(f"unknown table format {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["d", "b", "gamma", "value"]

@@ -252,7 +252,7 @@ class Series:
             floors_v = tuple(ctx.scale(ctx.names[i], floors[i]) for i in range(ctx.n))
         out = cls(ctx, stored, floors_v, tuple(maxes_v), tuple(bounds_v))
         for key in stored:
-            if not out._in_window(key, out.maxes, out.cap_bounds):
+            if not self_in_window_static(key, out.maxes, out.cap_bounds, ctx):
                 raise ValueError("stored term lies outside the declared window")
             if any(k < f for k, f in zip(key, floors_v)):
                 raise ValueError("stored term lies below the declared floor")
@@ -319,9 +319,6 @@ class Series:
         if self.terms:
             return min(self.ctx.grade(ci, k) for k in self.terms)
         return self.ctx.grade(ci, self.floors)
-
-    def _in_window(self, key, maxes, bounds) -> bool:
-        return self_in_window_static(key, maxes, bounds, self.ctx)
 
     def _require_same_ctx(self, other: "Series") -> SeriesContext:
         if self.ctx is other.ctx:
@@ -438,23 +435,23 @@ class Series:
 
     # -- analytic operations ------------------------------------------------
 
-    def _termination_score(self, key) -> Fraction:
-        # Additive score that every windowed power must eventually exhaust.
-        s = Fraction(0)
-        for i in range(self.ctx.n):
-            if self.maxes[i] is not None:
-                s += key[i]
-        for ci in range(len(self.ctx.caps)):
-            if self.cap_bounds[ci] is not None:
-                s += self.ctx.grade(ci, key)
-        return s
-
     def _clip_to(self, maxes, bounds) -> "Series":
         # Intersect the window with the given scaled extents and prune.
         nm = tuple(_nmin(a, b) for a, b in zip(self.maxes, maxes))
         nb = tuple(_nmin(a, b) for a, b in zip(self.cap_bounds, bounds))
         terms = {k: c for k, c in self.terms.items() if self_in_window_static(k, nm, nb, self.ctx)}
         return Series(self.ctx, terms, self.floors, nm, nb)
+
+    def _power_sum(self, coeffs, acc: "Series") -> "Series":
+        # acc + sum_k coeffs[k-1] * self**k, every power clipped to the window
+        # of self.  Empty powers still take part: they narrow the window of
+        # the sum.  The sum is then trimmed to that window.
+        power = self._clip_to(self.maxes, self.cap_bounds)
+        for k, c in enumerate(coeffs):
+            if k:
+                power = (power * self)._clip_to(self.maxes, self.cap_bounds)
+            acc = acc + (power if c == 1 else power._scale(c))
+        return acc._clip_to(self.maxes, self.cap_bounds)
 
     def invert(self) -> "Series":
         """Multiplicative inverse around the corner of the stored support.
@@ -465,52 +462,41 @@ class Series:
         """
         if not self.terms:
             raise PrecisionError("cannot invert a series with no stored terms")
-        n = self.ctx.n
+        ctx = self.ctx
+        n = ctx.n
         corner = tuple(min(k[i] for k in self.terms) for i in range(n))
         c0 = self.terms.get(corner)
         if not c0:
             raise PrecisionError("stored support has no invertible corner term")
         m_inv = Series(
-            self.ctx,
+            ctx,
             {tuple(-e for e in corner): _coeff_inv(c0)},
             tuple(-e for e in corner),
             (None,) * n,
-            (None,) * len(self.ctx.caps),
+            (None,) * len(ctx.caps),
         )
         u = self * m_inv
         # By the corner-anchored precondition the true support of u lies in
         # the nonnegative orthant, so its floors are exactly zero; the
         # summed floor bookkeeping is coarser than that.
-        u = Series(self.ctx, u.terms, (0,) * n, u.maxes, u.cap_bounds)
-        w = Series.one(self.ctx) - u
-        for k in w.terms:
-            if w._termination_score(k) <= 0:
-                raise PrecisionError("inverse has unbounded support for the current window")
-        acc = Series.one(self.ctx)
-        # The constant term of u is exactly 1, so the Neumann series of w
-        # terminates once powers of w leave the window of u.  Stopping at
-        # the first empty power is sound here: normalized exponents are
-        # nonnegative and the window constraints are monotone, so a power
-        # with no terms inside the window forces all later powers empty.
-        power = w._clip_to(u.maxes, u.cap_bounds)
-        guard = 0
-        while power.terms:
-            acc = acc + power
-            power = (power * w)._clip_to(u.maxes, u.cap_bounds)
-            guard += 1
-            if guard > 100000:
-                raise PrecisionError("inverse iteration failed to terminate")
-        # Adding 1 (an exact series) must not widen the window claims of acc
-        # beyond what the powers of w support; the add already takes minima,
-        # but the k = 0 term alone has exact windows, so intersect with u's.
-        maxes = tuple(_nmin(a, b) for a, b in zip(acc.maxes, u.maxes))
-        bounds = tuple(_nmin(a, b) for a, b in zip(acc.cap_bounds, u.cap_bounds))
-        trimmed = {
-            k: c for k, c in acc.terms.items() if self_in_window_static(k, maxes, bounds, self.ctx)
-        }
+        u = Series(ctx, u.terms, (0,) * n, u.maxes, u.cap_bounds)
+        w = Series.one(ctx) - u
+        # 1/u = sum_k w**k.  Score a key by its exponents in the variables
+        # where u has a finite max plus its grades under the caps where u has
+        # a finite bound: a key inside u's window scores at most the sum of
+        # those extents, and a term of w**k scores at least k times the least
+        # score among w's terms, so powers beyond K are empty.
+        bounded = [i for i, m in enumerate(u.maxes) if m is not None]
+        capped = [ci for ci, b in enumerate(u.cap_bounds) if b is not None]
+        scores = [sum(k[i] for i in bounded) + sum(ctx.grade(ci, k) for ci in capped) for k in w.terms]
+        if scores and min(scores) <= 0:
+            raise PrecisionError("inverse has unbounded support for the current window")
+        extent = sum(u.maxes[i] for i in bounded) + sum(u.cap_bounds[ci] for ci in capped)
+        K = extent // min(scores) if scores else 0
+        acc = w._power_sum([1] * K, Series.one(ctx))
         # Same precondition: every power of w has support in the nonnegative
         # orthant, so the accumulated floors are exactly zero.
-        acc = Series(self.ctx, trimmed, (0,) * n, maxes, bounds)
+        acc = Series(ctx, acc.terms, (0,) * n, acc.maxes, acc.cap_bounds)
         return acc * m_inv
 
     def exp(self, cap: str | None = None) -> "Series":
@@ -528,24 +514,12 @@ class Series:
         if not self.terms:
             out = Series.one(ctx)
             return out + self  # empty terms, but inherits the truncation window
-        grades = [ctx.grade(ci, k) for k in self.terms]
-        min_grade = min(grades)
+        min_grade = min(ctx.grade(ci, k) for k in self.terms)
         if min_grade <= 0:
             raise ValueError("exp requires every stored term to have positive cap grade")
         k_max = int(bound / min_grade)
-        acc = Series.one(ctx)
-        power = self
-        # Every power through k_max participates, terms or not: an empty
-        # clipped power still narrows the window of the sum.
-        for k in range(1, k_max + 1):
-            acc = acc + power / math.factorial(k)
-            if k < k_max:
-                power = (power * self)._clip_to(self.maxes, self.cap_bounds)
-        # Record the truncation: complete only through the cap bound.
-        maxes = tuple(_nmin(a, b) for a, b in zip(acc.maxes, self.maxes))
-        bounds = tuple(_nmin(a, b) for a, b in zip(acc.cap_bounds, self.cap_bounds))
-        trimmed = {k2: c for k2, c in acc.terms.items() if self_in_window_static(k2, maxes, bounds, ctx)}
-        return Series(ctx, trimmed, acc.floors, maxes, bounds)
+        coeffs = [Fraction(1, math.factorial(k)) for k in range(1, k_max + 1)]
+        return self._power_sum(coeffs, Series.one(ctx))
 
     def log(self, cap: str | None = None) -> "Series":
         """log of a series whose grade-zero slice under the named cap is
@@ -570,16 +544,8 @@ class Series:
         if min_grade <= 0:
             raise ValueError("log requires every nonconstant term to have positive cap grade")
         k_max = int(bound / min_grade)
-        acc = Series.zero(ctx)
-        power = w
-        for k in range(1, k_max + 1):
-            acc = acc + power._scale(Fraction((-1) ** (k - 1), k))
-            if k < k_max:
-                power = (power * w)._clip_to(w.maxes, w.cap_bounds)
-        maxes = tuple(_nmin(a, b) for a, b in zip(acc.maxes, self.maxes))
-        bounds = tuple(_nmin(a, b) for a, b in zip(acc.cap_bounds, self.cap_bounds))
-        trimmed = {k2: c for k2, c in acc.terms.items() if self_in_window_static(k2, maxes, bounds, ctx)}
-        return Series(ctx, trimmed, acc.floors, maxes, bounds)
+        coeffs = [Fraction((-1) ** (k - 1), k) for k in range(1, k_max + 1)]
+        return w._power_sum(coeffs, Series.zero(ctx))
 
     # -- reading and reshaping ----------------------------------------------
 
@@ -589,7 +555,7 @@ class Series:
         key = self.ctx.key_from(exponents)
         if any(k < f for k, f in zip(key, self.floors)):
             return Fraction(0)
-        if not self._in_window(key, self.maxes, self.cap_bounds):
+        if not self_in_window_static(key, self.maxes, self.cap_bounds, self.ctx):
             raise PrecisionError(f"coefficient at {exponents} lies outside the guaranteed window")
         return self.terms.get(key, Fraction(0))
 
@@ -665,18 +631,14 @@ class Series:
 
     def restrict(self, maxes=None, cap_bounds=None) -> "Series":
         """Shrink the window (never grow it) and prune stored terms."""
-        new_maxes = list(self.maxes)
+        ctx = self.ctx
+        new_maxes = [None] * ctx.n
         for name, m in (maxes or {}).items():
-            i = self.ctx.index[name]
-            new_maxes[i] = _nmin(new_maxes[i], self.ctx.scale(name, m))
-        new_bounds = list(self.cap_bounds)
+            new_maxes[ctx.index[name]] = ctx.scale(name, m)
+        new_bounds = [None] * len(ctx.caps)
         for name, b in (cap_bounds or {}).items():
-            ci = self.ctx.cap_index[name]
-            new_bounds[ci] = _nmin(new_bounds[ci], Fraction(b))
-        new_maxes = tuple(new_maxes)
-        new_bounds = tuple(new_bounds)
-        out = {k: c for k, c in self.terms.items() if self_in_window_static(k, new_maxes, new_bounds, self.ctx)}
-        return Series(self.ctx, out, self.floors, new_maxes, new_bounds)
+            new_bounds[ctx.cap_index[name]] = Fraction(b)
+        return self._clip_to(new_maxes, new_bounds)
 
     def require_window(self, maxes=None, cap_bounds=None) -> "Series":
         """Assert that the guaranteed window covers the given extents."""
@@ -693,16 +655,11 @@ class Series:
                 raise PrecisionError(f"cap {name!r} reaches only {have}, need {b}")
         return self
 
-    def substitute(self, bindings: dict) -> "Series":
-        """Rescale variables: each binding must be a scalar multiple of the
-        variable itself (a diagonal rescaling, exact on any window)."""
+    def substitute(self, scalars: dict) -> "Series":
+        """Rescale variables, each name v -> scalar * v: a diagonal
+        substitution, exact on any window."""
         ctx = self.ctx
-        scalars = {}
-        for name, b in bindings.items():
-            i = ctx.index[name]
-            if not self._is_diagonal(i, b):
-                raise ValueError(f"substitution for {name!r} must be a scalar multiple of {name!r}")
-            scalars[i] = next(iter(b.terms.values()))
+        scalars = {ctx.index[name]: _as_coeff(s) for name, s in scalars.items()}
         out = {}
         for k, c in self.terms.items():
             factor = _as_coeff(1)
@@ -715,15 +672,6 @@ class Series:
             if nc:
                 out[k] = nc
         return Series(ctx, out, self.floors, self.maxes, self.cap_bounds)
-
-    def _is_diagonal(self, i: int, b) -> bool:
-        if not isinstance(b, Series) or b.ctx.full_signature() != self.ctx.full_signature():
-            return False
-        if len(b.terms) != 1:
-            return False
-        (key, _c), = b.terms.items()
-        unit = tuple(self.ctx.dens[j] if j == i else 0 for j in range(self.ctx.n))
-        return key == unit
 
     # -- inspection -----------------------------------------------------------
 
@@ -778,24 +726,15 @@ class Series:
         }
 
     @classmethod
-    def from_data(cls, data: dict, ctx: SeriesContext | None = None) -> "Series":
-        """Rebuild a series from :meth:`to_data` output.
-
-        When ``ctx`` is given it must declare the same variables in the same
-        order; otherwise a fresh context is constructed from the data.
-        """
-        if ctx is None:
-            ctx = SeriesContext(
-                tuple(VarSpec(v["name"], v["denominator"]) for v in data["variables"]),
-                tuple(
-                    GradeCap(c["name"], {k: Fraction(w) for k, w in c["weights"].items()})
-                    for c in data["caps"]
-                ),
-            )
-        else:
-            names = tuple(v["name"] for v in data["variables"])
-            if names != ctx.names:
-                raise ValueError("variable names do not match the supplied context")
+    def from_data(cls, data: dict) -> "Series":
+        """Rebuild a series, in a fresh context, from :meth:`to_data` output."""
+        ctx = SeriesContext(
+            tuple(VarSpec(v["name"], v["denominator"]) for v in data["variables"]),
+            tuple(
+                GradeCap(c["name"], {k: Fraction(w) for k, w in c["weights"].items()})
+                for c in data["caps"]
+            ),
+        )
         terms = {}
         for t in data["terms"]:
             key = tuple(

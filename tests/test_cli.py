@@ -118,6 +118,8 @@ def test_usage_errors_exit_one(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "dt", "--a", "1", "--nu", "1", "--q-order", "4")
     assert code == EXIT_USAGE
+    code, _, _ = run_cli(capsys, "gw", "--a", "1", "--mu", "2", "--format", "csv")
+    assert code == EXIT_USAGE
 
 
 def test_cost_guards_exit_three(capsys):

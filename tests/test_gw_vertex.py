@@ -105,6 +105,17 @@ def test_framed_vertex_at_zero_framing():
         r_bullet_tau(1, (2,), Fraction(1, 2), lam_max=4)
 
 
+def test_framed_lam_floor_is_lowest_stored_term():
+    # The off-diagonal kernels vanish at lam = 0, so the transported floor
+    # is the lowest stored lam exponent, not -|mu|.
+    for a in (1, 2):
+        for d in (1, 2, 3):
+            for mu in partitions_of(d):
+                for tau in (1, 2):
+                    series = r_bullet_tau(a, mu, tau, lam_max=4, x_deg_max=3).series
+                    assert series.floors[0] == min(k[0] for k in series.terms), (a, mu, tau)
+
+
 def test_empty_window_keeps_its_floor_when_lifted():
     # Through x-degree 1 this series stores no terms, but through x-degree
     # 2 it has a lam^-2 x^2 term: the lift into the profile context must

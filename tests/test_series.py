@@ -131,12 +131,12 @@ def test_extract_reduces_context():
 def test_substitute_diagonal_rescaling():
     ctx = one_var_ctx()
     s = Series.from_terms(ctx, {(0,): 1, (1,): 2, (2,): 3}, maxes={"q": 5})
-    doubled = s.substitute({"q": Series.monomial(ctx, {"q": 1}, 2)})
+    doubled = s.substitute({"q": 2})
     assert doubled.coefficient({"q": 1}) == 4
     assert doubled.coefficient({"q": 2}) == 12
     assert doubled.maxes == s.maxes
-    with pytest.raises(ValueError, match="'q'"):
-        s.substitute({"q": Series.monomial(ctx, {"q": 2}, 2)})
+    with pytest.raises(TypeError):
+        s.substitute({"q": Series.monomial(ctx, {"q": 1}, 2)})
 
 
 def test_fractional_lattice_exponents():

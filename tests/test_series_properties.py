@@ -1,0 +1,111 @@
+"""Property tests of the truncated power sums behind Series.invert, exp
+and log, against sympy's exact expansions.
+
+Hypothesis draws small rational polynomials with a nonzero corner term.
+Every coefficient inside the window a result claims must match sympy, and
+every read one step above that window must raise PrecisionError.  The
+examples are derandomized and few, so the suite stays deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.ring_series import rs_exp, rs_log, rs_series_inversion
+from sympy.polys.rings import ring
+
+from orbivertex.series import GradeCap, PrecisionError, Series, SeriesContext, VarSpec
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+_, Q = ring("q", QQ)
+_, T, X, Y = ring("t,x,y", QQ)
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero = coeffs.filter(bool)
+
+
+def _sympy_poly(terms: dict, gens):
+    out = 0 * gens[0]
+    for key, c in terms.items():
+        mono = QQ(c.numerator, c.denominator)
+        for g, e in zip(gens, key):
+            mono = mono * g**e
+        out += mono
+    return out
+
+
+def _coeff(expansion, monomial) -> Fraction:
+    c = expansion.coeff(monomial)
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+@PROPERTY
+@given(nonzero, st.lists(coeffs, max_size=4), st.integers(-2, 2), st.integers(0, 5))
+def test_invert_matches_sympy_on_a_laurent_max(c0, rest, shift, m):
+    # q^shift p(q) with p(0) = c0, stored through the window max q^(shift+m);
+    # its inverse is q^-shift / p(q).
+    ctx = SeriesContext([VarSpec("q")])
+    poly = {(k,): c for k, c in enumerate([c0] + rest[:m])}
+    terms = {(shift + k,): c for (k,), c in poly.items()}
+    inv = Series.from_terms(ctx, terms, maxes={"q": shift + m}).invert()
+    top = inv.maxes[0]
+    assert (inv.floors[0], top) == (-shift, m - shift)
+    want = rs_series_inversion(_sympy_poly(poly, (Q,)), Q, m + 1)
+    for e in range(-shift - 2, top + 1):
+        expect = _coeff(want, Q ** (e + shift)) if e >= -shift else 0
+        assert inv.coefficient({"q": e}) == expect, e
+    with pytest.raises(PrecisionError):
+        inv.coefficient({"q": top + 1})
+
+
+@PROPERTY
+@given(
+    nonzero,
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 4)), coeffs, max_size=5),
+    st.integers(0, 3),
+    st.integers(0, 4),
+)
+@example(Fraction(1), {(0, 1): Fraction(-1)}, 2, 3)  # 1 - y: its score comes from the cap alone
+@example(Fraction(1), {(1, 0): Fraction(-1)}, 3, 2)  # 1 - x: the cap cuts before the max
+def test_invert_matches_sympy_under_a_max_and_a_cap(c0, rest, mx, bound):
+    # x has a finite max and x + y a finite cap bound, so the number of
+    # Neumann terms adds both extents.
+    ctx = SeriesContext([VarSpec("x"), VarSpec("y")], caps=[GradeCap("tot", {"x": 1, "y": 1})])
+    terms = {k: c for k, c in rest.items() if any(k) and k[0] <= mx and sum(k) <= bound}
+    terms[(0, 0)] = c0
+    inv = Series.from_terms(ctx, terms, maxes={"x": mx}, cap_bounds={"tot": bound}).invert()
+    assert (inv.maxes[0], inv.cap_bounds[0]) == (mx, bound)
+    # Grading by t = x + y: the expansion through t^bound holds every key
+    # under the cap.
+    want = rs_series_inversion(_sympy_poly(terms, (T * X, T * Y)), T, bound + 1)
+    for i in range(mx + 1):
+        for j in range(bound - i + 1):
+            assert inv.coefficient({"x": i, "y": j}) == _coeff(want, T ** (i + j) * X**i * Y**j), (i, j)
+    with pytest.raises(PrecisionError):
+        inv.coefficient({"x": mx + 1})
+    with pytest.raises(PrecisionError):
+        inv.coefficient({"y": bound + 1})
+
+
+def _graded(terms: dict, bound: int, floor: int) -> Series:
+    ctx = SeriesContext([VarSpec("q")], caps=[GradeCap("deg", {"q": 1})])
+    return Series.from_terms(ctx, terms, cap_bounds={"deg": bound}, floors=(floor,))
+
+
+@PROPERTY
+@given(st.dictionaries(st.integers(1, 4), nonzero, min_size=1, max_size=3), st.integers(0, 6))
+def test_exp_and_log_match_sympy(rest, bound):
+    arg = {(k,): c for k, c in rest.items() if k <= bound}
+    p = _sympy_poly(arg, (Q,))
+    for result, want in (
+        (_graded(arg, bound, 1).exp(), rs_exp(p, Q, bound + 1)),
+        (_graded({**arg, (0,): Fraction(1)}, bound, 0).log(), rs_log(1 + p, Q, bound + 1)),
+    ):
+        assert result.cap_bounds[0] == bound
+        assert result.coefficient({"q": -1}) == 0
+        for e in range(bound + 1):
+            assert result.coefficient({"q": e}) == _coeff(want, Q**e), e
+        with pytest.raises(PrecisionError):
+            result.coefficient({"q": bound + 1})
