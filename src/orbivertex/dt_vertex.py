@@ -24,7 +24,15 @@ from .partitions import (
     z_aut,
 )
 from .exactnum import field_for
-from .series import GradeCap, Series, SeriesContext, VarSpec, _frac_str, coeff_to_data
+from .series import (
+    GradeCap,
+    Series,
+    SeriesContext,
+    VarSpec,
+    _frac_str,
+    coeff_to_data,
+    self_in_window_static,
+)
 
 
 class RationalForm:
@@ -403,6 +411,17 @@ def lam_pad(rf: RationalForm) -> int:
     return loss + 2
 
 
+def _exp_coefficients(c, top: int) -> list:
+    # c^n / n! for n = 0 .. top.
+    out = []
+    p = c.field.one
+    for n in range(top + 1):
+        if n:
+            p = p * c / n
+        out.append(p)
+    return out
+
+
 def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
     """Exact image of a rational form in the trigonometric variables.
 
@@ -412,17 +431,28 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
     composite token whose image is pinned by the degree d.  Numerator keys
     must decompose accordingly: q exponents in d/2 + Z and q_l exponents
     in -dl/a + Z.
+
+    A numerator term maps to a scalar times exp(alpha lam + sum_j c_j x_j),
+    whose coefficient at lam^k prod_j x_j^g_j is
+    alpha^k/k! prod_j c_j^g_j/g_j!; it is written out through lam^lam_fill
+    and total x-degree x_deg_max, and the denominator inverses follow.
     """
     a = rf.a
     ctx = trig_context(a)
     field = field_for(a)
     i = field.imaginary_unit()
-    omega = field.root_of_unity(2 * a)
-    xi = field.root_of_unity(a)
+
+    def omega(power):
+        return field.root_of_unity(2 * a, power)
+
     # Composite token scalar: one factor per unit of d.
-    token_scalar = -(field.root_of_unity(4 * a) ** (-(a - 2))) * xi ** (-1)
-    xwin = {"xdeg": x_deg_max}
-    total = Series.zero(ctx)
+    token_scalar = -field.root_of_unity(4 * a, -(a - 2)) * field.root_of_unity(a, -1)
+    lead = token_scalar ** d
+    # c_j = x_base[j] - sum_l (m_l / a) x_step[j][l], over j, l = 1 .. a-1.
+    x_base = [-Fraction(d, a) * omega(j) for j in range(1, a)]
+    x_step = [[omega(-2 * j * l) * (omega(j) - omega(-j)) for l in range(1, a)] for j in range(1, a)]
+    terms = {}
+    lam_used = x_used = False
     for key, coeff in rf.num.items():
         if (key[0] - d) % 2:
             raise ValueError(f"q exponent {Fraction(key[0],2)} not in {d}/2 + Z")
@@ -433,21 +463,42 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
             if t % a:
                 raise ValueError(f"q_{l} exponent not in -{d}*{l}/{a} + Z")
             ms.append(t // a)
-        scalar = field.from_fraction(coeff) * token_scalar ** d * field.from_fraction(Fraction((-1) ** n))
-        for l, m in enumerate(ms, start=1):
-            scalar = scalar * xi ** (-m)
-        piece = Series.monomial(ctx, {}, scalar)
+        scalar = lead * coeff * field.root_of_unity(a, -sum(ms))
+        if n % 2:
+            scalar = -scalar
+        # The x part: scalar * prod_j exp(c_j x_j) through total degree x_deg_max.
+        xs = {(0,) * (a - 1): scalar}
+        for j in range(a - 1):
+            cj = x_base[j]
+            for l, m in enumerate(ms):
+                if m:
+                    cj = cj - Fraction(m, a) * x_step[j][l]
+            if cj:
+                x_used = True
+                pows = _exp_coefficients(cj, x_deg_max)
+                xs = {
+                    x[:j] + (g,) + x[j + 1 :]: c * p
+                    for x, c in xs.items()
+                    for g, p in enumerate(pows[: x_deg_max - sum(x) + 1])
+                }
         lam_coeff = i * (Fraction(d, 2) + n)
         if lam_coeff:
-            piece = piece * Series.exp_monomial(ctx, {"lam": 1}, lam_coeff, maxes={"lam": lam_fill})
-        for j in range(1, a):
-            cj = -Fraction(d, a) * omega ** j
-            for l, m in enumerate(ms, start=1):
-                if m:
-                    cj = cj - Fraction(m, a) * omega ** (-2 * j * l) * (omega ** j - omega ** (-j))
-            if cj:
-                piece = piece * Series.exp_monomial(ctx, {f"x{j}": 1}, cj, cap_bounds=xwin)
-        total = total + piece
+            lam_used = True
+            lam_part = _exp_coefficients(lam_coeff, lam_fill)
+        else:
+            lam_part = [field.one]
+        for x, c in xs.items():
+            for k, p in enumerate(lam_part):
+                kx = (k,) + x
+                v = c * p
+                acc = terms.get(kx)
+                terms[kx] = v if acc is None else acc + v
+    maxes = (lam_fill if lam_used else None,) + (None,) * (a - 1)
+    bounds = (Fraction(x_deg_max) if x_used else None,)
+    # The window is the one the sum of the term series would have; a
+    # negative extent in it leaves out even the constant terms.
+    terms = {k: c for k, c in terms.items() if c and self_in_window_static(k, maxes, bounds, ctx)}
+    total = Series(ctx, terms, (0,) * ctx.n, maxes, bounds)
     for (k, s), m in rf.den.items():
         total = total * _den_factor_inverse(a, k, s, lam_fill) ** m
     return total
@@ -463,6 +514,17 @@ def _transported(rf: RationalForm, d: int, lam_max: int, x_deg_max: int) -> Seri
     return out.restrict(maxes={"lam": lam_max})
 
 
+def _r_bullet_zero_form(a: int, mu: tuple) -> RationalForm:
+    # The composite degree token times (-1)^(d - len(mu)) / z_mu * prod_k p_{mu_k}
+    # at the sign-flipped colored alphabet, for a nonempty checked mu.
+    d = sum(mu)
+    token = tuple(-Fraction(d * l, a) for l in range(1, a))
+    prod = RationalForm.monomial(a, Fraction(d, 2), token, Fraction((-1) ** (d - len(mu)), z_aut(mu)))
+    for part in mu:
+        prod = prod * powersum_rational(a, part).flip_q_sign()
+    return prod
+
+
 def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Framing-zero disconnected generating series for one ramification
     profile: the composite degree token times the conjugate Schur sum
@@ -474,21 +536,13 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))
-    token = tuple(-Fraction(d * l, a) for l in range(1, a))
-    prod = RationalForm.monomial(a, Fraction(d, 2), token, Fraction((-1) ** (d - len(mu)), z_aut(mu)))
-    for part in mu:
-        prod = prod * powersum_rational(a, part).flip_q_sign()
-    return _transported(prod, d, lam_max, x_deg_max)
+    return _transported(_r_bullet_zero_form(a, mu), d, lam_max, x_deg_max)
 
 
-def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4, axis: str = "col") -> Series:
-    """The box-counting side of the correspondence, assembled literally:
-    per-shape sign and monomial shifts against the sign-flipped reduced
-    vertex, summed with character weights, then transported."""
-    mu = check_partition(mu)
+def _vertex_side_form(a: int, mu: tuple, axis: str = "col") -> RationalForm:
+    # Per-shape sign and monomial shifts against the sign-flipped reduced
+    # vertex, summed with character weights, for a nonempty checked mu.
     d = sum(mu)
-    if d == 0:
-        return Series.one(trig_context(a))
     acc = RationalForm.zero(a)
     for nu in partitions_of(d):
         c = Fraction(chi(nu, mu), z_aut(mu))
@@ -502,7 +556,18 @@ def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4, axis: s
             Fraction((-1) ** A[0]),
         )
         acc = acc + lead * reduced_vertex_closed(nu, a, axis).flip_q_sign() * c
-    return _transported(acc, d, lam_max, x_deg_max)
+    return acc
+
+
+def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4, axis: str = "col") -> Series:
+    """The box-counting side of the correspondence, assembled literally:
+    per-shape sign and monomial shifts against the sign-flipped reduced
+    vertex, summed with character weights, then transported."""
+    mu = check_partition(mu)
+    d = sum(mu)
+    if d == 0:
+        return Series.one(trig_context(a))
+    return _transported(_vertex_side_form(a, mu, axis), d, lam_max, x_deg_max)
 
 
 def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):

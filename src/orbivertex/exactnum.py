@@ -147,11 +147,11 @@ def cyclo_field(order: int) -> CycloField:
 
 
 def field_for(a: int) -> CycloField:
-    """Smallest field used for modulus-a computations: contains i, zeta_a,
-    zeta_2a, and every root the change of variables can produce."""
+    """Q(zeta_4a), the field of modulus-a computations: the code only takes
+    roots of order 4, a, 2a and 4a, and all of them divide 4a."""
     if a < 1:
         raise ValueError("modulus must be a positive integer")
-    return cyclo_field(math.lcm(4, 2 * a * a))
+    return cyclo_field(4 * a)
 
 
 def _normalize(num, den):
@@ -292,6 +292,12 @@ class CycloNum:
         return CycloNum(f, num, common)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # A rational divisor scales numerator and denominator: no inverse.
+            q = Fraction(other)
+            if not q:
+                raise ZeroDivisionError("division by zero")
+            return CycloNum(self.field, [c * q.denominator for c in self.num], self.den * q.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -146,11 +146,15 @@ class SeriesContext:
         if len(set(cap_names)) != len(cap_names):
             raise ValueError("duplicate cap names")
         self.cap_index = {n: i for i, n in enumerate(cap_names)}
-        # Weight per scaled exponent unit.
-        self._w = tuple(
-            tuple(cap.weights.get(v.name, Fraction(0)) / v.denominator for v in self.vars)
+        # Weight per scaled exponent unit, as integers over one denominator
+        # per cap: the grade of a key under cap ci is
+        # sum(_wnum[ci][i] * key[i]) / _wden[ci].
+        weights = [
+            [cap.weights.get(v.name, Fraction(0)) / v.denominator for v in self.vars]
             for cap in self.caps
-        )
+        ]
+        self._wden = tuple(math.lcm(1, *(f.denominator for f in w)) for w in weights)
+        self._wnum = tuple(tuple(int(f * den) for f in w) for w, den in zip(weights, self._wden))
 
     def signature(self):
         return tuple((v.name, v.denominator) for v in self.vars)
@@ -177,12 +181,7 @@ class SeriesContext:
         return int(e) if e.denominator == 1 else e
 
     def grade(self, ci: int, key) -> Fraction:
-        w = self._w[ci]
-        total = Fraction(0)
-        for wv, kv in zip(w, key):
-            if wv and kv:
-                total += wv * kv
-        return total
+        return Fraction(sum(w * k for w, k in zip(self._wnum[ci], key)), self._wden[ci])
 
     def __repr__(self):
         return f"SeriesContext({', '.join(self.names)})"
@@ -571,10 +570,8 @@ class Series:
         new_caps = []
         fixed_grade = []
         for ci, cap in enumerate(ctx.caps):
-            shaved = Fraction(0)
-            for i, e in fixed_idx.items():
-                shaved += ctx._w[ci][i] * e
-            fixed_grade.append(shaved)
+            shaved = sum(ctx._wnum[ci][i] * e for i, e in fixed_idx.items())
+            fixed_grade.append(Fraction(shaved, ctx._wden[ci]))
             new_caps.append(GradeCap(cap.name, {v.name: cap.weights.get(v.name, 0) for v in new_vars}))
         new_ctx = SeriesContext(new_vars, tuple(new_caps))
         below_floor = any(e < self.floors[i] for i, e in fixed_idx.items())
@@ -591,9 +588,7 @@ class Series:
                 new_bounds.append(None)
                 continue
             b = self.cap_bounds[ci] - fixed_grade[ci]
-            rest_min = sum(
-                (ctx._w[ci][i] * self.floors[i] for i in keep if ctx._w[ci][i]), Fraction(0)
-            )
+            rest_min = Fraction(sum(ctx._wnum[ci][i] * self.floors[i] for i in keep), ctx._wden[ci])
             if b < rest_min:
                 raise PrecisionError(f"slice lies entirely beyond cap {ctx.caps[ci].name!r}")
             new_bounds.append(b)
@@ -766,7 +761,8 @@ def self_in_window_static(key, maxes, bounds, ctx: SeriesContext) -> bool:
     for k, m in zip(key, maxes):
         if m is not None and k > m:
             return False
-    for ci, b in enumerate(bounds):
-        if b is not None and ctx.grade(ci, key) > b:
+    # grade > b, cross-multiplied: integers only.
+    for wnum, wden, b in zip(ctx._wnum, ctx._wden, bounds):
+        if b is not None and sum(w * k for w, k in zip(wnum, key)) * b.denominator > b.numerator * wden:
             return False
     return True

@@ -7,8 +7,10 @@ colored-alphabet helpers expand power sums and Schur functions directly as
 series in q and the color variables q_1 .. q_{a-1}, at the alphabet whose
 letters are ``(prod_{j>l} q_j) * q^m`` for ``l`` in ``0..a-1`` and
 ``m >= 0``, by two routes: the character expansion and the dual
-Jacobi-Trudi determinant.  The other oracles are exact Fraction-arithmetic
-expansions of classical closed products.
+Jacobi-Trudi determinant.  ``change_of_vars_loop`` is the change of
+variables built one exponential factor at a time from series products.
+The other oracles are exact Fraction-arithmetic expansions of classical
+closed products.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 from fractions import Fraction
 
 from orbivertex.characters import chi
+from orbivertex.dt_vertex import _den_factor_inverse, trig_context
+from orbivertex.exactnum import field_for
 from orbivertex.partitions import check_partition, conjugate, partitions_of, z_aut
 from orbivertex.series import Series, SeriesContext, VarSpec
 
@@ -231,7 +235,45 @@ def schur_at_colored_jt(nu, a: int, q_max: int, sign: int = 1) -> Series:
     return total
 
 
+def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
+    """The change of variables term by term, as a product of one
+    ``Series.exp_monomial`` per exponential factor, summed piece by piece;
+    the closed coefficient formula of ``dt_vertex.change_of_vars`` must
+    reproduce it exactly, windows included."""
+    a = rf.a
+    ctx = trig_context(a)
+    field = field_for(a)
+    i = field.imaginary_unit()
+    omega = field.root_of_unity(2 * a)
+    xi = field.root_of_unity(a)
+    token_scalar = -(field.root_of_unity(4 * a) ** (-(a - 2))) * xi ** (-1)
+    xwin = {"xdeg": x_deg_max}
+    total = Series.zero(ctx)
+    for key, coeff in rf.num.items():
+        n = (key[0] - d) // 2
+        ms = [(key[l] + d * l) // a for l in range(1, a)]
+        scalar = field.from_fraction(coeff) * token_scalar ** d * (-1) ** (n % 2)
+        for m in ms:
+            scalar = scalar * xi ** (-m)
+        piece = Series.monomial(ctx, {}, scalar)
+        lam_coeff = i * (Fraction(d, 2) + n)
+        if lam_coeff:
+            piece = piece * Series.exp_monomial(ctx, {"lam": 1}, lam_coeff, maxes={"lam": lam_fill})
+        for j in range(1, a):
+            cj = -Fraction(d, a) * omega ** j
+            for l, m in enumerate(ms, start=1):
+                if m:
+                    cj = cj - Fraction(m, a) * omega ** (-2 * j * l) * (omega ** j - omega ** (-j))
+            if cj:
+                piece = piece * Series.exp_monomial(ctx, {f"x{j}": 1}, cj, cap_bounds=xwin)
+        total = total + piece
+    for (k, s), m in rf.den.items():
+        total = total * _den_factor_inverse(a, k, s, lam_fill) ** m
+    return total
+
+
 __all__ = [
+    "change_of_vars_loop",
     "chi_oracle",
     "colored_context",
     "kostka_number",

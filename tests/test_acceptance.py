@@ -3,9 +3,10 @@
 Each criterion is one test function, so a verbose pytest run prints one
 pass/fail line per criterion.  Every comparison is exact (Fraction or
 cyclotomic equality); there are no tolerances anywhere.  Criteria 2, 3, 5,
-6, 10 and 11 and the six-pair part of 4 run the named suites of
-``orbivertex.verify.SUITES`` at explicit windows, the same checks that
-``orbivertex verify`` prints, and pin how many checks each suite ran.
+6, 10 and 11, the six-pair part of 4 and the correspondence reach targets
+run the named suites of ``orbivertex.verify.SUITES`` at explicit windows,
+the same checks that ``orbivertex verify`` prints, and pin how many checks
+each suite ran.
 """
 
 from fractions import Fraction
@@ -77,6 +78,13 @@ def test_criterion_04_correspondence_with_pinned_initial_value():
     # One check per profile over the six default (a, d) pairs.
     run_suite("correspondence", 10, lambda_order=5, x_order=4)
     print("criterion 4 PASS: both sides agree for all six (a, d) pairs")
+
+
+def test_correspondence_reach_targets():
+    # The reach targets (a, d) = (3, 3) and (4, 2) at the default window, in
+    # Q(zeta_12) and Q(zeta_16); (2, 5) is left to the benchmark.
+    run_suite("correspondence", 3, a=3, d=3)
+    run_suite("correspondence", 2, a=4, d=2)
 
 
 def test_criterion_05_character_sum_initial_formula():

@@ -6,8 +6,12 @@ import pytest
 
 from orbivertex.dt_vertex import (
     RationalForm,
+    _r_bullet_zero_form,
+    _vertex_side_form,
     box_context,
     box_counting_series,
+    change_of_vars,
+    lam_pad,
     powersum_rational,
     r_bullet_zero,
     reduced_vertex_closed,
@@ -19,6 +23,7 @@ from orbivertex.dt_vertex import (
 from orbivertex.partitions import partitions_of
 
 from oracles import (
+    change_of_vars_loop,
     colored_context,
     plane_partition_counts,
     powersum_colored,
@@ -138,3 +143,39 @@ def test_verify_correspondence_smoke():
 def test_bad_leg_rejected():
     with pytest.raises(ValueError):
         box_counting_series((1, 2), 1, 3)
+
+
+def _closed_and_loop(rf, d, lam_max, x_deg_max):
+    fill = lam_max + lam_pad(rf) + d
+    return (
+        change_of_vars(rf, d, fill, x_deg_max).to_data(),
+        change_of_vars_loop(rf, d, fill, x_deg_max).to_data(),
+    )
+
+
+def test_change_of_vars_matches_term_by_term_loop():
+    # The closed coefficient formula against one exp_monomial product per
+    # factor: same terms, same coefficients, same window, byte for byte.
+    for a in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            for mu in partitions_of(d):
+                closed, loop = _closed_and_loop(_r_bullet_zero_form(a, mu), d, 3, 2)
+                assert closed == loop, (a, mu)
+    for a, mu in ((2, (2, 1)), (3, (2,))):
+        closed, loop = _closed_and_loop(_vertex_side_form(a, mu), sum(mu), 3, 2)
+        assert closed == loop, (a, mu)
+
+
+def test_change_of_vars_without_lam_dependence():
+    # A numerator term at q^0 has n = -d/2, so its lam coefficient is 0:
+    # with no such term elsewhere the lam window stays open (max None).
+    # A denominator factor then bounds lam through its inverse.
+    cases = (
+        (RationalForm(1, {(0,): Fraction(3)}, {}), None),  # no x variables either
+        (RationalForm(2, {(0, -2): Fraction(-1, 2)}, {}), None),
+        (RationalForm(2, {(0, -2): Fraction(1)}, {(1, 1): 1}), 4),
+    )
+    for rf, lam_max in cases:
+        closed = change_of_vars(rf, 2, 4, 2)
+        assert closed.to_data() == change_of_vars_loop(rf, 2, 4, 2).to_data(), rf
+        assert closed.terms and closed.maxes[0] == lam_max, rf

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from orbivertex.dt_vertex import r_bullet_zero
 from orbivertex.exactnum import CycloNum, cyclo_field, cyclotomic_polynomial, field_for
+from orbivertex.series import coeff_from_data, coeff_to_data
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -39,12 +41,25 @@ def test_imaginary_unit_squares_to_minus_one():
 
 
 def test_field_for_contains_needed_roots():
-    for a in (1, 2, 3):
+    # Q(zeta_4a): every root the code takes has order 4, a, 2a or 4a.
+    for a, degree in zip(range(1, 6), (2, 4, 4, 8, 8)):
         field = field_for(a)
-        assert field.order % 4 == 0
-        assert field.order % (4 * a) == 0
-        field.root_of_unity(2 * a)
-        field.root_of_unity(a)
+        assert (field.order, field.degree) == (4 * a, degree)
+        for order in (4, a, 2 * a, 4 * a):
+            field.root_of_unity(order)
+
+
+def test_coefficient_serialized_in_the_former_field_still_loads():
+    # `gw --a 3 --mu 2 --lambda-order 0 --x-order 2` once wrote its
+    # coefficients in Q(zeta_36); that data must load and equal the value
+    # now written in Q(zeta_12) once both sit in Q(zeta_36).
+    old = coeff_from_data({"order": 36, "coeffs": ["0/1"] * 9 + ["-1/2", "0/1", "0/1"]})
+    new = r_bullet_zero(3, (2,), lam_max=0, x_deg_max=2).coefficient({"lam": -1, "x2": 1})
+    assert (old.field.order, new.field.order) == (36, 12)
+    assert not new.is_rational()
+    big = cyclo_field(36)
+    assert old.embed(big) == new.embed(big) == big.imaginary_unit() * Fraction(-1, 2)
+    assert coeff_from_data(coeff_to_data(new)) == new
 
 
 def test_inverse_and_division():
@@ -55,6 +70,19 @@ def test_inverse_and_division():
     assert (v / v) == field.from_fraction(1)
     with pytest.raises(ZeroDivisionError):
         field.from_fraction(0).inverse()
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_division_by_a_rational_matches_the_inverse(order):
+    field = cyclo_field(order)
+    z = field.root_of_unity(order)
+    x = field.from_fraction(Fraction(5, 3)) + z * 2 - z**3 * Fraction(1, 4)
+    for q in (1, 6, -1, -6, Fraction(7, 5), Fraction(-2, 9)):
+        assert x / q == x * field.from_fraction(q).inverse(), q
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Fraction(0)
 
 
 def test_rational_detection_and_embedding():

@@ -1,5 +1,6 @@
 """Property tests of the truncated power sums behind Series.invert, exp
-and log, against sympy's exact expansions.
+and log, against sympy's exact expansions, and of the integer window check
+against Fraction grades.
 
 Hypothesis draws small rational polynomials with a nonzero corner term.
 Every coefficient inside the window a result claims must match sympy, and
@@ -15,7 +16,14 @@ from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_exp, rs_log, rs_series_inversion
 from sympy.polys.rings import ring
 
-from orbivertex.series import GradeCap, PrecisionError, Series, SeriesContext, VarSpec
+from orbivertex.series import (
+    GradeCap,
+    PrecisionError,
+    Series,
+    SeriesContext,
+    VarSpec,
+    self_in_window_static,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -109,3 +117,41 @@ def test_exp_and_log_match_sympy(rest, bound):
             assert result.coefficient({"q": e}) == _coeff(want, Q**e), e
         with pytest.raises(PrecisionError):
             result.coefficient({"q": bound + 1})
+
+
+NAMES = ("u", "v", "w")
+cap_weights = st.lists(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(2)]),
+    min_size=3,
+    max_size=3,
+)
+# A bound pick is None (no truncation), "on" (exactly the key's grade) or a fraction.
+bound_picks = st.one_of(st.none(), st.just("on"), st.fractions(-4, 4, max_denominator=6))
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from([1, 2, 3]), min_size=3, max_size=3),
+    st.lists(cap_weights, min_size=1, max_size=2),
+    st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    st.lists(bound_picks, min_size=2, max_size=2),
+)
+@example([1, 2, 3], [[Fraction(1, 2), Fraction(1, 3), Fraction(2)]], [1, 3, 2], ["on", None])
+@example([2, 3, 1], [[Fraction(1, 3), Fraction(2), Fraction(1, 2)], [Fraction(2), Fraction(0), Fraction(1, 3)]], [-3, 5, 4], ["on", "on"])
+def test_integer_window_check_matches_fraction_grades(dens, weights, key, picks):
+    # Keys are scaled exponents: variable i has exponent key[i] / dens[i].
+    ctx = SeriesContext(
+        [VarSpec(n, d) for n, d in zip(NAMES, dens)],
+        caps=[GradeCap(f"c{ci}", dict(zip(NAMES, ws))) for ci, ws in enumerate(weights)],
+    )
+    key = tuple(key)
+    grades = [sum(w * Fraction(k, d) for w, k, d in zip(ws, key, dens)) for ws in weights]
+    assert [ctx.grade(ci, key) for ci in range(len(weights))] == grades
+    picks = picks[: len(weights)]
+    bounds = tuple(g if pick == "on" else pick for g, pick in zip(grades, picks))
+    for bs in (bounds, tuple(None if b is None else b - Fraction(1, 36) for b in bounds)):
+        want = all(b is None or ctx.grade(ci, key) <= b for ci, b in enumerate(bs))
+        assert self_in_window_static(key, (None,) * 3, bs, ctx) == want, bs
+    if all(pick is None or pick == "on" for pick in picks):
+        # A key exactly on every finite bound lies inside the window.
+        assert self_in_window_static(key, (None,) * 3, bounds, ctx)
