@@ -18,7 +18,7 @@ from . import __version__
 from .characters import chi
 from .dt_vertex import box_counting_series, r_bullet_zero, reduced_vertex_closed, volume_counts
 from .gw_vertex import r_bullet_tau
-from .hurwitz import burnside_value, factorization_oracle
+from .hurwitz import ORACLE_DEGREE_LIMIT, burnside_value, factorization_oracle
 from .localgw import (
     _partition_label,
     block_to_data,
@@ -32,13 +32,13 @@ from .series import PrecisionError, _frac_str
 from .verify import SUITES
 
 CHAR_DEGREE_LIMIT = 8
-ORACLE_DEGREE_LIMIT = 4
 BOX_LIMIT = 10
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_GUARD = 3
+
 
 class UsageError(Exception):
     """Bad flags or flag combinations."""
@@ -111,10 +111,15 @@ def _emit_csv(args, table_text: str) -> int:
 # -- subcommands ------------------------------------------------------------
 
 
+def _windows(args) -> dict:
+    # The window flags that were set, as library keywords; the library
+    # signatures hold the defaults.
+    named = {"lam_max": args.lambda_order, "x_deg_max": args.x_order}
+    return {key: value for key, value in named.items() if value is not None}
+
+
 def cmd_char(args) -> int:
     d = args.d
-    if d < 1:
-        raise UsageError("--d must be a positive integer")
     if d > CHAR_DEGREE_LIMIT:
         raise GuardError(f"character tables are guarded to d <= {CHAR_DEGREE_LIMIT}")
     rows = partitions_of(d)
@@ -137,15 +142,11 @@ def cmd_char(args) -> int:
 def cmd_hurwitz(args) -> int:
     nu = args.nu
     mu = args.mu
-    if nu is None or mu is None:
-        raise UsageError("hurwitz needs --nu and --mu")
     if sum(nu) != sum(mu):
         raise UsageError("profiles must have equal size")
     if sum(nu) > CHAR_DEGREE_LIMIT:
         raise GuardError(f"hurwitz values are guarded to degree {CHAR_DEGREE_LIMIT}")
-    r = args.r if args.r is not None else 0
-    if r < 0:
-        raise UsageError("--r must be nonnegative")
+    r = args.r or 0
     chi_euler = len(nu) + len(mu) - r
     value = burnside_value(chi_euler, nu, mu)
     result = {
@@ -165,26 +166,17 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    if args.a is None or args.mu is None:
-        raise UsageError("gw needs --a and --mu")
-    lam_max = args.lambda_order if args.lambda_order is not None else 5
-    x_deg_max = args.x_order if args.x_order is not None else 4
-    tau = args.tau if args.tau is not None else 0
-    if tau == 0:
-        series = r_bullet_zero(args.a, args.mu, lam_max=lam_max, x_deg_max=x_deg_max)
+    if args.tau:
+        series = r_bullet_tau(args.a, args.mu, args.tau, **_windows(args)).series
     else:
-        series = r_bullet_tau(args.a, args.mu, tau, lam_max=lam_max, x_deg_max=x_deg_max).series
+        series = r_bullet_zero(args.a, args.mu, **_windows(args))
     return _emit_json(args, {"series": series.to_data()})
 
 
 def cmd_dt(args) -> int:
-    if args.a is None or args.nu is None:
-        raise UsageError("dt needs --a and --nu")
     result = {"vertex": reduced_vertex_closed(args.nu, args.a).to_data()}
     if args.enumerate is not None:
         n = args.enumerate
-        if n < 0:
-            raise UsageError("--enumerate must be nonnegative")
         if n > BOX_LIMIT:
             raise GuardError(f"box enumeration is guarded to {BOX_LIMIT} added boxes")
         result["enumerator"] = box_counting_series(args.nu, args.a, n).to_data()
@@ -193,43 +185,36 @@ def cmd_dt(args) -> int:
 
 
 def cmd_local_gw(args) -> int:
-    lam_max = args.lambda_order if args.lambda_order is not None else 5
-    x_deg_max = args.x_order if args.x_order is not None else 4
+    if (args.a is None) == (args.glue is None):
+        raise UsageError("local-gw takes --a with --mu or --d, and not with --glue")
     if args.glue is not None:
         with open(args.glue, "r", encoding="utf-8") as fh:
             plan = json.load(fh)
-        block = run_glue_plan(plan, lam_max=lam_max, x_deg_max=x_deg_max)
+        block = run_glue_plan(plan, **_windows(args))
     elif args.mu is not None:
-        if args.a is None:
-            raise UsageError("local-gw needs --a with --mu")
-        block = cap_level0(args.a, args.mu, lam_max=lam_max, x_deg_max=x_deg_max)
-    elif args.d is not None:
-        if args.a is None:
-            raise UsageError("local-gw needs --a with --d")
-        block = cap_family(args.a, args.d, lam_max=lam_max, x_deg_max=x_deg_max)
+        block = cap_level0(args.a, args.mu, **_windows(args))
     else:
-        raise UsageError("local-gw needs --mu, --d, or --glue")
+        block = cap_family(args.a, args.d, **_windows(args))
     if args.format == "csv":
         return _emit_csv(args, emit_table(block))
     return _emit_json(args, block_to_data(block))
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    if args.suite == "burnside" and args.d is not None and args.d > ORACLE_DEGREE_LIMIT:
+    suite = SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
+    own = {"subcommand", "func", "suite", "out"}
+    flags = {k: v for k, v in vars(args).items() if k not in own and v is not None}
+    refused = [name for name in flags if name not in takes]
+    if refused:
+        listed = ", ".join(_flag(name) for name in refused)
+        raise UsageError(f"suite {args.suite!r} does not take {listed}")
+    if args.suite == "burnside" and flags.get("d", 0) > ORACLE_DEGREE_LIMIT:
         raise GuardError(
             f"the factorization oracle is guarded to degree {ORACLE_DEGREE_LIMIT}"
         )
-    if args.suite == "correspondence" and (args.a is None) != (args.d is None):
+    if args.suite == "correspondence" and ("a" in flags) != ("d" in flags):
         raise UsageError("correspondence takes --a and --d together, or neither")
-    # A suite reads the flags named by its parameters and ignores the rest.
-    flags = {
-        name: getattr(args, name)
-        for name in inspect.signature(suite).parameters
-        if getattr(args, name, None) is not None
-    }
     checks = suite(**flags)
     passed = all(c["passed"] for c in checks)
     first_failure = next((c["name"] for c in checks if not c["passed"]), None)
@@ -243,21 +228,52 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--a", type=int, help="cyclic quotient order")
-    sub.add_argument("--d", type=int, help="degree / size bound")
-    sub.add_argument("--mu", type=_parse_partition, help="partition, comma-separated parts")
-    sub.add_argument("--nu", type=_parse_partition, help="partition, comma-separated parts")
-    sub.add_argument("--tau", type=int, help="framing parameter")
-    sub.add_argument("--r", type=int, help="number of simple branch points")
-    sub.add_argument("--lambda-order", type=int, dest="lambda_order", help="series order in lam")
-    sub.add_argument("--x-order", type=int, dest="x_order", help="total x-degree bound")
-    sub.add_argument("--enumerate", type=int, help="brute-force enumeration size")
-    sub.add_argument("--out", help="output file path (default stdout)")
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
 
 
-def _add_format(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+_positive = _int_at_least(1, "a positive integer")
+_nonnegative = _int_at_least(0, "a nonnegative integer")
+
+# Every flag of every subcommand, by destination, with its add_argument keywords.
+_FLAGS = {
+    "a": {"type": _positive, "help": "cyclic quotient order"},
+    "d": {"type": _positive, "help": "degree / size bound"},
+    "mu": {"type": _parse_partition, "help": "partition, comma-separated parts"},
+    "nu": {"type": _parse_partition, "help": "partition, comma-separated parts"},
+    "tau": {"type": int, "help": "framing parameter"},
+    "r": {"type": _nonnegative, "help": "number of simple branch points"},
+    "lambda_order": {"type": _nonnegative, "help": "series order in lam"},
+    "x_order": {"type": _nonnegative, "help": "total x-degree bound"},
+    "enumerate": {"type": _nonnegative, "help": "brute-force enumeration size"},
+    "glue": {"help": "JSON gluing plan file"},
+    "format": {"choices": ("json", "csv"), "default": "json", "help": "output format"},
+    "out": {"help": "output file path (default stdout)"},
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _suite_flags() -> list:
+    # The flags of verify: every parameter of some suite, in _FLAGS order.
+    names = {name for suite in SUITES.values() for name in inspect.signature(suite).parameters}
+    return [name for name in _FLAGS if name in names]
+
+
+def _add(target, *names, **extra):
+    for name in names:
+        target.add_argument(_flag(name), dest=name, **_FLAGS[name], **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,31 +282,33 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = subs.add_parser("char", help="symmetric group character table")
-    _add_common(sp)
-    _add_format(sp)
+    _add(sp, "d", required=True)
+    _add(sp, "format", "out")
     sp.set_defaults(func=cmd_char)
 
     sp = subs.add_parser("hurwitz", help="weighted branched-cover count")
-    _add_common(sp)
+    _add(sp, "nu", "mu", required=True)
+    _add(sp, "r", "enumerate", "out")
     sp.set_defaults(func=cmd_hurwitz)
 
     sp = subs.add_parser("gw", help="framed generating series for one profile")
-    _add_common(sp)
+    _add(sp, "a", "mu", required=True)
+    _add(sp, "tau", "lambda_order", "x_order", "out")
     sp.set_defaults(func=cmd_gw)
 
     sp = subs.add_parser("dt", help="reduced box-counting vertex in closed form")
-    _add_common(sp)
+    _add(sp, "a", "nu", required=True)
+    _add(sp, "enumerate", "out")
     sp.set_defaults(func=cmd_dt)
 
     sp = subs.add_parser("local-gw", help="local invariant blocks and gluing")
-    _add_common(sp)
-    _add_format(sp)
-    sp.add_argument("--glue", help="JSON gluing plan file")
+    _add(sp.add_mutually_exclusive_group(required=True), "mu", "d", "glue")
+    _add(sp, "a", "lambda_order", "x_order", "format", "out")
     sp.set_defaults(func=cmd_local_gw)
 
     sp = subs.add_parser("verify", help="run a named verification suite")
-    _add_common(sp)
-    sp.add_argument("--suite", required=True, help=f"one of {sorted(SUITES)}")
+    sp.add_argument("--suite", required=True, choices=sorted(SUITES))
+    _add(sp, *_suite_flags(), "out")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -240,17 +240,17 @@ def schur_rational(nu: tuple, a: int) -> RationalForm:
     return total
 
 
-def colored_weights(nu, a: int, axis: str = "col") -> tuple:
+def colored_weights(nu, a: int) -> tuple:
     """The per-color box statistics A(l) for l = 0 .. a-1."""
-    return tuple(colored_box_count(nu, l, a, axis) for l in range(a))
+    return tuple(colored_box_count(nu, l, a) for l in range(a))
 
 
-def reduced_vertex_closed(nu, a: int, axis: str = "col") -> RationalForm:
+def reduced_vertex_closed(nu, a: int) -> RationalForm:
     """Closed form of the reduced vertex: the Schur function of the
     conjugate shape at the colored alphabet, shifted by the per-color box
     statistics of the shape."""
     nu = check_partition(nu)
-    A = colored_weights(nu, a, axis)
+    A = colored_weights(nu, a)
     shifted = RationalForm.monomial(
         a, -A[0], tuple(A[0] - A[l] for l in range(1, a)), 1
     )
@@ -260,13 +260,6 @@ def reduced_vertex_closed(nu, a: int, axis: str = "col") -> RationalForm:
 # -- brute force colored box enumerator -------------------------------------
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _leg_cells(nu, transpose_leg: bool) -> frozenset:
-    cells = frozenset(boxes(nu))
-    if transpose_leg:
-        cells = frozenset((j, i) for i, j in cells)
-    return cells
 
 
 def _base_candidates(cells) -> tuple:
@@ -284,11 +277,11 @@ def _base_candidates(cells) -> tuple:
     return tuple(out)
 
 
-def lattice_ideal_states(nu, max_volume: int, transpose_leg: bool = False):
+def lattice_ideal_states(nu, max_volume: int):
     """All downward-closed box configurations containing the leg cylinder
     with at most max_volume added boxes, listed per added volume."""
     nu = check_partition(nu)
-    cells = _leg_cells(nu, transpose_leg)
+    cells = frozenset(boxes(nu))
     base = _base_candidates(cells)
 
     def in_cyl(b):
@@ -328,32 +321,23 @@ def lattice_ideal_states(nu, max_volume: int, transpose_leg: bool = False):
     return levels
 
 
-def box_counting_series(
-    nu,
-    a: int,
-    max_volume: int,
-    transpose_leg: bool = False,
-    color_axes: tuple = (0, 2),
-    ctx: SeriesContext | None = None,
-) -> Series:
+def box_counting_series(nu, a: int, max_volume: int) -> Series:
     """Generating series of colored box counts over the leg cylinder,
     complete through total added volume max_volume.
 
-    Each added box is colored by the difference of two of its coordinates
-    mod a (by default the leg coordinate minus the column coordinate); the
-    monomial of a configuration is q^(n_0) prod_l q_l^(n_l - n_0) where
-    n_c counts added boxes of color c, so that q tracks full color cycles
-    and the grading q -> a, q_l -> 1 tracks total volume.
+    Each added box is colored by its leg coordinate minus its column
+    coordinate mod a; the monomial of a configuration is
+    q^(n_0) prod_l q_l^(n_l - n_0) where n_c counts added boxes of color c,
+    so that q tracks full color cycles and the grading q -> a, q_l -> 1
+    tracks total volume.
     """
-    if ctx is None:
-        ctx = box_context(a)
-    i0, i1 = color_axes
+    ctx = box_context(a)
     terms = {}
-    for level in lattice_ideal_states(nu, max_volume, transpose_leg):
+    for level in lattice_ideal_states(nu, max_volume):
         for F in level:
             counts = [0] * a
             for b in F:
-                counts[(b[i0] - b[i1]) % a] += 1
+                counts[(b[0] - b[2]) % a] += 1
             exps = {"q": counts[0]}
             for l in range(1, a):
                 exps[f"q{l}"] = counts[l] - counts[0]
@@ -368,9 +352,9 @@ def box_counting_series(
     )
 
 
-def volume_counts(nu, max_volume: int, transpose_leg: bool = False) -> list:
+def volume_counts(nu, max_volume: int) -> list:
     """Number of configurations per added volume (colors ignored)."""
-    return [len(level) for level in lattice_ideal_states(nu, max_volume, transpose_leg)]
+    return [len(level) for level in lattice_ideal_states(nu, max_volume)]
 
 
 # -- change of variables into trigonometric series ---------------------------
@@ -539,7 +523,7 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     return _transported(_r_bullet_zero_form(a, mu), d, lam_max, x_deg_max)
 
 
-def _vertex_side_form(a: int, mu: tuple, axis: str = "col") -> RationalForm:
+def _vertex_side_form(a: int, mu: tuple) -> RationalForm:
     # Per-shape sign and monomial shifts against the sign-flipped reduced
     # vertex, summed with character weights, for a nonempty checked mu.
     d = sum(mu)
@@ -548,18 +532,18 @@ def _vertex_side_form(a: int, mu: tuple, axis: str = "col") -> RationalForm:
         c = Fraction(chi(nu, mu), z_aut(mu))
         if not c:
             continue
-        A = colored_weights(nu, a, axis)
+        A = colored_weights(nu, a)
         lead = RationalForm.monomial(
             a,
             Fraction(d, 2) + A[0],
             tuple(-Fraction(d * l, a) + A[l] - A[0] for l in range(1, a)),
             Fraction((-1) ** A[0]),
         )
-        acc = acc + lead * reduced_vertex_closed(nu, a, axis).flip_q_sign() * c
+        acc = acc + lead * reduced_vertex_closed(nu, a).flip_q_sign() * c
     return acc
 
 
-def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4, axis: str = "col") -> Series:
+def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """The box-counting side of the correspondence, assembled literally:
     per-shape sign and monomial shifts against the sign-flipped reduced
     vertex, summed with character weights, then transported."""
@@ -567,7 +551,7 @@ def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4, axis: s
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))
-    return _transported(_vertex_side_form(a, mu, axis), d, lam_max, x_deg_max)
+    return _transported(_vertex_side_form(a, mu), d, lam_max, x_deg_max)
 
 
 def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):

@@ -128,15 +128,6 @@ class CycloField:
     def imaginary_unit(self) -> CycloNum:
         return self.root_of_unity(4, 1)
 
-    def coerce(self, value) -> CycloNum:
-        if isinstance(value, CycloNum):
-            if value.field is self:
-                return value
-            return value.embed(self)
-        if isinstance(value, (int, Fraction)):
-            return self.from_fraction(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} into a cyclotomic field")
-
     def __repr__(self):
         return f"CycloField(order={self.order}, degree={self.degree})"
 

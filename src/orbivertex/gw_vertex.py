@@ -28,16 +28,6 @@ from .series import GradeCap, Series, SeriesContext, VarSpec
 
 
 @dataclass(frozen=True)
-class GwCap:
-    """Closed-form degree-d connected cap with color insertions gamma."""
-
-    a: int
-    d: int
-    gamma: tuple
-    series: Series
-
-
-@dataclass(frozen=True)
 class FramedVertex:
     """Disconnected per-profile generating series at integer framing."""
 
@@ -75,10 +65,12 @@ def _inv_two_sin(ctx: SeriesContext, d: int, lam_fill: int, field) -> Series:
     return _exp_diff(ctx, d, lam_fill, i).invert() * i
 
 
-def _cap_series(ctx: SeriesContext, a: int, d: int, gamma: tuple, lam_fill: int, inv_sin=None):
+def _cap_series(a: int, d: int, gamma: tuple, inv_sin: Series) -> Series:
+    # The cap scalar times inv_sin = 1/(2 sin(d lam/2)), zero unless d is
+    # congruent to the total color mod a.
     total = sum(gamma)
     if (d - total) % a:
-        return Series.zero(ctx)
+        return Series.zero(inv_sin.ctx)
     field = field_for(a)
     n = len(gamma)
     i_exp = 1 - d + 2 * ((d - total) // a)
@@ -89,12 +81,10 @@ def _cap_series(ctx: SeriesContext, a: int, d: int, gamma: tuple, lam_fill: int,
         / aut_gamma(gamma)
     )
     scalar = field.imaginary_unit() ** i_exp * field.from_fraction(frac)
-    if inv_sin is None:
-        inv_sin = _inv_two_sin(ctx, d, lam_fill, field)
     return inv_sin * scalar
 
 
-def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> GwCap:
+def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> Series:
     """The degree-d connected invariant series with color insertions gamma,
     zero unless d is congruent to the total color mod a."""
     gamma = tuple(sorted(gamma))
@@ -103,10 +93,10 @@ def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> GwCap:
     if any(g < 1 or g >= a for g in gamma):
         raise ValueError("color insertions must lie in 1..a-1")
     ctx = trig_context(a)
-    series = _cap_series(ctx, a, d, gamma, lam_trunc + 2)
-    if not series.is_exact_zero():
-        series = series.require_window(maxes={"lam": lam_trunc}).restrict(maxes={"lam": lam_trunc})
-    return GwCap(a, d, gamma, series)
+    if (d - sum(gamma)) % a:
+        return Series.zero(ctx)
+    series = _cap_series(a, d, gamma, _inv_two_sin(ctx, d, lam_trunc + 2, field_for(a)))
+    return series.require_window(maxes={"lam": lam_trunc}).restrict(maxes={"lam": lam_trunc})
 
 
 def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
@@ -119,7 +109,7 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
     for d in range(1, d_max + 1):
         inv_sin = _inv_two_sin(ctx, d, lam_fill, field)
         for gamma in gamma_vectors(a, x_deg_max):
-            cap = _cap_series(ctx, a, d, gamma, lam_fill, inv_sin)
+            cap = _cap_series(a, d, gamma, inv_sin)
             if cap.is_exact_zero():
                 continue
             exps = {f"p{d}": 1}
@@ -150,7 +140,7 @@ def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
 def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
     """The one-point series (lam/2)/sin(lam/2), computed by exact series
     division: lam times the degree-one cap."""
-    cap = cap_closed_form(1, 1, (), lam_trunc + 1).series
+    cap = cap_closed_form(1, 1, (), lam_trunc + 1)
     return (cap * Series.monomial(trig_context(1), {"lam": 1}, 1)).restrict(
         maxes={"lam": lam_trunc}
     )

@@ -20,6 +20,8 @@ from .characters import chi
 from .partitions import check_partition, kappa, partitions_of, z_aut
 from .series import Series, SeriesContext, VarSpec
 
+ORACLE_DEGREE_LIMIT = 4
+
 
 class PhiKernel:
     """Exact spectral data of the transport kernel for one profile pair."""
@@ -54,7 +56,7 @@ class PhiKernel:
             total += Fraction(k, 2) ** r * c
         return total
 
-    def series(self, ctx: SeriesContext, var: str, scale, maxes=None, cap_bounds=None) -> Series:
+    def series(self, ctx: SeriesContext, var: str, scale, maxes) -> Series:
         """The kernel as a series in one variable: sum of coefficients times
         exp(scale * kappa/2 * var), filled through the given window."""
         total = Series.zero(ctx)
@@ -63,7 +65,7 @@ class PhiKernel:
                 total = total + Series.monomial(ctx, {}, c)
                 continue
             coeff = scale * Fraction(k, 2)
-            total = total + c * Series.exp_monomial(ctx, {var: 1}, coeff, maxes=maxes, cap_bounds=cap_bounds)
+            total = total + c * Series.exp_monomial(ctx, {var: 1}, coeff, maxes=maxes)
         if not total.terms:
             return total
         # Exact through the window on one axis, so nothing lies below the
@@ -105,21 +107,21 @@ def _cycle_type(perm: tuple) -> tuple:
     return tuple(sorted(cycles, reverse=True))
 
 
-def factorization_oracle(chi_euler: int, nu, mu, d_limit: int = 4) -> Fraction:
+def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
     """Brute-force check value for :func:`burnside_value`.
 
     Counts tuples (sigma, tau_1, ..., tau_r) with sigma of cycle type nu,
     each tau_i a transposition, and the product landing in cycle type mu,
     divided by d!.  Exhaustive over the symmetric group, so guarded to
-    small degrees.
+    degrees up to ORACLE_DEGREE_LIMIT.
     """
     nu = check_partition(nu)
     mu = check_partition(mu)
     d = sum(nu)
     if sum(mu) != d:
         raise ValueError("profiles must have equal size")
-    if d > d_limit:
-        raise ValueError(f"factorization oracle is limited to degree {d_limit}")
+    if d > ORACLE_DEGREE_LIMIT:
+        raise ValueError(f"factorization oracle is limited to degree {ORACLE_DEGREE_LIMIT}")
     r = simple_branch_count(chi_euler, nu, mu)
     if r < 0:
         raise ValueError("no simple branch points for this Euler characteristic")

@@ -172,16 +172,6 @@ def _partition_label(part) -> str:
     return "(" + ",".join(str(p) for p in part) + ")"
 
 
-def _parse_partition_label(label: str) -> tuple:
-    inner = label.strip()
-    if not (inner.startswith("(") and inner.endswith(")")):
-        raise ValueError(f"malformed partition label {label!r}")
-    inner = inner[1:-1]
-    if not inner:
-        return ()
-    return check_partition(tuple(int(p) for p in inner.split(",")))
-
-
 def block_to_data(block: LocalBlock) -> dict:
     """JSON-ready form of a block; inverse of :func:`block_from_data`."""
     entries = []

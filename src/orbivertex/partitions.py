@@ -83,17 +83,11 @@ def kappa(mu) -> int:
     return sum(part * (part - 2 * i - 1) for i, part in enumerate(mu))
 
 
-def colored_box_count(nu, k: int, n: int, axis: str = "col") -> int:
-    """Sum over cells of floor((c + k)/n), with c the column (or row) index."""
+def colored_box_count(nu, k: int, n: int) -> int:
+    """Sum over cells of floor((c + k)/n), with c the column index."""
     if n < 1:
         raise ValueError("modulus must be a positive integer")
-    if axis not in ("col", "row"):
-        raise ValueError("axis must be 'col' or 'row'")
-    total = 0
-    for i, j in boxes(nu):
-        c = j if axis == "col" else i
-        total += (c + k) // n
-    return total
+    return sum((j + k) // n for _, j in boxes(nu))
 
 
 def gamma_vectors(a: int, max_len: int) -> tuple:

@@ -217,7 +217,7 @@ class Series:
 
     @classmethod
     def from_terms(cls, ctx: SeriesContext, terms: dict, maxes=None, cap_bounds=None, floors=None) -> "Series":
-        """Build from a mapping of exponent dicts or tuples to coefficients.
+        """Build from a mapping of natural exponent tuples to coefficients.
 
         Window arguments are given in natural units, keyed by variable or
         cap name; missing entries mean no truncation in that direction.
@@ -226,10 +226,7 @@ class Series:
         """
         stored = {}
         for exps, c in terms.items():
-            if isinstance(exps, dict):
-                key = ctx.key_from(exps)
-            else:
-                key = tuple(ctx.scale(ctx.names[i], e) for i, e in enumerate(exps))
+            key = tuple(ctx.scale(ctx.names[i], e) for i, e in enumerate(exps))
             c = _as_coeff(c)
             if c:
                 stored[key] = stored.get(key, Fraction(0)) + c
@@ -249,13 +246,7 @@ class Series:
                 floors_v = (0,) * ctx.n
         else:
             floors_v = tuple(ctx.scale(ctx.names[i], floors[i]) for i in range(ctx.n))
-        out = cls(ctx, stored, floors_v, tuple(maxes_v), tuple(bounds_v))
-        for key in stored:
-            if not self_in_window_static(key, out.maxes, out.cap_bounds, ctx):
-                raise ValueError("stored term lies outside the declared window")
-            if any(k < f for k, f in zip(key, floors_v)):
-                raise ValueError("stored term lies below the declared floor")
-        return out
+        return cls(ctx, stored, floors_v, tuple(maxes_v), tuple(bounds_v))._check_stored()
 
     @classmethod
     def exp_monomial(cls, ctx: SeriesContext, exponents: dict, coeff, maxes=None, cap_bounds=None) -> "Series":
@@ -301,6 +292,15 @@ class Series:
         return cls(ctx, terms, (0,) * ctx.n, tuple(maxes_v), tuple(bounds_v))
 
     # -- structure -------------------------------------------------------
+
+    def _check_stored(self) -> "Series":
+        # Every stored term must lie in the window and on or above the floors.
+        for key in self.terms:
+            if not self_in_window_static(key, self.maxes, self.cap_bounds, self.ctx):
+                raise ValueError("stored term lies outside the declared window")
+            if any(k < f for k, f in zip(key, self.floors)):
+                raise ValueError("stored term lies below the declared floor")
+        return self
 
     def is_exact_zero(self) -> bool:
         return (
@@ -722,7 +722,11 @@ class Series:
 
     @classmethod
     def from_data(cls, data: dict) -> "Series":
-        """Rebuild a series, in a fresh context, from :meth:`to_data` output."""
+        """Rebuild a series, in a fresh context, from :meth:`to_data` output.
+
+        A stored term outside the window or below a floor raises
+        ``ValueError``, as in :meth:`from_terms`.
+        """
         ctx = SeriesContext(
             tuple(VarSpec(v["name"], v["denominator"]) for v in data["variables"]),
             tuple(
@@ -744,7 +748,7 @@ class Series:
             for i, m in enumerate(data["maxes"])
         )
         bounds = tuple(None if b is None else Fraction(b) for b in data["cap_bounds"])
-        return cls(ctx, terms, floors, maxes, bounds)
+        return cls(ctx, terms, floors, maxes, bounds)._check_stored()
 
     def __eq__(self, other):
         if not isinstance(other, Series):

@@ -3,7 +3,8 @@
 ``SUITES`` maps each suite name to a plain function.  Its keyword
 parameters are named after the CLI flags (``a``, ``d``, ``r``, ``tau``,
 ``lambda_order``, ``x_order``) and default to the windows ``orbivertex
-verify`` uses when a flag is absent.  Each function returns a list of
+verify`` uses when a flag is absent; ``verify`` refuses a flag that the
+suite has no parameter for.  Each function returns a list of
 ``{"name", "passed", ...}`` checks.  ``orbivertex verify --suite NAME`` and
 the acceptance tests both run through this registry, so every identity is
 coded once.

@@ -110,15 +110,15 @@ def test_criterion_07_sine_ratio_series():
 
 def test_criterion_08_box_counting_against_closed_form():
     ctx1 = box_context(1)
-    empty1 = box_counting_series((), 1, 6, ctx=ctx1)
+    empty1 = box_counting_series((), 1, 6)
     for nu in ((1,), (2,), (1, 1)):
-        full = box_counting_series(nu, 1, 6, ctx=ctx1)
+        full = box_counting_series(nu, 1, 6)
         closed = reduced_vertex_closed(nu, 1).to_series(ctx1, 6)
         window = {"q": 6}
         assert full.restrict(maxes=window) == (closed * empty1).restrict(maxes=window), nu
     ctx2 = box_context(2)
-    empty2 = box_counting_series((), 2, 6, ctx=ctx2)
-    full2 = box_counting_series((1,), 2, 6, ctx=ctx2)
+    empty2 = box_counting_series((), 2, 6)
+    full2 = box_counting_series((1,), 2, 6)
     closed2 = reduced_vertex_closed((1,), 2).to_series(ctx2, 6)
     bounds = {"vol": 6}
     assert full2.restrict(cap_bounds=bounds) == (closed2 * empty2).restrict(

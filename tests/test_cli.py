@@ -3,6 +3,7 @@
 import json
 
 from orbivertex import verify
+from orbivertex.localgw import block_to_data, cap_level0
 from orbivertex.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -109,17 +110,44 @@ def test_verify_failure_exits_two_and_names_check(monkeypatch, capsys):
 
 
 def test_usage_errors_exit_one(capsys):
-    code, _, err = run_cli(capsys, "gw", "--mu", "1")
-    assert code == EXIT_USAGE
-    assert "usage error" in err
-    code, _, _ = run_cli(capsys, "verify", "--suite", "mystery")
-    assert code == EXIT_USAGE
-    code, _, _ = run_cli(capsys, "char", "--d", "3", "--mu", "oops")
-    assert code == EXIT_USAGE
-    code, _, _ = run_cli(capsys, "dt", "--a", "1", "--nu", "1", "--q-order", "4")
-    assert code == EXIT_USAGE
-    code, _, _ = run_cli(capsys, "gw", "--a", "1", "--mu", "2", "--format", "csv")
-    assert code == EXIT_USAGE
+    cases = (
+        "gw --mu 1",
+        "verify --suite mystery",
+        "gw --a 1 --mu oops",
+        "dt --a 1 --nu 1 --q-order 4",
+        "gw --a 1 --mu 2 --format csv",
+        # A flag the command does not read is refused, not ignored.
+        "char --d 3 --tau 1",
+        "gw --a 1 --mu 1 --r 2",
+        "local-gw --a 1 --mu 1 --d 2",
+        "local-gw --glue P --a 1",
+        "verify --suite phi --tau 1",
+        # Missing, nonpositive and negative values.
+        "char",
+        "gw --a 0 --mu 1",
+        "verify --suite correspondence --a 2 --d 2 --lambda-order -3",
+        "verify --suite burnside --r -1",
+        "verify --suite phi --d 0",
+    )
+    for case in cases:
+        code, out, err = run_cli(capsys, *case.split())
+        assert code == EXIT_USAGE, case
+        assert err.startswith("usage error"), case
+        assert "Traceback" not in err and not out, case
+        if "oops" in case:
+            assert "cannot parse partition 'oops'" in err
+
+
+def test_tampered_plan_exits_three(tmp_path, capsys):
+    block = block_to_data(cap_level0(1, (1,), lam_max=2))
+    terms = block["entries"][0]["series"]["terms"]
+    terms.append({"exponents": ["-7/1"], "coeff": "1/1"})
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"d": 1, "blocks": [block]}))
+    code, out, err = run_cli(capsys, "local-gw", "--glue", str(plan_path))
+    assert code == EXIT_GUARD
+    assert "below the declared floor" in err
+    assert not out
 
 
 def test_cost_guards_exit_three(capsys):

@@ -83,9 +83,9 @@ def test_one_box_leg_counts_are_prefix_sums():
 
 def test_enumerator_ratio_a1():
     ctx = box_context(1)
-    empty = box_counting_series((), 1, 6, ctx=ctx)
+    empty = box_counting_series((), 1, 6)
     for nu in ((1,), (2,), (1, 1)):
-        full = box_counting_series(nu, 1, 6, ctx=ctx)
+        full = box_counting_series(nu, 1, 6)
         closed = reduced_vertex_closed(nu, 1).to_series(ctx, 6)
         window = {"q": 6}
         lhs = full.restrict(maxes=window)
@@ -95,9 +95,9 @@ def test_enumerator_ratio_a1():
 
 def test_enumerator_ratio_a2():
     ctx = box_context(2)
-    empty = box_counting_series((), 2, 6, ctx=ctx)
+    empty = box_counting_series((), 2, 6)
     for nu in ((1,), (1, 1)):
-        full = box_counting_series(nu, 2, 6, ctx=ctx)
+        full = box_counting_series(nu, 2, 6)
         closed = reduced_vertex_closed(nu, 2).to_series(ctx, 6)
         bounds = {"vol": 6}
         lhs = full.restrict(cap_bounds=bounds)

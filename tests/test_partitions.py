@@ -71,8 +71,6 @@ def test_colored_box_count_floor_sums():
     assert colored_box_count((3,), 0, 2) == 1
     assert colored_box_count((3,), 1, 2) == 2
     assert colored_box_count((3,), 0, 1) == 3
-    assert colored_box_count((2, 1), 0, 2, axis="row") == 0
-    assert colored_box_count((2, 1), 1, 2, axis="row") == 1
 
 
 def test_gamma_vectors_enumeration():

@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example and command lines run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from orbivertex.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,16 @@ def test_library_use_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "g_bullet_mu(1, (1,)) == r_bullet_zero(1, (1,))" in block
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_command_lines_exit_zero(capsys):
+    commands = [
+        line.strip().removeprefix("$ ")
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        for line in block.splitlines()
+    ]
+    commands = [c for c in commands if c.startswith("orbivertex ") and "PLAN.json" not in c]
+    assert len(commands) >= 6
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == EXIT_OK, command
+        capsys.readouterr()

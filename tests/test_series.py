@@ -175,6 +175,17 @@ def test_serialization_round_trip_with_cyclotomics():
     assert back.window_description() == s.window_description()
 
 
+def test_from_data_refuses_terms_outside_the_window():
+    ctx = SeriesContext([VarSpec("q")], caps=[GradeCap("deg", {"q": 1})])
+    data = Series.from_terms(ctx, {(0,): 1, (1,): 2}, maxes={"q": 2}).to_data()
+    above = dict(data, terms=data["terms"] + [{"exponents": ["3/1"], "coeff": "1/1"}])
+    with pytest.raises(ValueError, match="outside the declared window"):
+        Series.from_data(above)
+    below = dict(data, terms=data["terms"] + [{"exponents": ["-1/1"], "coeff": "1/1"}])
+    with pytest.raises(ValueError, match="below the declared floor"):
+        Series.from_data(below)
+
+
 def test_coeff_encoding_forms():
     assert coeff_to_data(Fraction(-3, 7)) == "-3/7"
     assert coeff_from_data("-3/7") == Fraction(-3, 7)
