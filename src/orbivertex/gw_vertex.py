@@ -14,7 +14,7 @@ from math import gcd
 from .characters import chi
 from .dt_vertex import r_bullet_zero as _r_bullet_zero_closed, trig_context
 from .exactnum import field_for
-from .hurwitz import PhiKernel
+from .localgw import LocalBlock, glue, tube
 from .partitions import (
     aut_gamma,
     check_partition,
@@ -226,17 +226,15 @@ def mv_a1_check(mu, lam_trunc: int = 8) -> bool:
 
 
 def _transport(a: int, mu: tuple, tau: int, lam_max: int, series_of) -> Series:
-    # sum_nu z_nu series_of(nu) Phi_{nu,mu}(i tau lam) over |nu| = |mu| = d.
-    # Every series_of(nu) starts at lam^(-d) or above, so the kernel must be
-    # expanded d orders further for the product window to reach lam_max.
-    ctx = trig_context(a)
+    # The family {nu: series_of(nu)} glued against column mu of the tube at
+    # argument i tau lam.  Every series_of(nu) starts at lam^(-d) or above,
+    # so the kernels are filled d orders further for the product window to
+    # reach lam_max.
     d = sum(mu)
+    family = LocalBlock(d=d, data={(nu,): series_of(nu) for nu in partitions_of(d)})
     scale = field_for(a).imaginary_unit() * tau
-    total = Series.zero(ctx)
-    for nu in partitions_of(d):
-        kernel = PhiKernel(nu, mu).series(ctx, "lam", scale, maxes={"lam": lam_max + d})
-        total = total + series_of(nu) * kernel * z_aut(nu)
-    return total.restrict(maxes={"lam": lam_max})
+    column = tube(trig_context(a), d, "lam", scale, lam_max + d, mu)
+    return glue(family, column, d).data[(mu,)].restrict(maxes={"lam": lam_max})
 
 
 def r_bullet_tau(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -> FramedVertex:

@@ -18,9 +18,12 @@ from fractions import Fraction
 
 from .characters import chi
 from .partitions import check_partition, kappa, partitions_of, z_aut
-from .series import Series, SeriesContext, VarSpec
+from .series import Series, SeriesContext
 
 ORACLE_DEGREE_LIMIT = 4
+# Tuples the factorization oracle may enumerate: about one second at
+# roughly 9 microseconds per tuple.
+ORACLE_TUPLE_LIMIT = 10**5
 
 
 class PhiKernel:
@@ -107,13 +110,30 @@ def _cycle_type(perm: tuple) -> tuple:
     return tuple(sorted(cycles, reverse=True))
 
 
+def oracle_tuple_count(nu, r: int) -> int:
+    """Tuples the factorization oracle enumerates for profile ``nu`` and
+    ``r`` transpositions: (number of sigma of cycle type nu) * C(d, 2)^r."""
+    d = sum(nu)
+    return math.factorial(d) // z_aut(nu) * math.comb(d, 2) ** r
+
+
+def require_oracle_budget(nu, r: int) -> None:
+    """Refuse an oracle run over ORACLE_TUPLE_LIMIT tuples."""
+    count = oracle_tuple_count(nu, r)
+    if count > ORACLE_TUPLE_LIMIT:
+        raise ValueError(
+            f"factorization oracle at r={r}, d={sum(nu)} would enumerate {count} tuples,"
+            f" over the limit of {ORACLE_TUPLE_LIMIT}"
+        )
+
+
 def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
     """Brute-force check value for :func:`burnside_value`.
 
     Counts tuples (sigma, tau_1, ..., tau_r) with sigma of cycle type nu,
     each tau_i a transposition, and the product landing in cycle type mu,
     divided by d!.  Exhaustive over the symmetric group, so guarded to
-    degrees up to ORACLE_DEGREE_LIMIT.
+    degrees up to ORACLE_DEGREE_LIMIT and to ORACLE_TUPLE_LIMIT tuples.
     """
     nu = check_partition(nu)
     mu = check_partition(mu)
@@ -125,6 +145,7 @@ def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
     r = simple_branch_count(chi_euler, nu, mu)
     if r < 0:
         raise ValueError("no simple branch points for this Euler characteristic")
+    require_oracle_budget(nu, r)
     letters = range(d)
     sigmas = [p for p in itertools.permutations(letters) if _cycle_type(p) == nu]
     transpositions = []
@@ -141,25 +162,3 @@ def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
             if _cycle_type(prod) == mu:
                 count += 1
     return Fraction(count, math.factorial(d))
-
-
-def phi_composition_check(nu, mu, order: int = 6) -> bool:
-    """Kernel composition as an exact two-variable series identity:
-    the kernel at t1 + t2 equals the z-weighted convolution over middle
-    profiles of kernels at t1 and t2, through the given joint order."""
-    nu = check_partition(nu)
-    mu = check_partition(mu)
-    ctx = SeriesContext([VarSpec("t1"), VarSpec("t2")])
-    maxes = {"t1": order, "t2": order}
-    lhs = Series.zero(ctx)
-    for k, c in PhiKernel(nu, mu).pairs.items():
-        piece = Series.exp_monomial(ctx, {"t1": 1}, Fraction(k, 2), maxes=maxes)
-        piece = piece * Series.exp_monomial(ctx, {"t2": 1}, Fraction(k, 2), maxes=maxes)
-        lhs = lhs + c * piece
-    rhs = Series.zero(ctx)
-    for rho in partitions_of(sum(nu)):
-        left = PhiKernel(nu, rho).series(ctx, "t1", 1, maxes=maxes)
-        right = PhiKernel(rho, mu).series(ctx, "t2", 1, maxes=maxes)
-        rhs = rhs + z_aut(rho) * (left * right)
-    return lhs == rhs
-

@@ -9,8 +9,10 @@ one-stack-point cap: the framing-zero vertex series carried onto a
 
 together with an overall factor i^(d - l(mu)).  Blocks combine by
 contracting matching boundary slots with the z_mu-weighted pairing
-``sum_mu z_mu * left[..., mu] * right[mu, ...]``, for which the diagonal
-kernel ``1/z_mu`` is a two-sided identity.
+``sum_mu z_mu * left[..., mu] * right[mu, ...]``.  A tube is the two-slot
+block of transport kernels Phi_{nu,mu}; gluing a family against a tube is
+framing transport, and the tube at argument zero is the diagonal kernel
+``1/z_mu``, the two-sided identity.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
+from .dt_vertex import r_bullet_zero
 from .exactnum import field_for
-from .gw_vertex import r_bullet_zero
+from .hurwitz import PhiKernel
 from .partitions import check_partition, partitions_of, z_aut
 from .series import GradeCap, Series, SeriesContext, VarSpec, coeff_to_data
 
@@ -96,16 +98,6 @@ class LocalBlock:
             if not isinstance(series, Series):
                 raise TypeError("block entries must be Series")
 
-    def __eq__(self, other):
-        if not isinstance(other, LocalBlock):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.a_list == other.a_list
-            and self.slots == other.slots
-            and self.data == other.data
-        )
-
 
 def cap_level0(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> LocalBlock:
     """One-boundary cap block for a single profile ``mu``."""
@@ -126,14 +118,27 @@ def cap_family(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> LocalBlo
     return LocalBlock(d=d, a_list=(a,), slots=1, data=data)
 
 
-def identity_block(a: int, d: int) -> LocalBlock:
-    """Two-slot diagonal kernel 1/z_mu, the identity for the z_mu pairing."""
-    ctx = local_context(a)
-    one = Series.one(ctx)
+def tube(ctx: SeriesContext, d: int, var: str, scale, fill: int, mu=None) -> LocalBlock:
+    """Two-slot block of transport kernels {(nu, mu): Phi_{nu,mu}(scale * var)}.
+
+    Each kernel is expanded in ``var`` through ``fill``; entries that are
+    exact zeros are left out.  With ``mu`` given, only the column of that
+    profile is kept.
+    """
+    columns = partitions_of(d) if mu is None else (check_partition(mu),)
     data = {}
-    for mu in partitions_of(d):
-        data[(mu, mu)] = one / z_aut(mu)
+    for nu in partitions_of(d):
+        for col in columns:
+            kernel = PhiKernel(nu, col).series(ctx, var, scale, maxes={var: fill})
+            if not kernel.is_exact_zero():
+                data[(nu, col)] = kernel
     return LocalBlock(d=d, a_list=(), slots=2, data=data)
+
+
+def identity_block(a: int, d: int) -> LocalBlock:
+    """The tube at argument zero: the diagonal kernel 1/z_mu, the identity
+    for the z_mu pairing."""
+    return tube(local_context(a), d, "lam", 0, 0)
 
 
 def glue(left: LocalBlock, right: LocalBlock, d: int) -> LocalBlock:

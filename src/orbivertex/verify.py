@@ -24,12 +24,30 @@ from .gw_vertex import (
     quantum_dim_hook,
     quantum_dim_sine,
 )
-from .hurwitz import PhiKernel, burnside_value, factorization_oracle, phi_composition_check
-from .localgw import LocalBlock, _partition_label, cap_family, cap_series, glue, identity_block
-from .partitions import partitions_of, z_aut
-from .series import _frac_str
+from .hurwitz import PhiKernel, burnside_value, factorization_oracle, require_oracle_budget
+from .localgw import LocalBlock, _partition_label, cap_family, cap_series, glue, identity_block, tube
+from .partitions import check_partition, partitions_of, z_aut
+from .series import Series, SeriesContext, VarSpec, _frac_str
 
 DEFAULT_CORRESPONDENCE_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+
+
+def phi_composition_check(nu, mu, order: int = 6) -> bool:
+    """Kernel composition as an exact two-variable series identity: the
+    kernel at t1 + t2 equals the t1-tube glued against the t2-tube, through
+    the given joint order."""
+    nu = check_partition(nu)
+    mu = check_partition(mu)
+    ctx = SeriesContext([VarSpec("t1"), VarSpec("t2")])
+    maxes = {"t1": order, "t2": order}
+    lhs = Series.zero(ctx)
+    for k, c in PhiKernel(nu, mu).pairs.items():
+        piece = Series.exp_monomial(ctx, {"t1": 1}, Fraction(k, 2), maxes=maxes)
+        piece = piece * Series.exp_monomial(ctx, {"t2": 1}, Fraction(k, 2), maxes=maxes)
+        lhs = lhs + c * piece
+    d = sum(nu)
+    glued = glue(tube(ctx, d, "t1", 1, order), tube(ctx, d, "t2", 1, order, mu), d)
+    return lhs == glued.data[(nu, mu)]
 
 
 def phi(*, d=6, lambda_order=6) -> list:
@@ -56,6 +74,10 @@ def phi(*, d=6, lambda_order=6) -> list:
 def burnside(*, d=3, r=4) -> list:
     """Weighted cover counts against the brute-force factorization oracle
     for sizes 1..d and 0..r simple branch points, plus two spot values."""
+    # The oracle's largest runs are at size d with r branch points; refuse
+    # them before any enumeration.
+    for nu in partitions_of(d):
+        require_oracle_budget(nu, r)
     checks = []
     for size in range(1, d + 1):
         ok = True

@@ -2,7 +2,7 @@
 
 import json
 
-from orbivertex import verify
+from orbivertex import hurwitz, verify
 from orbivertex.localgw import block_to_data, cap_level0
 from orbivertex.cli import (
     EXIT_GUARD,
@@ -156,6 +156,20 @@ def test_cost_guards_exit_three(capsys):
     assert "guard" in err
     code, _, _ = run_cli(capsys, "dt", "--a", "1", "--nu", "1", "--enumerate", "11")
     assert code == EXIT_GUARD
+
+
+def test_oracle_tuple_guard_exits_three(monkeypatch, capsys):
+    # hurwitz --nu 2,1 --mu 2,1 --r 2 enumerates 27 tuples; the burnside
+    # suite at --d 3 --r 2 at most 27 too.  A limit of 26 refuses both.
+    monkeypatch.setattr(hurwitz, "ORACLE_TUPLE_LIMIT", 26)
+    code, _, err = run_cli(
+        capsys, "hurwitz", "--nu", "2,1", "--mu", "2,1", "--r", "2", "--enumerate", "3"
+    )
+    assert code == EXIT_GUARD
+    assert "r=2, d=3 would enumerate 27 tuples" in err
+    code, _, err = run_cli(capsys, "verify", "--suite", "burnside", "--d", "3", "--r", "2")
+    assert code == EXIT_GUARD
+    assert "r=2, d=3 would enumerate 27 tuples" in err
 
 
 def test_output_file_and_determinism(tmp_path, capsys):

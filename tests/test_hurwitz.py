@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from orbivertex import hurwitz, verify
 from orbivertex.hurwitz import (
+    ORACLE_TUPLE_LIMIT,
     PhiKernel,
     burnside_value,
     factorization_oracle,
-    phi_composition_check,
+    oracle_tuple_count,
     simple_branch_count,
 )
 from orbivertex.partitions import partitions_of, z_aut
-from orbivertex.series import Series, SeriesContext, VarSpec
+from orbivertex.series import SeriesContext, VarSpec
+from orbivertex.verify import phi_composition_check
 
 
 def test_kernel_at_zero_is_diagonal():
@@ -73,3 +76,36 @@ def test_kernel_series_expansion():
 def test_oracle_guard():
     with pytest.raises(ValueError):
         factorization_oracle(2, (5,), (5,))
+
+
+def test_oracle_tuple_count():
+    # (number of sigma of cycle type nu) * C(d, 2)^r, against the sigmas
+    # counted by brute force.
+    import itertools
+
+    for d in range(1, 5):
+        for nu in partitions_of(d):
+            sigmas = sum(
+                1 for p in itertools.permutations(range(d)) if hurwitz._cycle_type(p) == nu
+            )
+            for r in range(3):
+                assert oracle_tuple_count(nu, r) == sigmas * (d * (d - 1) // 2) ** r
+    # The largest run in use, burnside at d = 4 with its default r = 4, fits.
+    assert max(oracle_tuple_count(nu, 4) for nu in partitions_of(4)) == 8 * 6**4
+    assert 8 * 6**4 <= ORACLE_TUPLE_LIMIT
+    assert oracle_tuple_count((2, 2), 10) > ORACLE_TUPLE_LIMIT
+
+
+def test_oracle_refuses_over_budget_before_enumerating(monkeypatch):
+    # (2,1) with r = 2 enumerates 3 * 3^2 = 27 tuples; a limit of 26 refuses it.
+    monkeypatch.setattr(hurwitz, "ORACLE_TUPLE_LIMIT", 26)
+    with pytest.raises(ValueError, match=r"r=2, d=3 would enumerate 27 tuples"):
+        factorization_oracle(2, (2, 1), (2, 1))
+    assert factorization_oracle(3, (2, 1), (2, 1)) == burnside_value(3, (2, 1), (2, 1))
+
+    def enumerate_nothing(*args):
+        raise AssertionError("the burnside suite enumerated before refusing")
+
+    monkeypatch.setattr(verify, "factorization_oracle", enumerate_nothing)
+    with pytest.raises(ValueError, match=r"r=2, d=3 would enumerate 27 tuples"):
+        verify.burnside(d=3, r=2)

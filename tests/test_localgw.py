@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import g_bullet_mu
 from orbivertex.localgw import (
@@ -17,9 +18,12 @@ from orbivertex.localgw import (
     emit_table,
     glue,
     identity_block,
+    local_context,
     run_glue_plan,
+    tube,
 )
-from orbivertex.partitions import partitions_of
+from orbivertex.partitions import partitions_of, z_aut
+from orbivertex.series import Series
 
 
 def test_cap_matches_framed_series_at_a1():
@@ -57,6 +61,47 @@ def test_identity_kernel_is_two_sided():
             ident = identity_block(a, d)
             assert glue(fam, ident, d) == fam, (a, d)
             assert glue(ident, fam, d) == fam, (a, d)
+
+
+def test_opposite_tubes_glue_to_the_identity_through_the_window():
+    # Phi(t) composed with Phi(-t) is Phi(0) = delta/z: through lam^fill the
+    # diagonal stores exactly 1/z_mu and the off-diagonal nothing.
+    fill = 4
+    for a in (1, 2):
+        ctx = trig_context(a)
+        i_unit = field_for(a).imaginary_unit()
+        for d in (1, 2, 3):
+            for tau in (1, 2):
+                forth = tube(ctx, d, "lam", i_unit * tau, fill)
+                back = tube(ctx, d, "lam", -i_unit * tau, fill)
+                glued = glue(forth, back, d)
+                assert glued.slots == 2
+                for nu in partitions_of(d):
+                    for mu in partitions_of(d):
+                        entry = glued.data[(nu, mu)].require_window(maxes={"lam": fill})
+                        want = {(0,) * ctx.n: Fraction(1, z_aut(mu))} if nu == mu else {}
+                        assert entry.terms == want, (a, d, tau, nu, mu)
+
+
+def test_identity_block_is_the_zero_argument_tube():
+    for a in (1, 2, 3):
+        ctx = local_context(a)
+        for d in (1, 2, 3, 4):
+            diagonal = LocalBlock(
+                d=d,
+                slots=2,
+                data={(mu, mu): Series.one(ctx) / z_aut(mu) for mu in partitions_of(d)},
+            )
+            ident = block_to_data(identity_block(a, d))
+            assert ident == block_to_data(tube(ctx, d, "lam", 0, 0)), (a, d)
+            assert ident == block_to_data(diagonal), (a, d)
+
+
+def test_tube_column_keeps_one_profile():
+    ctx = trig_context(1)
+    full = tube(ctx, 3, "lam", field_for(1).imaginary_unit(), 3)
+    column = tube(ctx, 3, "lam", field_for(1).imaginary_unit(), 3, (2, 1))
+    assert column.data == {k: s for k, s in full.data.items() if k[1] == (2, 1)}
 
 
 def test_gluing_is_associative():

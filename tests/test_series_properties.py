@@ -1,6 +1,7 @@
 """Property tests of the truncated power sums behind Series.invert, exp
-and log, against sympy's exact expansions, and of the integer window check
-against Fraction grades.
+and log, against sympy's exact expansions, of the integer window check
+against Fraction grades, of the ring laws gluing rests on, and of the
+1/a lambda lattice of the local context.
 
 Hypothesis draws small rational polynomials with a nonzero corner term.
 Every coefficient inside the window a result claims must match sympy, and
@@ -16,6 +17,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_exp, rs_log, rs_series_inversion
 from sympy.polys.rings import ring
 
+from orbivertex.localgw import local_context
 from orbivertex.series import (
     GradeCap,
     PrecisionError,
@@ -155,3 +157,70 @@ def test_integer_window_check_matches_fraction_grades(dens, weights, key, picks)
     if all(pick is None or pick == "on" for pick in picks):
         # A key exactly on every finite bound lies inside the window.
         assert self_in_window_static(key, (None,) * 3, bounds, ctx)
+
+
+RING_CTX = SeriesContext([VarSpec("x"), VarSpec("y")], caps=[GradeCap("tot", {"x": 1, "y": 1})])
+
+
+@st.composite
+def windowed_series(draw):
+    # A Laurent polynomial in x, y stored through an optional x max and an
+    # optional total-degree bound; only the terms inside that window are kept.
+    mx = draw(st.one_of(st.none(), st.integers(0, 3)))
+    bound = draw(st.one_of(st.none(), st.integers(0, 4)))
+    keys = st.tuples(st.integers(-1, 3), st.integers(-1, 3))
+    terms = draw(st.dictionaries(keys, nonzero, min_size=1, max_size=4))
+    corner = draw(st.tuples(st.integers(-1, 0), st.integers(-1, 0)))
+    terms = {
+        k: c
+        for k, c in {**terms, corner: Fraction(1)}.items()
+        if (mx is None or k[0] <= mx) and (bound is None or sum(k) <= bound)
+    }
+    maxes = {} if mx is None else {"x": mx}
+    bounds = {} if bound is None else {"tot": bound}
+    return Series.from_terms(RING_CTX, terms, maxes=maxes, cap_bounds=bounds)
+
+
+def _agree_where_both_windows_cover(lhs: Series, rhs: Series) -> None:
+    compared = 0
+    for i in range(-4, 11):
+        for j in range(-4, 11):
+            exps = {"x": i, "y": j}
+            try:
+                left, right = lhs.coefficient(exps), rhs.coefficient(exps)
+            except PrecisionError:
+                continue
+            assert left == right, exps
+            compared += 1
+    assert compared, "the two windows share no key"
+
+
+@PROPERTY
+@given(windowed_series(), windowed_series(), windowed_series())
+def test_series_ring_laws(a, b, c):
+    _agree_where_both_windows_cover(a * b, b * a)
+    _agree_where_both_windows_cover((a * b) * c, a * (b * c))
+    _agree_where_both_windows_cover(a * (b + c), a * b + a * c)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(-30, 30), st.integers(1, 12))
+@example(3, 7, 3)  # on the lattice, not integral
+@example(2, 1, 3)  # off the lattice
+def test_local_context_lambda_lattice(a, num, den):
+    ctx = local_context(a)
+    e = Fraction(num, den)
+    if (e * a).denominator == 1:
+        scaled = ctx.scale("lam", e)
+        assert scaled == e * a
+        back = ctx.natural(ctx.index["lam"], scaled)
+        assert back == e and isinstance(back, int) == (e.denominator == 1)
+        assert ctx.scale("lam", back) == scaled
+    else:
+        with pytest.raises(ValueError, match="off the lattice"):
+            ctx.scale("lam", e)
+    for j in range(1, a):
+        # The color variables keep the integer lattice.
+        if e.denominator != 1:
+            with pytest.raises(ValueError, match="off the lattice"):
+                ctx.scale(f"x{j}", e)
