@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .characters import chi
-from .dt_vertex import box_counting_series, r_bullet_zero, reduced_vertex_closed, volume_counts
+from .dt_vertex import box_counting_series, reduced_vertex_closed, volume_counts
 from .gw_vertex import r_bullet_tau
 from .hurwitz import ORACLE_DEGREE_LIMIT, burnside_value, factorization_oracle
 from .localgw import (
@@ -166,10 +166,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    if args.tau:
-        series = r_bullet_tau(args.a, args.mu, args.tau, **_windows(args)).series
-    else:
-        series = r_bullet_zero(args.a, args.mu, **_windows(args))
+    series = r_bullet_tau(args.a, args.mu, args.tau or 0, **_windows(args)).series
     return _emit_json(args, {"series": series.to_data()})
 
 

@@ -163,20 +163,17 @@ class RationalForm:
             shift = max(shift, -(key[0] // 2))
         fill = q_max + shift
         total = Series.zero(ctx)
-        invs = {}
         den_inv = Series.one(ctx)
         for (k, s), m in self.den.items():
-            if (k, s) not in invs:
-                base = Series.one(ctx) - Series.monomial(ctx, {"q": k}, s)
-                invs[(k, s)] = base.restrict(maxes={"q": fill}).invert()
-            den_inv = den_inv * invs[(k, s)] ** m
+            base = Series.one(ctx) - Series.monomial(ctx, {"q": k}, s)
+            den_inv = den_inv * base.restrict(maxes={"q": fill}).invert() ** m
         for key, c in self.num.items():
             exps = {"q": key[0] // 2}
             for l in range(1, a):
                 if key[l]:
                     exps[f"q{l}"] = key[l] // a
             total = total + Series.monomial(ctx, exps, c) * den_inv
-        return total.restrict(maxes={"q": q_max}).require_window(maxes={"q": q_max})
+        return total.restrict(maxes={"q": q_max})
 
     def to_data(self) -> dict:
         """JSON-ready form: numerator terms with natural exponents in q and
@@ -385,14 +382,16 @@ def _den_factor_inverse(a: int, k: int, s: int, lam_fill: int) -> Series:
 
 
 def lam_pad(rf: RationalForm) -> int:
-    """Window padding that absorbs the order loss of inverting the
-    denominator images: two orders per factor whose image vanishes at
-    lam = 0, plus a safety margin."""
-    loss = 0
-    for (k, s), m in rf.den.items():
-        if s * (-1) ** k == 1:
-            loss += 2 * m
-    return loss + 2
+    """The lam orders that inverting the denominator images loses: m + 1
+    for m factors (with multiplicity) whose image vanishes at lam = 0, and
+    0 when there are none.  Such an image 1 - e^(i k lam), filled through
+    lam^F, starts at lam^1, so its inverse starts at lam^-1 and is complete
+    through lam^(F - 2).  A product is complete as far as each factor's top
+    plus the lowest exponents of the others: the numerator (lam^0 through
+    lam^F) and the m inverses leave lam^(F - m - 1).  Other images start at
+    lam^0 and lose nothing."""
+    m = sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
+    return m + 1 if m else 0
 
 
 def _exp_coefficients(c, top: int) -> list:
@@ -492,10 +491,8 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
 
 
 def _transported(rf: RationalForm, d: int, lam_max: int, x_deg_max: int) -> Series:
-    fill = lam_max + lam_pad(rf) + d
-    out = change_of_vars(rf, d, fill, x_deg_max)
-    out = out.require_window(maxes={"lam": lam_max})
-    return out.restrict(maxes={"lam": lam_max})
+    fill = lam_max + lam_pad(rf)
+    return change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
 
 
 def _r_bullet_zero_form(a: int, mu: tuple) -> RationalForm:

@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .characters import chi
 from .dt_vertex import r_bullet_zero as _r_bullet_zero_closed, trig_context
 from .exactnum import field_for
 from .localgw import LocalBlock, glue, tube
@@ -20,9 +19,7 @@ from .partitions import (
     check_partition,
     gamma_vectors,
     hooks,
-    kappa,
     partitions_of,
-    z_aut,
 )
 from .series import GradeCap, Series, SeriesContext, VarSpec
 
@@ -96,7 +93,7 @@ def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> Series:
     if (d - sum(gamma)) % a:
         return Series.zero(ctx)
     series = _cap_series(a, d, gamma, _inv_two_sin(ctx, d, lam_trunc + 2, field_for(a)))
-    return series.require_window(maxes={"lam": lam_trunc}).restrict(maxes={"lam": lam_trunc})
+    return series.restrict(maxes={"lam": lam_trunc})
 
 
 def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
@@ -121,19 +118,18 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
 
 def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Coefficient of p_mu in the exponential of the connected generating
-    function at framing zero."""
+    function at framing zero.  Each 1/(2 sin), filled through lam^F,
+    starts at lam^-1 and is complete through lam^(F - 2), so a product of k
+    caps is complete through lam^(F - k - 1); the exponential multiplies at
+    most d caps (each of profile weight at least 1), hence F = lam_max + d + 1.
+    """
     mu = check_partition(mu)
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))
-    lam_fill = lam_max + d + 4
-    g = assemble_G0(a, d, x_deg_max, lam_fill)
+    g = assemble_G0(a, d, x_deg_max, lam_max + d + 1)
     bullet = g.exp(cap="pweight")
-    fixed = {}
-    for k in range(1, d + 1):
-        fixed[f"p{k}"] = mu.count(k)
-    out = bullet.extract(fixed).embed(trig_context(a))
-    out = out.require_window(maxes={"lam": lam_max})
+    out = bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)}).embed(trig_context(a))
     return out.restrict(maxes={"lam": lam_max})
 
 
@@ -141,9 +137,7 @@ def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
     """The one-point series (lam/2)/sin(lam/2), computed by exact series
     division: lam times the degree-one cap."""
     cap = cap_closed_form(1, 1, (), lam_trunc + 1)
-    return (cap * Series.monomial(trig_context(1), {"lam": 1}, 1)).restrict(
-        maxes={"lam": lam_trunc}
-    )
+    return (cap * Series.monomial(trig_context(1), {"lam": 1}, 1)).restrict(maxes={"lam": lam_trunc})
 
 
 # -- quantum dimensions ------------------------------------------------------
@@ -166,8 +160,6 @@ def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
     out = Series.one(ctx) * i ** sum(nu)
     for h in hs:
         out = out * _exp_diff(ctx, h, fill, i).invert()
-    if sum(nu):
-        out = out.require_window(maxes={"lam": lam_trunc})
     return out.restrict(maxes={"lam": lam_trunc})
 
 
@@ -186,8 +178,6 @@ def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
     for i_row in range(1, l + 1):
         for v in range(1, nu[i_row - 1] + 1):
             out = out * (_sin_half(ctx, v - i_row + l, fill, field) * 2).invert()
-    if sum(nu):
-        out = out.require_window(maxes={"lam": lam_trunc})
     return out.restrict(maxes={"lam": lam_trunc})
 
 
@@ -197,32 +187,6 @@ def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
 def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Framing-zero disconnected series from the closed power-sum product."""
     return _r_bullet_zero_closed(a, mu, lam_max, x_deg_max)
-
-
-def mv_a1_check(mu, lam_trunc: int = 8) -> bool:
-    """At modulus one the framing-zero series equals the character-weighted
-    sum of quantum dimensions with the kappa exponential prefactor."""
-    mu = check_partition(mu)
-    d = sum(mu)
-    ctx = trig_context(1)
-    field = field_for(1)
-    i = field.imaginary_unit()
-    fill = lam_trunc + d + 2
-    lhs = r_bullet_zero(1, mu, lam_max=lam_trunc, x_deg_max=0)
-    rhs = Series.zero(ctx)
-    for nu in partitions_of(d):
-        c = Fraction(chi(nu, mu), z_aut(mu))
-        if not c:
-            continue
-        piece = quantum_dim_hook(nu, fill) * field.from_fraction(c)
-        k = kappa(nu)
-        if k:
-            piece = piece * Series.exp_monomial(
-                ctx, {"lam": 1}, i * Fraction(k, 4), maxes={"lam": fill}
-            )
-        rhs = rhs + piece
-    window = {"lam": lam_trunc}
-    return lhs.restrict(maxes=window) == rhs.require_window(maxes=window).restrict(maxes=window)
 
 
 def _transport(a: int, mu: tuple, tau: int, lam_max: int, series_of) -> Series:
@@ -243,8 +207,10 @@ def r_bullet_tau(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -> 
     mu = check_partition(mu)
     if not isinstance(tau, int):
         raise ValueError("framing must be an integer")
-    if not mu:
-        return FramedVertex(a, mu, tau, Series.one(trig_context(a)))
+    if not mu or not tau:
+        # The tube at argument 0 is the diagonal 1/z_mu, which the gluing
+        # weight z_mu cancels.
+        return FramedVertex(a, mu, tau, r_bullet_zero(a, mu, lam_max, x_deg_max))
     series = _transport(a, mu, tau, lam_max, lambda nu: r_bullet_zero(a, nu, lam_max, x_deg_max))
     return FramedVertex(a, mu, tau, series)
 
@@ -289,22 +255,19 @@ def connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_ma
     of the disconnected generating function, as a series in (lam, p)."""
     n_colors = len(colors)
     ctx = gw_context(a, d_max)
-    lam_inner = lam_max + d_max * d_max + 2
+    # Every profile series starts at lam^-d_max or above, and the log
+    # multiplies at most d_max of them: each product costs d_max orders.
+    lam_inner = lam_max + d_max * (d_max - 1)
     total = Series.one(ctx)
     for d in range(1, d_max + 1):
         for mu in partitions_of(d):
             lifted = r_bullet_tau(a, mu, tau, lam_inner, n_colors).series.embed(ctx)
-            exps = {}
-            for k in mu:
-                exps[f"p{k}"] = exps.get(f"p{k}", 0) + 1
+            exps = {f"p{k}": mu.count(k) for k in set(mu)}
             total = total + lifted * Series.monomial(ctx, exps, 1)
     total = total.restrict(cap_bounds={"pweight": d_max})
     conn = total.log(cap="pweight")
-    fixed = {}
-    for j in range(1, a):
-        fixed[f"x{j}"] = colors.count(j)
-    out = conn.extract(fixed)
-    return out.require_window(maxes={"lam": lam_max}).restrict(maxes={"lam": lam_max})
+    out = conn.extract({f"x{j}": colors.count(j) for j in range(1, a)})
+    return out.restrict(maxes={"lam": lam_max})
 
 
 def abelian_lift(group_orders, phi, gamma_g, tau: int, d_max: int, lam_max: int = 5) -> Series:

@@ -81,9 +81,7 @@ def burnside_value(chi_euler: int, nu, mu) -> Fraction:
     """Weighted count of transitive-or-not factorizations: the coefficient
     extracted from the kernel for a cover of Euler characteristic chi_euler
     branched over nu and mu, with all other branching simple."""
-    nu = check_partition(nu)
-    mu = check_partition(mu)
-    r = -chi_euler + len(nu) + len(mu)
+    r = simple_branch_count(chi_euler, nu, mu)
     if r < 0:
         raise ValueError("no simple branch points for this Euler characteristic")
     return PhiKernel(nu, mu).weighted_moment(r)
@@ -127,24 +125,19 @@ def require_oracle_budget(nu, r: int) -> None:
         )
 
 
-def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
-    """Brute-force check value for :func:`burnside_value`.
+def factorization_counts(nu, r: int) -> dict:
+    """Brute-force factorization counts for every cycle type at once.
 
-    Counts tuples (sigma, tau_1, ..., tau_r) with sigma of cycle type nu,
-    each tau_i a transposition, and the product landing in cycle type mu,
+    One pass over the tuples (sigma, tau_1, ..., tau_r) with sigma of cycle
+    type nu and each tau_i a transposition: maps each cycle type mu of the
+    product sigma tau_1 ... tau_r to the number of tuples reaching it,
     divided by d!.  Exhaustive over the symmetric group, so guarded to
     degrees up to ORACLE_DEGREE_LIMIT and to ORACLE_TUPLE_LIMIT tuples.
     """
     nu = check_partition(nu)
-    mu = check_partition(mu)
     d = sum(nu)
-    if sum(mu) != d:
-        raise ValueError("profiles must have equal size")
     if d > ORACLE_DEGREE_LIMIT:
         raise ValueError(f"factorization oracle is limited to degree {ORACLE_DEGREE_LIMIT}")
-    r = simple_branch_count(chi_euler, nu, mu)
-    if r < 0:
-        raise ValueError("no simple branch points for this Euler characteristic")
     require_oracle_budget(nu, r)
     letters = range(d)
     sigmas = [p for p in itertools.permutations(letters) if _cycle_type(p) == nu]
@@ -153,12 +146,23 @@ def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
         t = list(letters)
         t[i], t[j] = t[j], t[i]
         transpositions.append(tuple(t))
-    count = 0
+    counts = {}
     for sigma in sigmas:
         for taus in itertools.product(transpositions, repeat=r):
             prod = sigma
             for t in taus:
                 prod = tuple(prod[t[i]] for i in letters)
-            if _cycle_type(prod) == mu:
-                count += 1
-    return Fraction(count, math.factorial(d))
+            mu = _cycle_type(prod)
+            counts[mu] = counts.get(mu, 0) + 1
+    return {mu: Fraction(c, math.factorial(d)) for mu, c in counts.items()}
+
+
+def factorization_oracle(chi_euler: int, nu, mu) -> Fraction:
+    """Brute-force check value for :func:`burnside_value`: the entry of
+    :func:`factorization_counts` at mu, with r simple branch points."""
+    if sum(check_partition(mu)) != sum(check_partition(nu)):
+        raise ValueError("profiles must have equal size")
+    r = simple_branch_count(chi_euler, nu, mu)
+    if r < 0:
+        raise ValueError("no simple branch points for this Euler characteristic")
+    return factorization_counts(nu, r).get(mu, Fraction(0))

@@ -625,14 +625,27 @@ class Series:
         return Series(ctx, terms, floors, maxes, tuple(have.get(cap.name) for cap in ctx.caps))
 
     def restrict(self, maxes=None, cap_bounds=None) -> "Series":
-        """Shrink the window (never grow it) and prune stored terms."""
+        """The series cut to a smaller window, and the checked way to compare
+        two series on one: ``x.restrict(W) == y.restrict(W)``.  Raises
+        PrecisionError when an extent lies beyond the guaranteed window or
+        admits no key on or above the floors (an empty window)."""
+        self.require_window(maxes, cap_bounds)
         ctx = self.ctx
         new_maxes = [None] * ctx.n
         for name, m in (maxes or {}).items():
-            new_maxes[ctx.index[name]] = ctx.scale(name, m)
+            i = ctx.index[name]
+            new_maxes[i] = ctx.scale(name, m)
+            floor = ctx.natural(i, self.floors[i])
+            if m < floor:
+                raise PrecisionError(f"window of {name!r} cut at {m} lies below its floor {floor}")
         new_bounds = [None] * len(ctx.caps)
         for name, b in (cap_bounds or {}).items():
-            new_bounds[ctx.cap_index[name]] = Fraction(b)
+            ci = ctx.cap_index[name]
+            new_bounds[ci] = Fraction(b)
+            # Weights are nonnegative, so no key above the floors grades lower.
+            floor = ctx.grade(ci, self.floors)
+            if b < floor:
+                raise PrecisionError(f"cap {name!r} cut at {b} lies below its floor {floor}")
         return self._clip_to(new_maxes, new_bounds)
 
     def require_window(self, maxes=None, cap_bounds=None) -> "Series":

@@ -150,7 +150,8 @@ def test_criterion_10_abelian_lift_term_scaling():
 
 
 def test_criterion_11_gluing_algebra_and_cap_consistency():
-    # Identity and associativity for a in {1, 2}, sizes 1..3 through lam^3;
+    # Identity and associativity for a in {1, 2}, sizes 1..3 through
+    # lam^(3 + size/a), the window of caps filled to lam^3;
     # caps at a=1 against the framed series through lam^4.
     run_suite("gluing", 15, d=3, lambda_order=3)
     print("criterion 11 PASS: gluing identity and associativity hold; caps consistent")

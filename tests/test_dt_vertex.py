@@ -11,6 +11,7 @@ from orbivertex.dt_vertex import (
     box_context,
     box_counting_series,
     change_of_vars,
+    correspondence_report,
     lam_pad,
     powersum_rational,
     r_bullet_zero,
@@ -21,6 +22,7 @@ from orbivertex.dt_vertex import (
     volume_counts,
 )
 from orbivertex.partitions import partitions_of
+from orbivertex.series import PrecisionError
 
 from oracles import (
     change_of_vars_loop,
@@ -146,11 +148,42 @@ def test_bad_leg_rejected():
 
 
 def _closed_and_loop(rf, d, lam_max, x_deg_max):
-    fill = lam_max + lam_pad(rf) + d
+    fill = lam_max + lam_pad(rf)
     return (
         change_of_vars(rf, d, fill, x_deg_max).to_data(),
         change_of_vars_loop(rf, d, fill, x_deg_max).to_data(),
     )
+
+
+def test_lam_pad_is_tight():
+    # Filled through lam_max + lam_pad the change of variables reaches
+    # lam_max.  For the framing-zero forms one order less makes the cut to
+    # lam_max refuse, so the pad carries no spare margin; the vertex-side
+    # numerators of some shapes vanish at lam = 0, which only adds reach.
+    lam_max, x_deg_max = 2, 1
+    for a in (1, 2, 3):
+        for d in (1, 2, 3):
+            for mu in partitions_of(d):
+                for rf in (_r_bullet_zero_form(a, mu), _vertex_side_form(a, mu)):
+                    fill = lam_max + lam_pad(rf)
+                    change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
+                rf = _r_bullet_zero_form(a, mu)
+                short = change_of_vars(rf, d, lam_max + lam_pad(rf) - 1, x_deg_max)
+                with pytest.raises(PrecisionError, match=f"reaches only {lam_max - 1}, need {lam_max}"):
+                    short.restrict(maxes={"lam": lam_max})
+
+
+def test_lam_pad_counts_vanishing_factors():
+    # 1 - q^2 and 1 + q vanish at lam = 0 under q -> -exp(i lam); 1 - q does not.
+    assert lam_pad(RationalForm(1, {(0,): 1}, {})) == 0
+    assert lam_pad(RationalForm(1, {(0,): 1}, {(1, 1): 2})) == 0
+    assert lam_pad(RationalForm(1, {(0,): 1}, {(2, 1): 2, (1, -1): 1, (1, 1): 1})) == 4
+
+
+def test_correspondence_refuses_an_empty_window():
+    # Every series of size 2 starts at lam^-2, so lam_max = -3 leaves nothing.
+    with pytest.raises(PrecisionError):
+        correspondence_report(2, 2, lam_max=-3)
 
 
 def test_change_of_vars_matches_term_by_term_loop():

@@ -7,13 +7,13 @@ import pytest
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import (
     abelian_lift,
+    assemble_G0,
     cap_closed_form,
     character_image_order,
     connected_profile_series,
     g_bullet_mu,
     gw_context,
     lambda_g_psi_series,
-    mv_a1_check,
     project_element,
     quantum_dim_hook,
     quantum_dim_sine,
@@ -22,6 +22,8 @@ from orbivertex.gw_vertex import (
     transport_back,
 )
 from orbivertex.partitions import partitions_of
+from orbivertex.series import PrecisionError
+from orbivertex.verify import mv_a1_check
 
 from oracles import taylor_inverse_sin_ratio
 
@@ -81,9 +83,25 @@ def test_g_bullet_equals_framing_zero_closed_form():
         assert lhs == rhs, (a, mu)
 
 
+def test_g_bullet_fill_is_tight():
+    # g_bullet_mu fills the caps through lam_max + d + 1, which the
+    # exponential needs exactly: one order less and the cut refuses.
+    lam_max, x_deg_max = 2, 1
+    for a in (1, 2, 3):
+        for d in (1, 2, 3):
+            window = {"lam": lam_max}
+            assemble_G0(a, d, x_deg_max, lam_max + d + 1).exp(cap="pweight").restrict(maxes=window)
+            short = assemble_G0(a, d, x_deg_max, lam_max + d).exp(cap="pweight")
+            with pytest.raises(PrecisionError, match=f"reaches only {lam_max - 1}, need {lam_max}"):
+                short.restrict(maxes=window)
+
+
 def test_character_sum_route():
     for mu in ((1,), (2,), (1, 1), (2, 1)):
         assert mv_a1_check(mu, lam_trunc=6), mu
+    # Both sides start at lam^-2, so lam^-5 is an empty window.
+    with pytest.raises(PrecisionError):
+        mv_a1_check((1, 1), lam_trunc=-5)
 
 
 def test_framing_transport_round_trip():
@@ -99,6 +117,11 @@ def test_framed_vertex_at_zero_framing():
     base = r_bullet_zero(1, (2,), lam_max=4, x_deg_max=3)
     window = {"lam": 4}
     assert fv.series.restrict(maxes=window) == base.restrict(maxes=window)
+    # At framing zero the framing-zero series itself comes back.
+    for a in (1, 2):
+        for mu in ((), (1,), (2, 1)):
+            fv = r_bullet_tau(a, mu, 0, lam_max=3, x_deg_max=2)
+            assert fv.series.to_data() == r_bullet_zero(a, mu, lam_max=3, x_deg_max=2).to_data()
     with pytest.raises(ValueError):
         r_bullet_tau(1, (2,), Fraction(1, 2), lam_max=4)
 

@@ -9,12 +9,13 @@ from orbivertex.hurwitz import (
     ORACLE_TUPLE_LIMIT,
     PhiKernel,
     burnside_value,
+    factorization_counts,
     factorization_oracle,
     oracle_tuple_count,
     simple_branch_count,
 )
 from orbivertex.partitions import partitions_of, z_aut
-from orbivertex.series import SeriesContext, VarSpec
+from orbivertex.series import PrecisionError, SeriesContext, VarSpec
 from orbivertex.verify import phi_composition_check
 
 
@@ -24,6 +25,27 @@ def test_kernel_at_zero_is_diagonal():
             for mu in partitions_of(d):
                 expected = Fraction(1, z_aut(nu)) if nu == mu else Fraction(0)
                 assert PhiKernel(nu, mu).at_zero() == expected
+
+
+def test_composition_refuses_an_empty_window():
+    # The (1,) kernel is the constant 1, so order -1 lies below its floor.
+    with pytest.raises(PrecisionError):
+        phi_composition_check((1,), (1,), order=-1)
+
+
+def test_factorization_counts_cover_every_cycle_type():
+    # One pass gives the oracle's value at every mu, and the counts sum to
+    # all (sigma, tau_1, ..., tau_r) tuples over d!.
+    import math
+
+    for d in range(1, 5):
+        for nu in partitions_of(d):
+            for r in range(3):
+                counts = factorization_counts(nu, r)
+                assert sum(counts.values()) == Fraction(oracle_tuple_count(nu, r), math.factorial(d))
+                for mu in partitions_of(d):
+                    chi_euler = len(nu) + len(mu) - r
+                    assert counts.get(mu, 0) == factorization_oracle(chi_euler, nu, mu), (nu, mu, r)
 
 
 def test_kernel_requires_equal_sizes():
@@ -106,6 +128,6 @@ def test_oracle_refuses_over_budget_before_enumerating(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("the burnside suite enumerated before refusing")
 
-    monkeypatch.setattr(verify, "factorization_oracle", enumerate_nothing)
+    monkeypatch.setattr(verify, "factorization_counts", enumerate_nothing)
     with pytest.raises(ValueError, match=r"r=2, d=3 would enumerate 27 tuples"):
         verify.burnside(d=3, r=2)

@@ -160,6 +160,38 @@ def test_restrict_and_require_window():
     cut.require_window(maxes={"q": 2})
 
 
+def test_restrict_refuses_extents_past_the_window():
+    ctx = one_var_ctx()
+    s = Series.from_terms(ctx, {(0,): 1, (4,): 1}, maxes={"q": 6})
+    with pytest.raises(PrecisionError, match=r"window of 'q' reaches only 6, need 7"):
+        s.restrict(maxes={"q": 7})
+    cut = s.restrict(maxes={"q": 2})
+    with pytest.raises(PrecisionError, match=r"window of 'q' reaches only 2, need 3"):
+        cut.restrict(maxes={"q": 3})
+    capped = Series.from_terms(
+        SeriesContext([VarSpec("x")], caps=[GradeCap("deg", {"x": 1})]), {(1,): 1}, cap_bounds={"deg": 2}
+    )
+    with pytest.raises(PrecisionError, match=r"cap 'deg' reaches only 2, need 3"):
+        capped.restrict(cap_bounds={"deg": 3})
+
+
+def test_restrict_refuses_empty_windows():
+    # A cut below the floors admits no key, even where the window is open.
+    ctx = SeriesContext([VarSpec("q"), VarSpec("x")], caps=[GradeCap("deg", {"q": 1, "x": 2})])
+    s = Series.from_terms(ctx, {(-1, 1): 1, (3, 2): 1}, maxes={"q": 5})
+    assert s.restrict(maxes={"q": -1}).terms == {(-1, 1): Fraction(1)}
+    with pytest.raises(PrecisionError, match=r"window of 'q' cut at -2 lies below its floor -1"):
+        s.restrict(maxes={"q": -2})
+    with pytest.raises(PrecisionError, match=r"window of 'x' cut at 0 lies below its floor 1"):
+        s.restrict(maxes={"x": 0})
+    # The floor corner (-1, 1) has grade 1 under deg.
+    assert s.restrict(cap_bounds={"deg": 1}).terms == {(-1, 1): Fraction(1)}
+    with pytest.raises(PrecisionError, match=r"cap 'deg' cut at 1/2 lies below its floor 1"):
+        s.restrict(cap_bounds={"deg": Fraction(1, 2)})
+    with pytest.raises(PrecisionError, match=r"window of 'q' cut at -1 lies below its floor 0"):
+        Series.one(ctx).restrict(maxes={"q": -1})
+
+
 def test_serialization_round_trip_with_cyclotomics():
     field = cyclo_field(8)
     ctx = SeriesContext([VarSpec("lam", 2), VarSpec("x1")], caps=[GradeCap("xdeg", {"x1": 1})])
