@@ -157,6 +157,11 @@ def cmd_hurwitz(args) -> int:
         "value": _frac_str(value),
     }
     if args.enumerate is not None:
+        if sum(nu) > args.enumerate:
+            raise GuardError(
+                f"--enumerate {args.enumerate} bounds the factorization oracle to degree "
+                f"{args.enumerate}, below |nu| = {sum(nu)}"
+            )
         if sum(nu) > ORACLE_DEGREE_LIMIT:
             raise GuardError(
                 f"the factorization oracle is guarded to degree {ORACLE_DEGREE_LIMIT}"

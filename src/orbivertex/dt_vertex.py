@@ -26,6 +26,7 @@ from .partitions import (
 from .exactnum import field_for
 from .series import (
     GradeCap,
+    PrecisionError,
     Series,
     SeriesContext,
     VarSpec,
@@ -419,6 +420,10 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
     whose coefficient at lam^k prod_j x_j^g_j is
     alpha^k/k! prod_j c_j^g_j/g_j!; it is written out through lam^lam_fill
     and total x-degree x_deg_max, and the denominator inverses follow.
+    The rate alpha = i(d/2 + n) depends only on the q exponent d/2 + n and
+    the c_j only on the q_l exponents, so each x exponential is expanded
+    once per set of q_l exponents, the scaled x parts are summed per n, and
+    exp(alpha lam) is expanded once per n.
     """
     a = rf.a
     ctx = trig_context(a)
@@ -434,8 +439,8 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
     # c_j = x_base[j] - sum_l (m_l / a) x_step[j][l], over j, l = 1 .. a-1.
     x_base = [-Fraction(d, a) * omega(j) for j in range(1, a)]
     x_step = [[omega(-2 * j * l) * (omega(j) - omega(-j)) for l in range(1, a)] for j in range(1, a)]
-    terms = {}
-    lam_used = x_used = False
+    x_parts = {}  # ms -> (prod_j exp(c_j x_j) through x_deg_max, whether some c_j is nonzero)
+    groups = {}  # n -> the x parts of its terms, scaled and summed
     for key, coeff in rf.num.items():
         if (key[0] - d) % 2:
             raise ValueError(f"q exponent {Fraction(key[0],2)} not in {d}/2 + Z")
@@ -446,31 +451,45 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
             if t % a:
                 raise ValueError(f"q_{l} exponent not in -{d}*{l}/{a} + Z")
             ms.append(t // a)
+        ms = tuple(ms)
         scalar = lead * coeff * field.root_of_unity(a, -sum(ms))
         if n % 2:
             scalar = -scalar
-        # The x part: scalar * prod_j exp(c_j x_j) through total degree x_deg_max.
-        xs = {(0,) * (a - 1): scalar}
-        for j in range(a - 1):
-            cj = x_base[j]
-            for l, m in enumerate(ms):
-                if m:
-                    cj = cj - Fraction(m, a) * x_step[j][l]
-            if cj:
-                x_used = True
-                pows = _exp_coefficients(cj, x_deg_max)
-                xs = {
-                    x[:j] + (g,) + x[j + 1 :]: c * p
-                    for x, c in xs.items()
-                    for g, p in enumerate(pows[: x_deg_max - sum(x) + 1])
-                }
+        if ms not in x_parts:
+            xs = {(0,) * (a - 1): field.one}
+            used = False
+            for j in range(a - 1):
+                cj = x_base[j]
+                for l, m in enumerate(ms):
+                    if m:
+                        cj = cj - Fraction(m, a) * x_step[j][l]
+                if cj:
+                    used = True
+                    pows = _exp_coefficients(cj, x_deg_max)
+                    xs = {
+                        x[:j] + (g,) + x[j + 1 :]: c * p
+                        for x, c in xs.items()
+                        for g, p in enumerate(pows[: x_deg_max - sum(x) + 1])
+                    }
+            x_parts[ms] = (xs, used)
+        group = groups.setdefault(n, {})
+        for x, c in x_parts[ms][0].items():
+            v = scalar * c
+            acc = group.get(x)
+            group[x] = v if acc is None else acc + v
+    x_used = any(used for _, used in x_parts.values())
+    terms = {}
+    lam_used = False
+    for n, group in groups.items():
         lam_coeff = i * (Fraction(d, 2) + n)
         if lam_coeff:
             lam_used = True
             lam_part = _exp_coefficients(lam_coeff, lam_fill)
         else:
             lam_part = [field.one]
-        for x, c in xs.items():
+        for x, c in group.items():
+            if not c:
+                continue
             for k, p in enumerate(lam_part):
                 kx = (k,) + x
                 v = c * p
@@ -556,9 +575,14 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
     every profile of size d.  Returns a list of (mu, agree) pairs."""
     from . import gw_vertex
 
+    # Every series of size d starts at lam^-d or above.
+    if lam_max < -d:
+        raise PrecisionError(
+            f"correspondence_report: window of 'lam' cut at {lam_max} lies below its floor {-d}"
+        )
+    table = gw_vertex.g_bullet_table(a, d, lam_max=lam_max, x_deg_max=x_deg_max)
     out = []
-    for mu in partitions_of(d):
-        lhs = gw_vertex.g_bullet_mu(a, mu, lam_max=lam_max, x_deg_max=x_deg_max)
+    for mu, lhs in table.items():
         rhs = vertex_side_series(a, mu, lam_max=lam_max, x_deg_max=x_deg_max)
         window = {"lam": lam_max}
         out.append((mu, lhs.restrict(maxes=window) == rhs.restrict(maxes=window)))

@@ -116,6 +116,20 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
     return total.restrict(cap_bounds={"xdeg": x_deg_max, "pweight": d_max})
 
 
+def g_bullet_table(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> dict:
+    """{mu: g_bullet_mu(a, mu, ...)} for every profile mu of size d, read
+    off one exponential of the connected generating function."""
+    if d == 0:
+        return {(): Series.one(trig_context(a))}
+    bullet = assemble_G0(a, d, x_deg_max, lam_max + d + 1).exp(cap="pweight")
+    return {
+        mu: bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
+        .embed(trig_context(a))
+        .restrict(maxes={"lam": lam_max})
+        for mu in partitions_of(d)
+    }
+
+
 def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Coefficient of p_mu in the exponential of the connected generating
     function at framing zero.  Each 1/(2 sin), filled through lam^F,
@@ -124,13 +138,7 @@ def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     most d caps (each of profile weight at least 1), hence F = lam_max + d + 1.
     """
     mu = check_partition(mu)
-    d = sum(mu)
-    if d == 0:
-        return Series.one(trig_context(a))
-    g = assemble_G0(a, d, x_deg_max, lam_max + d + 1)
-    bullet = g.exp(cap="pweight")
-    out = bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)}).embed(trig_context(a))
-    return out.restrict(maxes={"lam": lam_max})
+    return g_bullet_table(a, sum(mu), lam_max, x_deg_max)[mu]
 
 
 def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
@@ -150,26 +158,33 @@ def _sin_half(ctx: SeriesContext, k: int, lam_fill: int, field) -> Series:
 
 def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
     """i^{|nu|} over the product of (e^{i h lam/2} - e^{-i h lam/2}) across
-    the hook lengths h of the shape."""
+    the hook lengths h of the shape.  Each difference, filled through
+    lam^F, starts at lam^1, so its inverse starts at lam^-1 and is complete
+    through lam^(F - 2); a product of |nu| inverses (one per box) is
+    complete through lam^(F - |nu| - 1), hence F = lam_trunc + |nu| + 1."""
     nu = check_partition(nu)
     ctx = trig_context(1)
     field = field_for(1)
     i = field.imaginary_unit()
-    hs = hooks(nu)
-    fill = lam_trunc + 2 * len(hs) + 2
+    fill = lam_trunc + sum(nu) + 1
     out = Series.one(ctx) * i ** sum(nu)
-    for h in hs:
+    for h in hooks(nu):
         out = out * _exp_diff(ctx, h, fill, i).invert()
     return out.restrict(maxes={"lam": lam_trunc})
 
 
 def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
-    """The sine-product form of the same quantity."""
+    """The sine-product form of the same quantity.  Filled through lam^F,
+    each sine starts at lam^1 and is complete through lam^F, each inverse
+    sine starts at lam^-1 and is complete through lam^(F - 2).  The pairs
+    A < B give one of each, the boxes one inverse each, so the lowest
+    exponents sum to -|nu| and the product is complete through
+    lam^(F - |nu| - 1), hence F = lam_trunc + |nu| + 1."""
     nu = check_partition(nu)
     ctx = trig_context(1)
     field = field_for(1)
     l = len(nu)
-    fill = lam_trunc + 2 * (sum(nu) + l * l) + 2
+    fill = lam_trunc + sum(nu) + 1
     out = Series.one(ctx)
     for A in range(1, l + 1):
         for B in range(A + 1, l + 1):

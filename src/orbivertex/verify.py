@@ -21,14 +21,14 @@ from .exactnum import field_for
 from .gw_vertex import (
     abelian_lift,
     connected_profile_series,
-    g_bullet_mu,
+    g_bullet_table,
     quantum_dim_hook,
     quantum_dim_sine,
 )
 from .hurwitz import PhiKernel, burnside_value, factorization_counts, require_oracle_budget
 from .localgw import LocalBlock, _partition_label, cap_family, cap_series, glue, identity_block, tube
 from .partitions import check_partition, kappa, partitions_of, z_aut
-from .series import Series, SeriesContext, VarSpec, _frac_str
+from .series import PrecisionError, Series, SeriesContext, VarSpec, _frac_str
 
 DEFAULT_CORRESPONDENCE_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
 
@@ -57,6 +57,9 @@ def mv_a1_check(mu, lam_trunc: int = 8) -> bool:
     lam^lam_trunc."""
     mu = check_partition(mu)
     d = sum(mu)
+    # The framing-zero series of size d starts at lam^-d or above.
+    if lam_trunc < -d:
+        raise PrecisionError(f"mv_a1_check: window of 'lam' cut at {lam_trunc} lies below its floor {-d}")
     ctx = trig_context(1)
     field = field_for(1)
     fill = lam_trunc + d + 2
@@ -195,9 +198,8 @@ def gluing(*, d=3, lambda_order=4) -> list:
     cap_order = lambda_order + 1
     for size in range(1, d + 1):
         ok = True
-        for mu in partitions_of(size):
+        for mu, base in g_bullet_table(1, size, lam_max=cap_order).items():
             cap = cap_series(1, mu, lam_max=cap_order).restrict(maxes={"lam": cap_order + size})
-            base = g_bullet_mu(1, mu, lam_max=cap_order).restrict(maxes={"lam": cap_order})
             scalar = i_unit ** (size - len(mu))
             shifted = {(key[0] + size,): c * scalar for key, c in base.terms.items()}
             ok = ok and shifted == dict(cap.terms)

@@ -51,12 +51,22 @@ def test_gw_cap_series(capsys):
 
 def test_hurwitz_value_with_oracle(capsys):
     code, out, _ = run_cli(
-        capsys, "hurwitz", "--nu", "2", "--mu", "2", "--r", "2", "--enumerate", "1"
+        capsys, "hurwitz", "--nu", "2", "--mu", "2", "--r", "2", "--enumerate", "2"
     )
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["result"]["value"] == "1/2"
     assert payload["result"]["oracle"] == "1/2"
+
+
+def test_hurwitz_enumerate_bounds_the_oracle_degree(capsys):
+    # --enumerate N lets the oracle enumerate degrees up to N only.
+    for n in ("0", "1"):
+        code, out, err = run_cli(
+            capsys, "hurwitz", "--nu", "2", "--mu", "2", "--r", "2", "--enumerate", n
+        )
+        assert code == EXIT_GUARD and not out
+        assert f"--enumerate {n} bounds the factorization oracle to degree {n}, below |nu| = 2" in err
 
 
 def test_dt_vertex_and_counts(capsys):

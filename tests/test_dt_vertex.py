@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbivertex import gw_vertex
 from orbivertex.dt_vertex import (
     RationalForm,
     _r_bullet_zero_form,
@@ -182,8 +183,25 @@ def test_lam_pad_counts_vanishing_factors():
 
 def test_correspondence_refuses_an_empty_window():
     # Every series of size 2 starts at lam^-2, so lam_max = -3 leaves nothing.
-    with pytest.raises(PrecisionError):
+    with pytest.raises(
+        PrecisionError,
+        match="correspondence_report: window of 'lam' cut at -3 lies below its floor -2",
+    ):
         correspondence_report(2, 2, lam_max=-3)
+
+
+def test_correspondence_builds_one_exponential(monkeypatch):
+    # The GW side of every profile of size d is read off one G0 exponential.
+    calls = []
+    real = gw_vertex.assemble_G0
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gw_vertex, "assemble_G0", counted)
+    assert all(ok for _, ok in correspondence_report(2, 3, lam_max=2, x_deg_max=1))
+    assert len(calls) == 1
 
 
 def test_change_of_vars_matches_term_by_term_loop():
@@ -197,6 +215,11 @@ def test_change_of_vars_matches_term_by_term_loop():
     for a, mu in ((2, (2, 1)), (3, (2,))):
         closed, loop = _closed_and_loop(_vertex_side_form(a, mu), sum(mu), 3, 2)
         assert closed == loop, (a, mu)
+    # At a = 2, d = 5 many numerator terms share one q exponent, so the
+    # grouping by lam rate sums several x parts per group.
+    for mu in partitions_of(5):
+        closed, loop = _closed_and_loop(_vertex_side_form(2, mu), 5, 1, 1)
+        assert closed == loop, mu
 
 
 def test_change_of_vars_without_lam_dependence():

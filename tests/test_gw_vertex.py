@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from orbivertex import gw_vertex
+from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import (
     abelian_lift,
@@ -12,6 +14,7 @@ from orbivertex.gw_vertex import (
     character_image_order,
     connected_profile_series,
     g_bullet_mu,
+    g_bullet_table,
     gw_context,
     lambda_g_psi_series,
     project_element,
@@ -96,11 +99,49 @@ def test_g_bullet_fill_is_tight():
                 short.restrict(maxes=window)
 
 
+def test_g_bullet_table_matches_the_per_profile_path():
+    # One exponential per (a, d) gives, for every profile, the series that
+    # one exponential per profile gave.
+    lam_max, x_deg_max = 3, 2
+    for a in (1, 2, 3):
+        for d in (1, 2, 3):
+            table = g_bullet_table(a, d, lam_max, x_deg_max)
+            assert list(table) == list(partitions_of(d))
+            for mu, series in table.items():
+                bullet = assemble_G0(a, d, x_deg_max, lam_max + d + 1).exp(cap="pweight")
+                one = bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
+                one = one.embed(trig_context(a)).restrict(maxes={"lam": lam_max})
+                assert series.to_data() == one.to_data(), (a, mu)
+                assert g_bullet_mu(a, mu, lam_max, x_deg_max).to_data() == one.to_data(), (a, mu)
+
+
+def test_quantum_dim_fill_is_tight(monkeypatch):
+    # Both quantum dimensions fill through lam_trunc + |nu| + 1, which the
+    # product needs exactly: with every factor one order shorter the cut
+    # refuses.
+    for nu in ((1,), (2,), (2, 1), (3, 1), (2, 2, 1)):
+        for lam_trunc in (0, 4):
+            quantum_dim_hook(nu, lam_trunc)
+            quantum_dim_sine(nu, lam_trunc)
+    real = gw_vertex._exp_diff
+    monkeypatch.setattr(gw_vertex, "_exp_diff", lambda ctx, k, fill, i: real(ctx, k, fill - 1, i))
+    for nu in ((1,), (2,), (2, 1), (3, 1), (2, 2, 1)):
+        for lam_trunc in (0, 4):
+            for form in (quantum_dim_hook, quantum_dim_sine):
+                with pytest.raises(PrecisionError, match=f"reaches only {lam_trunc - 1}, need {lam_trunc}"):
+                    form(nu, lam_trunc)
+
+
 def test_character_sum_route():
     for mu in ((1,), (2,), (1, 1), (2, 1)):
         assert mv_a1_check(mu, lam_trunc=6), mu
+
+
+def test_character_sum_refuses_an_empty_window():
     # Both sides start at lam^-2, so lam^-5 is an empty window.
-    with pytest.raises(PrecisionError):
+    with pytest.raises(
+        PrecisionError, match="mv_a1_check: window of 'lam' cut at -5 lies below its floor -2"
+    ):
         mv_a1_check((1, 1), lam_trunc=-5)
 
 
