@@ -2,8 +2,7 @@
 
 Everything on this side of the correspondence is a rational function of a
 box variable q and color variables q_1 .. q_{a-1}: numerators are exact
-Laurent monomial sums (with exponents on the lattices (1/2)Z for q and
-(1/a)Z for the q_l), and denominators are products of cyclotomic-style
+Laurent monomial sums, and denominators are products of cyclotomic-style
 factors (1 - s q^k).  The closed form of the reduced vertex, the brute
 force colored box enumerator, and the exact change of variables into
 trigonometric series all live here.
@@ -38,8 +37,8 @@ from .series import (
 
 class RationalForm:
     """A rational function num / prod (1 - s q^k)^mult with exact Laurent
-    numerator terms.  Numerator keys store 2*(q exponent) followed by
-    a*(q_l exponent) for l = 1 .. a-1."""
+    numerator terms.  Numerator keys are the integer exponents of q and
+    q_1 .. q_{a-1}."""
 
     __slots__ = ("a", "num", "den")
 
@@ -58,21 +57,15 @@ class RationalForm:
 
     @classmethod
     def monomial(cls, a: int, q_exp, ql_exps=(), coeff=1) -> "RationalForm":
-        """Monomial with the given q exponent (a multiple of 1/2) and q_l
-        exponents (multiples of 1/a)."""
-        q2 = Fraction(q_exp) * 2
-        if q2.denominator != 1:
-            raise ValueError("q exponent must be a multiple of 1/2")
-        key = [int(q2)]
-        ql_exps = tuple(ql_exps)
-        if len(ql_exps) not in (0, a - 1):
+        """Monomial with the given integer exponents of q and the q_l (all
+        zero when ql_exps is empty)."""
+        exps = (q_exp,) + (tuple(ql_exps) or (0,) * (a - 1))
+        if len(exps) != a:
             raise ValueError("need one exponent per color variable")
-        for l in range(a - 1):
-            s = Fraction(ql_exps[l] if ql_exps else 0) * a
-            if s.denominator != 1:
-                raise ValueError("q_l exponents must be multiples of 1/a")
-            key.append(int(s))
-        return cls(a, {tuple(key): Fraction(coeff)}, {})
+        key = tuple(int(e) for e in exps)
+        if key != exps:
+            raise ValueError(f"exponents {exps} are not all integers")
+        return cls(a, {key: Fraction(coeff)}, {})
 
     @classmethod
     def one(cls, a: int) -> "RationalForm":
@@ -97,8 +90,6 @@ class RationalForm:
             den[f] = den.get(f, 0) + m
         return RationalForm(self.a, num, den)
 
-    __rmul__ = __mul__
-
     def _expand_factors(self, extra: dict) -> dict:
         # Multiply the numerator out by prod (1 - s q^k)^m for the given
         # extra factors, returning the new numerator dict.
@@ -108,14 +99,12 @@ class RationalForm:
                 new = {}
                 for key, c in num.items():
                     new[key] = new.get(key, Fraction(0)) + c
-                    shifted = (key[0] + 2 * k,) + key[1:]
+                    shifted = (key[0] + k,) + key[1:]
                     new[shifted] = new.get(shifted, Fraction(0)) - s * c
                 num = new
         return num
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalForm.monomial(self.a, 0, coeff=other)
         self._require_same(other)
         den = {}
         for f in set(self.den) | set(other.den):
@@ -126,24 +115,10 @@ class RationalForm:
             na[k] = na.get(k, Fraction(0)) + c
         return RationalForm(self.a, na, den)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalForm.monomial(self.a, 0, coeff=other)
-        return self + (-other)
-
     def flip_q_sign(self) -> "RationalForm":
-        """Substitute q -> -q.  Requires integer q exponents in the
-        numerator; denominator factors change their sign tag by (-1)^k."""
-        num = {}
-        for key, c in self.num.items():
-            if key[0] % 2:
-                raise ValueError("sign flip needs integer q exponents")
-            num[key] = num.get(key, Fraction(0)) + c * (-1) ** (key[0] // 2)
+        """Substitute q -> -q: numerator terms change sign with odd q
+        exponents, and denominator factors change their sign tag by (-1)^k."""
+        num = {key: -c if key[0] % 2 else c for key, c in self.num.items()}
         den = {}
         for (k, s), m in self.den.items():
             f = (k, s * (-1) ** k)
@@ -152,27 +127,20 @@ class RationalForm:
 
     def to_series(self, ctx: SeriesContext, q_max: int) -> Series:
         """Expand into a series in q (complete through q^q_max) with exact
-        Laurent dependence on the color variables.  Requires integer
-        exponents throughout."""
-        a = self.a
+        Laurent dependence on the color variables."""
         if not self.num:
             return Series.zero(ctx)
-        shift = 0
-        for key in self.num:
-            if key[0] % 2 or any(s % a for s in key[1:]):
-                raise ValueError("series expansion needs integer exponents")
-            shift = max(shift, -(key[0] // 2))
-        fill = q_max + shift
+        fill = q_max + max(0, -min(key[0] for key in self.num))
         total = Series.zero(ctx)
         den_inv = Series.one(ctx)
         for (k, s), m in self.den.items():
             base = Series.one(ctx) - Series.monomial(ctx, {"q": k}, s)
             den_inv = den_inv * base.restrict(maxes={"q": fill}).invert() ** m
         for key, c in self.num.items():
-            exps = {"q": key[0] // 2}
-            for l in range(1, a):
+            exps = {"q": key[0]}
+            for l in range(1, self.a):
                 if key[l]:
-                    exps[f"q{l}"] = key[l] // a
+                    exps[f"q{l}"] = key[l]
             total = total + Series.monomial(ctx, exps, c) * den_inv
         return total.restrict(maxes={"q": q_max})
 
@@ -181,8 +149,7 @@ class RationalForm:
         the color variables, denominator as (k, sign, mult) factors."""
         numerator = []
         for key in sorted(self.num):
-            exps = [_frac_str(Fraction(key[0], 2))]
-            exps += [_frac_str(Fraction(key[l], self.a)) for l in range(1, self.a)]
+            exps = [_frac_str(e) for e in key]
             numerator.append({"exponents": exps, "coeff": coeff_to_data(self.num[key])})
         denominator = [
             {"k": k, "sign": s, "mult": m} for (k, s), m in sorted(self.den.items())
@@ -213,7 +180,7 @@ def powersum_rational(a: int, k: int) -> RationalForm:
         raise ValueError("power sum index must be positive")
     num = {}
     for l in range(a):
-        key = [0] + [a * k if j > l else 0 for j in range(1, a)]
+        key = [0] + [k if j > l else 0 for j in range(1, a)]
         key = tuple(key)
         num[key] = num.get(key, Fraction(0)) + 1
     return RationalForm(a, num, {(k, 1): 1})
@@ -407,22 +374,20 @@ def _exp_coefficients(c, top: int) -> list:
 
 
 def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
-    """Exact image of a rational form in the trigonometric variables.
+    """Exact image of token * rf in the trigonometric variables, where the
+    composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
+    fractional exponents of both sides of the correspondence.
 
     The substitution sends q to -exp(i lam) and each q_l to a fixed root
-    of unity times an exponential in the x variables; the leading block of
-    fractional exponents, q^(d/2) prod_l q_l^(-dl/a), is carried as one
-    composite token whose image is pinned by the degree d.  Numerator keys
-    must decompose accordingly: q exponents in d/2 + Z and q_l exponents
-    in -dl/a + Z.
-
-    A numerator term maps to a scalar times exp(alpha lam + sum_j c_j x_j),
-    whose coefficient at lam^k prod_j x_j^g_j is
-    alpha^k/k! prod_j c_j^g_j/g_j!; it is written out through lam^lam_fill
-    and total x-degree x_deg_max, and the denominator inverses follow.
-    The rate alpha = i(d/2 + n) depends only on the q exponent d/2 + n and
-    the c_j only on the q_l exponents, so each x exponential is expanded
-    once per set of q_l exponents, the scaled x parts are summed per n, and
+    of unity times an exponential in the x variables; the image of the
+    token is pinned by the degree d.  A numerator term q^n prod_l q_l^m_l
+    of rf, times the token, maps to a scalar times
+    exp(alpha lam + sum_j c_j x_j), whose coefficient at
+    lam^k prod_j x_j^g_j is alpha^k/k! prod_j c_j^g_j/g_j!; it is written
+    out through lam^lam_fill and total x-degree x_deg_max, and the
+    denominator inverses follow.  The rate alpha = i(d/2 + n) depends only
+    on n and the c_j only on the m_l, so each x exponential is expanded
+    once per set of m_l, the scaled x parts are summed per n, and
     exp(alpha lam) is expanded once per n.
     """
     a = rf.a
@@ -442,16 +407,7 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
     x_parts = {}  # ms -> (prod_j exp(c_j x_j) through x_deg_max, whether some c_j is nonzero)
     groups = {}  # n -> the x parts of its terms, scaled and summed
     for key, coeff in rf.num.items():
-        if (key[0] - d) % 2:
-            raise ValueError(f"q exponent {Fraction(key[0],2)} not in {d}/2 + Z")
-        n = (key[0] - d) // 2
-        ms = []
-        for l in range(1, a):
-            t = key[l] + d * l
-            if t % a:
-                raise ValueError(f"q_{l} exponent not in -{d}*{l}/{a} + Z")
-            ms.append(t // a)
-        ms = tuple(ms)
+        n, ms = key[0], key[1:]
         scalar = lead * coeff * field.root_of_unity(a, -sum(ms))
         if n % 2:
             scalar = -scalar
@@ -515,11 +471,10 @@ def _transported(rf: RationalForm, d: int, lam_max: int, x_deg_max: int) -> Seri
 
 
 def _r_bullet_zero_form(a: int, mu: tuple) -> RationalForm:
-    # The composite degree token times (-1)^(d - len(mu)) / z_mu * prod_k p_{mu_k}
-    # at the sign-flipped colored alphabet, for a nonempty checked mu.
+    # (-1)^(d - len(mu)) / z_mu * prod_k p_{mu_k} at the sign-flipped colored
+    # alphabet, for a nonempty checked mu; change_of_vars adds the token.
     d = sum(mu)
-    token = tuple(-Fraction(d * l, a) for l in range(1, a))
-    prod = RationalForm.monomial(a, Fraction(d, 2), token, Fraction((-1) ** (d - len(mu)), z_aut(mu)))
+    prod = RationalForm.monomial(a, 0, (), Fraction((-1) ** (d - len(mu)), z_aut(mu)))
     for part in mu:
         prod = prod * powersum_rational(a, part).flip_q_sign()
     return prod
@@ -541,7 +496,8 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
 
 def _vertex_side_form(a: int, mu: tuple) -> RationalForm:
     # Per-shape sign and monomial shifts against the sign-flipped reduced
-    # vertex, summed with character weights, for a nonempty checked mu.
+    # vertex, summed with character weights, for a nonempty checked mu;
+    # change_of_vars adds the token.
     d = sum(mu)
     acc = RationalForm.zero(a)
     for nu in partitions_of(d):
@@ -549,12 +505,8 @@ def _vertex_side_form(a: int, mu: tuple) -> RationalForm:
         if not c:
             continue
         A = colored_weights(nu, a)
-        lead = RationalForm.monomial(
-            a,
-            Fraction(d, 2) + A[0],
-            tuple(-Fraction(d * l, a) + A[l] - A[0] for l in range(1, a)),
-            Fraction((-1) ** A[0]),
-        )
+        shift = tuple(A[l] - A[0] for l in range(1, a))
+        lead = RationalForm.monomial(a, A[0], shift, (-1) ** A[0])
         acc = acc + lead * reduced_vertex_closed(nu, a).flip_q_sign() * c
     return acc
 

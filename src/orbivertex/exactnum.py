@@ -45,28 +45,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _frac_poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    lead = b[db]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[db + k] / lead
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return _frac_poly_trim(q), _frac_poly_trim(a)
-
-
 class CycloField:
     """The field Q(zeta_order) with precomputed reduction tables."""
 
@@ -74,29 +52,18 @@ class CycloField:
         self.order = order
         self.modulus = cyclotomic_polynomial(order)
         self.degree = len(self.modulus) - 1
-        self._reduction = self._build_reduction_rows()
         self._zeta_powers = self._build_zeta_powers()
+        # Integer vectors representing z^k mod Phi for k = degree .. 2*degree-2.
+        deg = self.degree
+        self._reduction = tuple(self._zeta_powers[k % order] for k in range(deg, 2 * deg - 1))
         self.zero = CycloNum(self, (0,) * self.degree, 1)
         self.one = self.from_fraction(Fraction(1))
 
-    def _build_reduction_rows(self):
-        # Integer vectors representing z^k mod Phi for k = degree .. 2*degree-2.
-        deg = self.degree
-        rows = [tuple(-c for c in self.modulus[:deg])]
-        cur = list(rows[0])
-        for _ in range(deg - 2):
-            carry = cur[deg - 1]
-            nxt = [0] + cur[: deg - 1]
-            if carry:
-                top = rows[0]
-                for j in range(deg):
-                    nxt[j] += carry * top[j]
-            rows.append(tuple(nxt))
-            cur = nxt
-        return tuple(rows)
-
     def _build_zeta_powers(self):
+        # z^k mod Phi for k = 0 .. order-1; Phi is monic, so z^deg is
+        # minus its lower coefficients.
         deg = self.degree
+        top = [-c for c in self.modulus[:deg]]
         powers = []
         cur = [0] * deg
         cur[0] = 1
@@ -105,7 +72,6 @@ class CycloField:
             carry = cur[deg - 1]
             nxt = [0] + cur[: deg - 1]
             if carry:
-                top = self._reduction[0]
                 for j in range(deg):
                     nxt[j] += carry * top[j]
             cur = nxt
@@ -143,6 +109,17 @@ def field_for(a: int) -> CycloField:
     if a < 1:
         raise ValueError("modulus must be a positive integer")
     return cyclo_field(4 * a)
+
+
+def _zeta_substitute(field: CycloField, num, k: int) -> list[int]:
+    # Coordinates in field of sum_j num[j] zeta^(j k), zeta its generator.
+    acc = [0] * field.degree
+    for j, c in enumerate(num):
+        if c:
+            zp = field._zeta_powers[(j * k) % field.order]
+            for t in range(field.degree):
+                acc[t] += c * zp[t]
+    return acc
 
 
 def _normalize(num, den):
@@ -248,39 +225,17 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNum:
+        """1/x: the product of the other Galois conjugates of x (zeta ->
+        zeta^k for k prime to the order) over the rational norm, which is
+        x times that product."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        # Extended Euclid over Q[x] against the (irreducible) modulus.
-        r0 = [Fraction(c) for c in f.modulus]
-        r1 = _frac_poly_trim([Fraction(c) for c in self.num])
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            prod = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        prod[i + j] += qi * tj
-            width = max(len(t0), len(prod))
-            t0, t1 = t1, _frac_poly_trim(
-                [
-                    (t0[k] if k < len(t0) else Fraction(0))
-                    - (prod[k] if k < len(prod) else Fraction(0))
-                    for k in range(width)
-                ]
-            )
-        assert len(r0) == 1, "modulus must be irreducible"
-        scale = r0[0]
-        coeffs = [(t / scale) * self.den for t in t0]
-        common = 1
-        for c in coeffs:
-            common = common * c.denominator // math.gcd(common, c.denominator)
-        num = [0] * f.degree
-        for k, c in enumerate(coeffs):
-            num[k] = int(c * common)
-        return CycloNum(f, num, common)
+        others = f.one
+        for k in range(2, f.order):
+            if math.gcd(k, f.order) == 1:
+                others = others * CycloNum(f, _zeta_substitute(f, self.num, k), self.den)
+        return others / (self * others).as_fraction()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -293,12 +248,6 @@ class CycloNum:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -342,14 +291,7 @@ class CycloNum:
             return self
         if target.order % f.order != 0:
             raise ValueError(f"no embedding of Q(zeta_{f.order}) into Q(zeta_{target.order})")
-        ratio = target.order // f.order
-        acc = [0] * target.degree
-        for j, c in enumerate(self.num):
-            if c:
-                zp = target._zeta_powers[(j * ratio) % target.order]
-                for k in range(target.degree):
-                    acc[k] += c * zp[k]
-        return CycloNum(target, acc, self.den)
+        return CycloNum(target, _zeta_substitute(target, self.num, target.order // f.order), self.den)
 
     # -- output ------------------------------------------------------------
 

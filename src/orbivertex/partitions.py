@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 Partition = tuple
@@ -61,20 +62,10 @@ def hooks(mu) -> tuple:
 
 
 def z_aut(mu) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
+    """Order of the centralizer of a permutation of cycle type mu: the
+    product of the parts times the permutations of equal parts."""
     mu = check_partition(mu)
-    result = 1
-    run = 0
-    prev = None
-    for part in mu:
-        result *= part
-        if part == prev:
-            run += 1
-        else:
-            run = 1
-            prev = part
-        result *= run
-    return result
+    return math.prod(mu) * aut_gamma(mu)
 
 
 def kappa(mu) -> int:

@@ -236,10 +236,10 @@ def schur_at_colored_jt(nu, a: int, q_max: int, sign: int = 1) -> Series:
 
 
 def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
-    """The change of variables term by term, as a product of one
-    ``Series.exp_monomial`` per exponential factor, summed piece by piece;
-    the closed coefficient formula of ``dt_vertex.change_of_vars`` must
-    reproduce it exactly, windows included."""
+    """The change of variables of token * rf term by term, as a product of
+    one ``Series.exp_monomial`` per exponential factor, summed piece by
+    piece; the closed coefficient formula of ``dt_vertex.change_of_vars``
+    must reproduce it exactly, windows included."""
     a = rf.a
     ctx = trig_context(a)
     field = field_for(a)
@@ -250,8 +250,7 @@ def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
     xwin = {"xdeg": x_deg_max}
     total = Series.zero(ctx)
     for key, coeff in rf.num.items():
-        n = (key[0] - d) // 2
-        ms = [(key[l] + d * l) // a for l in range(1, a)]
+        n, ms = key[0], key[1:]
         scalar = field.from_fraction(coeff) * token_scalar ** d * (-1) ** (n % 2)
         for m in ms:
             scalar = scalar * xi ** (-m)

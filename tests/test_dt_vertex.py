@@ -65,6 +65,38 @@ def test_rational_form_algebra():
         assert series.coefficient({"q": k}) == (-1) ** k
 
 
+def test_flip_q_sign_keeps_fractions():
+    flipped = RationalForm.monomial(1, -1, (), 3).flip_q_sign()
+    assert flipped.num == {(-1,): Fraction(-3)}
+    assert all(type(c) is Fraction for c in flipped.num.values())
+
+
+def test_monomial_refuses_non_integer_exponents():
+    with pytest.raises(ValueError, match="not all integers"):
+        RationalForm.monomial(2, Fraction(1, 2))
+    with pytest.raises(ValueError, match="not all integers"):
+        RationalForm.monomial(3, 1, (Fraction(-2, 3), 0))
+    with pytest.raises(ValueError, match="one exponent per color variable"):
+        RationalForm.monomial(3, 1, (1,))
+    assert RationalForm.monomial(3, Fraction(2), (-1, 0), 5).num == {(2, -1, 0): Fraction(5)}
+
+
+def test_to_data_writes_integer_exponent_strings():
+    # Shapes whose numerators carry negative and positive color exponents.
+    def exponents(nu, a):
+        return [t["exponents"] for t in reduced_vertex_closed(nu, a).to_data()["numerator"]]
+
+    assert exponents((2,), 2) == [
+        ["0/1", "0/1"], ["1/1", "-1/1"], ["1/1", "1/1"], ["2/1", "-1/1"], ["2/1", "0/1"], ["2/1", "1/1"],
+    ]
+    assert exponents((2,), 3) == [
+        ["0/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"], ["0/1", "1/1", "1/1"],
+        ["1/1", "0/1", "-1/1"], ["1/1", "0/1", "1/1"], ["1/1", "2/1", "1/1"],
+        ["2/1", "0/1", "-1/1"], ["2/1", "0/1", "0/1"], ["2/1", "0/1", "1/1"],
+        ["2/1", "1/1", "0/1"], ["2/1", "1/1", "1/1"], ["2/1", "2/1", "1/1"],
+    ]
+
+
 def test_reduced_vertex_closed_single_box_row():
     vertex = reduced_vertex_closed((1,), 1)
     data = vertex.to_data()
@@ -223,13 +255,14 @@ def test_change_of_vars_matches_term_by_term_loop():
 
 
 def test_change_of_vars_without_lam_dependence():
-    # A numerator term at q^0 has n = -d/2, so its lam coefficient is 0:
-    # with no such term elsewhere the lam window stays open (max None).
+    # A numerator term q^n with n = -d/2 (q^-1 at d = 2) meets the token
+    # q^(d/2) at q^0, so its lam coefficient is 0: with no other term the
+    # lam window stays open (max None).
     # A denominator factor then bounds lam through its inverse.
     cases = (
-        (RationalForm(1, {(0,): Fraction(3)}, {}), None),  # no x variables either
-        (RationalForm(2, {(0, -2): Fraction(-1, 2)}, {}), None),
-        (RationalForm(2, {(0, -2): Fraction(1)}, {(1, 1): 1}), 4),
+        (RationalForm(1, {(-1,): Fraction(3)}, {}), None),  # no x variables either
+        (RationalForm(2, {(-1, 0): Fraction(-1, 2)}, {}), None),
+        (RationalForm(2, {(-1, 0): Fraction(1)}, {(1, 1): 1}), 4),
     )
     for rf, lam_max in cases:
         closed = change_of_vars(rf, 2, 4, 2)

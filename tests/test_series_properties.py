@@ -1,7 +1,8 @@
 """Property tests of the truncated power sums behind Series.invert, exp
 and log, against sympy's exact expansions, of the integer window check
-against Fraction grades, of the ring laws gluing rests on, and of the
-1/a lambda lattice of the local context.
+against Fraction grades, of the ring laws gluing rests on, of the 1/a
+lambda lattice of the local context, and of CycloNum multiplication and
+inverse against sympy's arithmetic modulo the cyclotomic polynomial.
 
 Hypothesis draws small rational polynomials with a nonzero corner term.
 Every coefficient inside the window a result claims must match sympy, and
@@ -9,14 +10,17 @@ every read one step above that window must raise PrecisionError.  The
 examples are derandomized and few, so the suite stays deterministic.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import Poly, cyclotomic_poly, symbols
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_exp, rs_log, rs_series_inversion
 from sympy.polys.rings import ring
 
+from orbivertex.exactnum import CycloNum, cyclo_field
 from orbivertex.localgw import local_context
 from orbivertex.series import (
     GradeCap,
@@ -224,3 +228,50 @@ def test_local_context_lambda_lattice(a, num, den):
         if e.denominator != 1:
             with pytest.raises(ValueError, match="off the lattice"):
                 ctx.scale(f"x{j}", e)
+
+
+Z = symbols("z")
+
+
+def _cyclo_and_poly(order: int, coeff_list: list):
+    # The element sum_j c_j zeta^j of Q(zeta_order), over the power basis,
+    # as a CycloNum and as a sympy polynomial in z.
+    field = cyclo_field(order)
+    vals = (coeff_list + [Fraction(0)] * field.degree)[: field.degree]
+    den = math.lcm(*(c.denominator for c in vals))
+    x = CycloNum(field, [int(c * den) for c in vals], den)
+    poly = Poly([QQ(c.numerator, c.denominator) for c in reversed(vals)], Z, domain=QQ)
+    return x, poly
+
+
+def _agree(x: CycloNum, poly: Poly) -> None:
+    want = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(poly.all_coeffs())]
+    want += [Fraction(0)] * (x.field.degree - len(want))
+    assert x.coeff_fractions() == want
+
+
+cyclo_coeffs = st.lists(coeffs, min_size=8, max_size=8)
+
+
+@pytest.mark.parametrize("order", [12, 16])
+@PROPERTY
+@given(cyclo_coeffs, cyclo_coeffs)
+def test_cyclonum_product_matches_sympy(order, xs, ys):
+    modulus = Poly(cyclotomic_poly(order, Z), Z, domain=QQ)
+    x, px = _cyclo_and_poly(order, xs)
+    y, py = _cyclo_and_poly(order, ys)
+    _agree(x * y, (px * py).rem(modulus))
+
+
+@pytest.mark.parametrize("order", [12, 16])
+@PROPERTY
+@given(cyclo_coeffs)
+def test_cyclonum_inverse_matches_sympy(order, xs):
+    modulus = Poly(cyclotomic_poly(order, Z), Z, domain=QQ)
+    x, px = _cyclo_and_poly(order, xs)
+    if px.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    _agree(x.inverse(), px.invert(modulus))
+    assert x * x.inverse() == x.field.one
