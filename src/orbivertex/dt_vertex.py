@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .characters import chi
 from .partitions import (
@@ -84,35 +85,50 @@ class RationalForm:
         for ka, ca in self.num.items():
             for kb, cb in other.num.items():
                 k = tuple(x + y for x, y in zip(ka, kb))
-                num[k] = num.get(k, Fraction(0)) + ca * cb
+                num[k] = num.get(k, 0) + ca * cb
         den = dict(self.den)
         for f, m in other.den.items():
             den[f] = den.get(f, 0) + m
         return RationalForm(self.a, num, den)
 
-    def _expand_factors(self, extra: dict) -> dict:
-        # Multiply the numerator out by prod (1 - s q^k)^m for the given
-        # extra factors, returning the new numerator dict.
-        num = dict(self.num)
-        for (k, s), m in extra.items():
-            for _ in range(m):
-                new = {}
-                for key, c in num.items():
-                    new[key] = new.get(key, Fraction(0)) + c
-                    shifted = (key[0] + k,) + key[1:]
-                    new[shifted] = new.get(shifted, Fraction(0)) - s * c
-                num = new
-        return num
+    def numerator_over(self, den: dict) -> dict:
+        """The numerator of this form written over the denominator den
+        ({(k, s): mult}): num times prod (1 - s q^k)^(den[f] - self.den[f]),
+        without zero terms.  Raises ValueError when den lacks some factor
+        of this form's own denominator."""
+        for f, m in self.den.items():
+            if den.get(f, 0) < m:
+                raise ValueError(f"denominator {den} lacks the factor {f}^{m} of the form")
+        # The extra factors depend on q alone: their product is one integer
+        # polynomial in q, applied to every numerator term.
+        poly = {0: 1}
+        for (k, s), m in den.items():
+            for _ in range(m - self.den.get((k, s), 0)):
+                new = dict(poly)
+                for e, c in poly.items():
+                    new[e + k] = new.get(e + k, 0) - s * c
+                poly = new
+        poly = [(e, c) for e, c in poly.items() if c]
+        num = {}
+        for key, c in self.num.items():
+            n, colors = key[0], key[1:]
+            for e, p in poly:
+                k = (n + e,) + colors
+                num[k] = num.get(k, 0) + c * p
+        return {k: c for k, c in num.items() if c}
 
     def __add__(self, other):
+        """Sum over the least common denominator.  The correspondence check
+        expands its forms once with numerator_over instead; this operator
+        stays because the benchmark tracer (bench/tracer.py) wraps it by
+        name, until the package reports its own stage spans."""
         self._require_same(other)
-        den = {}
-        for f in set(self.den) | set(other.den):
-            den[f] = max(self.den.get(f, 0), other.den.get(f, 0))
-        na = self._expand_factors({f: m - self.den.get(f, 0) for f, m in den.items()})
-        nb = other._expand_factors({f: m - other.den.get(f, 0) for f, m in den.items()})
-        for k, c in nb.items():
-            na[k] = na.get(k, Fraction(0)) + c
+        den = dict(self.den)
+        for f, m in other.den.items():
+            den[f] = max(den.get(f, 0), m)
+        na = self.numerator_over(den)
+        for k, c in other.numerator_over(den).items():
+            na[k] = na.get(k, 0) + c
         return RationalForm(self.a, na, den)
 
     def flip_q_sign(self) -> "RationalForm":
@@ -175,34 +191,54 @@ def box_context(a: int) -> SeriesContext:
 @lru_cache(maxsize=None)
 def powersum_rational(a: int, k: int) -> RationalForm:
     """p_k at the colored alphabet, as a rational form: the letters are
-    (prod_{j>l} q_j) q^m over colors l and m >= 0."""
+    (prod_{j>l} q_j) q^m over colors l and m >= 0.  The numerator counts
+    letters, so its coefficients are ints."""
     if k < 1:
         raise ValueError("power sum index must be positive")
     num = {}
     for l in range(a):
         key = [0] + [k if j > l else 0 for j in range(1, a)]
         key = tuple(key)
-        num[key] = num.get(key, Fraction(0)) + 1
+        num[key] = num.get(key, 0) + 1
     return RationalForm(a, num, {(k, 1): 1})
 
 
 @lru_cache(maxsize=None)
+def _powersum_products(a: int, d: int) -> tuple:
+    # (mu, p_mu at the colored alphabet) for every mu of size d, with int
+    # numerator coefficients.
+    out = []
+    for mu in partitions_of(d):
+        prod = powersum_rational(a, mu[0])
+        for part in mu[1:]:
+            prod = prod * powersum_rational(a, part)
+        out.append((mu, prod))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def schur_rational(nu: tuple, a: int) -> RationalForm:
-    """Schur function at the colored alphabet via the character expansion."""
+    """Schur function at the colored alphabet via the character expansion
+    sum_mu chi^nu(mu)/z_mu p_mu.  Each product p_mu it uses is written once
+    over their least common denominator, and the numerators are summed in
+    integers, scaled by the least common multiple of the z_mu."""
     nu = check_partition(nu)
     d = sum(nu)
     if d == 0:
         return RationalForm.one(a)
-    total = RationalForm.zero(a)
-    for mu in partitions_of(d):
-        c = Fraction(chi(nu, mu), z_aut(mu))
-        if not c:
-            continue
-        prod = RationalForm.one(a)
-        for part in mu:
-            prod = prod * powersum_rational(a, part)
-        total = total + prod * c
-    return total
+    terms = [(chi(nu, mu), z_aut(mu), prod) for mu, prod in _powersum_products(a, d)]
+    terms = [t for t in terms if t[0]]
+    scale = lcm(*(z for _, z, _ in terms))
+    den = {}
+    for _, _, prod in terms:
+        for f, m in prod.den.items():
+            den[f] = max(den.get(f, 0), m)
+    num = {}
+    for c, z, prod in terms:
+        w = c * (scale // z)
+        for k, v in prod.numerator_over(den).items():
+            num[k] = num.get(k, 0) + w * v
+    return RationalForm(a, {k: Fraction(v, scale) for k, v in num.items()}, den)
 
 
 def colored_weights(nu, a: int) -> tuple:
@@ -494,27 +530,36 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     return _transported(_r_bullet_zero_form(a, mu), d, lam_max, x_deg_max)
 
 
+def _shifted_vertex(a: int, nu: tuple) -> RationalForm:
+    # The sign and monomial shift of shape nu against its sign-flipped
+    # reduced vertex; change_of_vars adds the token.
+    A = colored_weights(nu, a)
+    shift = tuple(A[l] - A[0] for l in range(1, a))
+    lead = RationalForm.monomial(a, A[0], shift, (-1) ** A[0])
+    return lead * reduced_vertex_closed(nu, a).flip_q_sign()
+
+
 def _vertex_side_form(a: int, mu: tuple) -> RationalForm:
-    # Per-shape sign and monomial shifts against the sign-flipped reduced
-    # vertex, summed with character weights, for a nonempty checked mu;
-    # change_of_vars adds the token.
+    # The shifted vertices summed with character weights, for a nonempty
+    # checked mu.
     d = sum(mu)
     acc = RationalForm.zero(a)
     for nu in partitions_of(d):
         c = Fraction(chi(nu, mu), z_aut(mu))
-        if not c:
-            continue
-        A = colored_weights(nu, a)
-        shift = tuple(A[l] - A[0] for l in range(1, a))
-        lead = RationalForm.monomial(a, A[0], shift, (-1) ** A[0])
-        acc = acc + lead * reduced_vertex_closed(nu, a).flip_q_sign() * c
+        if c:
+            acc = acc + _shifted_vertex(a, nu) * c
     return acc
 
 
 def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """The box-counting side of the correspondence, assembled literally:
     per-shape sign and monomial shifts against the sign-flipped reduced
-    vertex, summed with character weights, then transported."""
+    vertex, summed with character weights, then transported.
+
+    correspondence_report no longer takes this path (it checks the
+    rational identity behind it exactly); the function stays because the
+    benchmark tracer (bench/tracer.py) wraps it by name, until the package
+    reports its own stage spans."""
     mu = check_partition(mu)
     d = sum(mu)
     if d == 0:
@@ -524,7 +569,26 @@ def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Seri
 
 def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
     """Compare the wave-function side against the box-counting side for
-    every profile of size d.  Returns a list of (mu, agree) pairs."""
+    every profile mu of size d.  Returns a list of (mu, agree) pairs, where
+    agree holds when both halves below hold.
+
+    The DT half is exact, with no lam window: the vertex-side form
+    sum_nu chi^nu(mu)/z_mu times the shifted, sign-flipped reduced vertex
+    of nu equals the power-sum form of r_bullet_zero as a rational function
+    of q, q_1 .. q_{a-1}.  Every shifted vertex and every power-sum form is
+    written once over one shared denominator D (each factor (1 - s q^k) at
+    its largest multiplicity among them), so each profile compares a
+    character-weighted sum of expanded numerators with one numerator.
+
+    The GW half is on the window lam <= lam_max: the exponential table
+    g_bullet_table(a, d) against r_bullet_zero(a, mu), whose transport has
+    denominator multiplicity len(mu).
+
+    Together they imply the literal check, the table against the
+    transported vertex-side form on the window: change_of_vars is a ring
+    map, so equal rational forms have equal images wherever both
+    expansions are complete, and both are complete through lam_max.
+    """
     from . import gw_vertex
 
     # Every series of size d starts at lam^-d or above.
@@ -532,12 +596,38 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
         raise PrecisionError(
             f"correspondence_report: window of 'lam' cut at {lam_max} lies below its floor {-d}"
         )
+    profiles = partitions_of(d)
+    shifted = [_shifted_vertex(a, nu) for nu in profiles]
+    # z_mu times the power-sum form: the identity of mu then reads
+    # sum_nu chi^nu(mu) shifted_nu = z_mu product_mu.
+    products = [_r_bullet_zero_form(a, mu) * z_aut(mu) for mu in profiles]
+    forms = shifted + products
+    den = {}
+    for rf in forms:
+        for f, m in rf.den.items():
+            den[f] = max(den.get(f, 0), m)
+    # Every numerator over den, times the least common multiple of the
+    # coefficient denominators, so that the sums below run in ints.
+    scale = lcm(*(c.denominator for rf in forms for c in rf.num.values()))
+    expanded = [
+        RationalForm(a, {k: int(c * scale) for k, c in rf.num.items()}, rf.den).numerator_over(den)
+        for rf in forms
+    ]
+    vertices = expanded[: len(profiles)]
     table = gw_vertex.g_bullet_table(a, d, lam_max=lam_max, x_deg_max=x_deg_max)
+    window = {"lam": lam_max}
     out = []
-    for mu, lhs in table.items():
-        rhs = vertex_side_series(a, mu, lam_max=lam_max, x_deg_max=x_deg_max)
-        window = {"lam": lam_max}
-        out.append((mu, lhs.restrict(maxes=window) == rhs.restrict(maxes=window)))
+    for mu, target in zip(profiles, expanded[len(profiles) :]):
+        vertex_side = {}
+        for nu, num in zip(profiles, vertices):
+            c = chi(nu, mu)
+            if c:
+                for k, v in num.items():
+                    vertex_side[k] = vertex_side.get(k, 0) + c * v
+        dt_exact = {k: v for k, v in vertex_side.items() if v} == target
+        gw_side = r_bullet_zero(a, mu, lam_max=lam_max, x_deg_max=x_deg_max)
+        gw_window = table[mu].restrict(maxes=window) == gw_side.restrict(maxes=window)
+        out.append((mu, dt_exact and gw_window))
     return out
 
 

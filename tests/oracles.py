@@ -8,7 +8,9 @@ series in q and the color variables q_1 .. q_{a-1}, at the alphabet whose
 letters are ``(prod_{j>l} q_j) * q^m`` for ``l`` in ``0..a-1`` and
 ``m >= 0``, by two routes: the character expansion and the dual
 Jacobi-Trudi determinant.  ``change_of_vars_loop`` is the change of
-variables built one exponential factor at a time from series products.
+variables built one exponential factor at a time from series products, and
+``correspondence_report_literal`` is the correspondence compared series
+against series, with the vertex side summed shape by shape and transported.
 The other oracles are exact Fraction-arithmetic expansions of classical
 closed products.
 """
@@ -20,8 +22,9 @@ import math
 from fractions import Fraction
 
 from orbivertex.characters import chi
-from orbivertex.dt_vertex import _den_factor_inverse, trig_context
+from orbivertex.dt_vertex import _den_factor_inverse, trig_context, vertex_side_series
 from orbivertex.exactnum import field_for
+from orbivertex.gw_vertex import g_bullet_table
 from orbivertex.partitions import check_partition, conjugate, partitions_of, z_aut
 from orbivertex.series import Series, SeriesContext, VarSpec
 
@@ -271,9 +274,26 @@ def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
     return total
 
 
+def correspondence_report_literal(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> list:
+    """(mu, agree) for every profile of size d: the exponential table of the
+    wave-function side against the literal vertex side (the character sum
+    of shifted reduced vertices, folded into one rational form and then
+    transported), both cut to the window lam <= lam_max."""
+    window = {"lam": lam_max}
+    return [
+        (
+            mu,
+            lhs.restrict(maxes=window)
+            == vertex_side_series(a, mu, lam_max=lam_max, x_deg_max=x_deg_max).restrict(maxes=window),
+        )
+        for mu, lhs in g_bullet_table(a, d, lam_max=lam_max, x_deg_max=x_deg_max).items()
+    ]
+
+
 __all__ = [
     "change_of_vars_loop",
     "chi_oracle",
+    "correspondence_report_literal",
     "colored_context",
     "kostka_number",
     "powersum_monomial_coeffs",

@@ -81,13 +81,14 @@ def test_criterion_04_correspondence_with_pinned_initial_value():
 
 
 def test_correspondence_reach_targets():
-    # The reach targets (a, d) = (3, 3), (3, 5), (4, 2) and (4, 4) at the
-    # default window, in Q(zeta_12) and Q(zeta_16); (2, 5) is left to the
-    # benchmark.
+    # The reach targets (a, d) = (3, 3), (3, 5), (4, 2), (4, 4) and (2, 7)
+    # at the default window, in Q(zeta_12), Q(zeta_16) and Q(zeta_8);
+    # (2, 5) is left to the benchmark.
     run_suite("correspondence", 3, a=3, d=3)
     run_suite("correspondence", 7, a=3, d=5)
     run_suite("correspondence", 2, a=4, d=2)
     run_suite("correspondence", 5, a=4, d=4)
+    run_suite("correspondence", 15, a=2, d=7)
 
 
 def test_criterion_05_character_sum_initial_formula():

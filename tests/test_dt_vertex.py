@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbivertex import gw_vertex
+from orbivertex import dt_vertex, gw_vertex
+from orbivertex.characters import chi
 from orbivertex.dt_vertex import (
     RationalForm,
     _r_bullet_zero_form,
@@ -23,11 +24,12 @@ from orbivertex.dt_vertex import (
     volume_counts,
 )
 from orbivertex.partitions import partitions_of
-from orbivertex.series import PrecisionError
+from orbivertex.series import PrecisionError, Series
 
 from oracles import (
     change_of_vars_loop,
     colored_context,
+    correspondence_report_literal,
     plane_partition_counts,
     powersum_colored,
     schur_at_colored,
@@ -63,6 +65,25 @@ def test_rational_form_algebra():
     series = flipped.to_series(ctx, 5)
     for k in range(6):
         assert series.coefficient({"q": k}) == (-1) ** k
+
+
+def test_numerator_over_refuses_a_missing_factor():
+    # 1/(1-q)^2 cannot be written over 1, over (1-q) or over (1+q)^2.
+    rf = RationalForm(1, {(0,): Fraction(1)}, {(1, 1): 2})
+    for den in ({}, {(1, 1): 1}, {(1, -1): 2}):
+        with pytest.raises(ValueError, match=r"lacks the factor \(1, 1\)\^2"):
+            rf.numerator_over(den)
+    assert rf.numerator_over({(1, 1): 2}) == {(0,): 1}
+    assert rf.numerator_over({(1, 1): 3, (2, -1): 1}) == {(0,): 1, (1,): -1, (2,): 1, (3,): -1}
+
+
+def test_numerator_over_drops_cancelled_terms():
+    # (1 + q) q_1 times (1 - q) is (1 - q^2) q_1: the q^1 terms cancel.
+    rf = RationalForm(2, {(0, 1): Fraction(1), (1, 1): Fraction(1)}, {})
+    assert rf.numerator_over({(1, 1): 1}) == {(0, 1): 1, (2, 1): -1}
+    # A sum that cancels keeps no numerator terms.
+    geom = RationalForm(1, {(0,): Fraction(1)}, {(1, 1): 1})
+    assert (geom + geom * -1).num == {}
 
 
 def test_flip_q_sign_keeps_fractions():
@@ -220,6 +241,46 @@ def test_correspondence_refuses_an_empty_window():
         match="correspondence_report: window of 'lam' cut at -3 lies below its floor -2",
     ):
         correspondence_report(2, 2, lam_max=-3)
+
+
+def test_correspondence_matches_the_literal_check():
+    # The exact rational identity plus one power-sum transport per profile
+    # reports what the transported vertex side against the table reports.
+    pairs = [(a, d) for a in (1, 2, 3) for d in range(5)] + [(4, 2)]
+    for a, d in pairs:
+        assert correspondence_report(a, d) == correspondence_report_literal(a, d), (a, d)
+
+
+def test_correspondence_dt_half_fails_on_a_wrong_vertex(monkeypatch):
+    # Doubling the reduced vertex of one shape breaks the identity of every
+    # profile whose character weight on that shape is nonzero, and only
+    # those: chi^(3,1)(3,1) = 0.
+    doubled = (3, 1)
+    real = dt_vertex.reduced_vertex_closed
+
+    def wrong(nu, a):
+        return real(nu, a) * 2 if nu == doubled else real(nu, a)
+
+    monkeypatch.setattr(dt_vertex, "reduced_vertex_closed", wrong)
+    report = correspondence_report(2, 4, lam_max=2, x_deg_max=1)
+    assert report == [(mu, chi(doubled, mu) == 0) for mu in partitions_of(4)]
+    assert [mu for mu, ok in report if ok] == [(3, 1)]
+
+
+def test_correspondence_gw_half_fails_on_a_wrong_table_entry(monkeypatch):
+    # One coefficient inside the window changed in one entry of the table.
+    perturbed = (2, 1)
+    real = gw_vertex.g_bullet_table
+
+    def wrong(*args, **kwargs):
+        table = real(*args, **kwargs)
+        entry = table[perturbed]
+        table[perturbed] = entry + Series.monomial(entry.ctx, {"lam": 0}, 1)
+        return table
+
+    monkeypatch.setattr(gw_vertex, "g_bullet_table", wrong)
+    report = correspondence_report(2, 3, lam_max=2, x_deg_max=1)
+    assert report == [(mu, mu != perturbed) for mu in partitions_of(3)]
 
 
 def test_correspondence_builds_one_exponential(monkeypatch):
