@@ -374,28 +374,21 @@ def trig_context(a: int) -> SeriesContext:
 
 @lru_cache(maxsize=None)
 def _den_factor_inverse(a: int, k: int, s: int, lam_fill: int) -> Series:
-    # Inverse of the image of (1 - s q^k) under q -> -exp(i lam).
-    ctx = trig_context(a)
-    field = field_for(a)
-    i = field.imaginary_unit()
-    sign = s * (-1) ** k
-    img = Series.one(ctx) - Series.exp_monomial(
-        ctx, {"lam": 1}, i * k, maxes={"lam": lam_fill}
-    ) * field.from_fraction(Fraction(sign))
-    return img.invert()
+    # Inverse of the image 1 - s (-1)^k e^(i k lam) of (1 - s q^k) under
+    # q -> -exp(i lam), complete through lam^lam_fill.
+    denominator = "1 - e^t" if s * (-1) ** k == 1 else "1 + e^t"
+    return Series.inverse_trig(trig_context(a), "lam", denominator, k, lam_fill, field_for(a))
 
 
 def lam_pad(rf: RationalForm) -> int:
-    """The lam orders that inverting the denominator images loses: m + 1
-    for m factors (with multiplicity) whose image vanishes at lam = 0, and
-    0 when there are none.  Such an image 1 - e^(i k lam), filled through
-    lam^F, starts at lam^1, so its inverse starts at lam^-1 and is complete
-    through lam^(F - 2).  A product is complete as far as each factor's top
-    plus the lowest exponents of the others: the numerator (lam^0 through
-    lam^F) and the m inverses leave lam^(F - m - 1).  Other images start at
-    lam^0 and lose nothing."""
-    m = sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
-    return m + 1 if m else 0
+    """The lam orders that the denominator inverses cost: m for m factors
+    (with multiplicity) whose image vanishes at lam = 0.  Filled through
+    lam^F, such an inverse 1/(1 - e^(i k lam)) starts at lam^-1 and is
+    complete through lam^F (it is a closed Bernoulli series).  A product is
+    complete as far as each factor's top plus the lowest exponents of the
+    others: the numerator (lam^0 through lam^F), the m inverses and the
+    other inverses (lam^0 through lam^F) leave lam^(F - m)."""
+    return sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
 
 
 def _exp_coefficients(c, top: int) -> list:
@@ -523,7 +516,13 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     Since chi^{nu'}(mu) = (-1)^(d - len(mu)) chi^nu(mu) and
     p_mu = sum_nu chi^nu(mu) s_nu, that sum is the single product
     (-1)^(d - len(mu)) / z_mu * prod_k p_{mu_k}."""
-    mu = check_partition(mu)
+    return _r_bullet_zero_series(a, check_partition(mu), lam_max, x_deg_max)
+
+
+@lru_cache(maxsize=None)
+def _r_bullet_zero_series(a: int, mu: tuple, lam_max: int, x_deg_max: int) -> Series:
+    # One transport per distinct checked input: framing transport asks for
+    # the same framing-zero series once per profile it glues.
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))

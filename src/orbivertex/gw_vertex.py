@@ -50,16 +50,11 @@ def gw_context(a: int, d_max: int) -> SeriesContext:
     return SeriesContext(var_specs, caps=[GradeCap("xdeg", xw), GradeCap("pweight", pw)])
 
 
-def _exp_diff(ctx: SeriesContext, k: int, lam_fill: int, i) -> Series:
-    # e^{i k lam/2} - e^{-i k lam/2} (that is, 2i sin(k lam/2)), i the imaginary unit.
-    return Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(k, 2), maxes={"lam": lam_fill}) - \
-        Series.exp_monomial(ctx, {"lam": 1}, -i * Fraction(k, 2), maxes={"lam": lam_fill})
-
-
 def _inv_two_sin(ctx: SeriesContext, d: int, lam_fill: int, field) -> Series:
-    # 1/(2 sin(d lam/2)) as an exact Laurent series.
-    i = field.imaginary_unit()
-    return _exp_diff(ctx, d, lam_fill, i).invert() * i
+    # 1/(2 sin(d lam/2)) = i/(e^{i d lam/2} - e^{-i d lam/2}): from lam^-1,
+    # complete through lam^lam_fill.
+    inverse = Series.inverse_trig(ctx, "lam", "e^(t/2) - e^(-t/2)", d, lam_fill, field)
+    return inverse * field.imaginary_unit()
 
 
 def _cap_series(a: int, d: int, gamma: tuple, inv_sin: Series) -> Series:
@@ -77,7 +72,7 @@ def _cap_series(a: int, d: int, gamma: tuple, inv_sin: Series) -> Series:
         / Fraction(a) ** (n - 1)
         / aut_gamma(gamma)
     )
-    scalar = field.imaginary_unit() ** i_exp * field.from_fraction(frac)
+    scalar = field.root_of_unity(4, i_exp) * field.from_fraction(frac)
     return inv_sin * scalar
 
 
@@ -92,7 +87,7 @@ def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> Series:
     ctx = trig_context(a)
     if (d - sum(gamma)) % a:
         return Series.zero(ctx)
-    series = _cap_series(a, d, gamma, _inv_two_sin(ctx, d, lam_trunc + 2, field_for(a)))
+    series = _cap_series(a, d, gamma, _inv_two_sin(ctx, d, lam_trunc, field_for(a)))
     return series.restrict(maxes={"lam": lam_trunc})
 
 
@@ -121,7 +116,7 @@ def g_bullet_table(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> dict
     off one exponential of the connected generating function."""
     if d == 0:
         return {(): Series.one(trig_context(a))}
-    bullet = assemble_G0(a, d, x_deg_max, lam_max + d + 1).exp(cap="pweight")
+    bullet = assemble_G0(a, d, x_deg_max, lam_max + d - 1).exp(cap="pweight")
     return {
         mu: bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
         .embed(trig_context(a))
@@ -133,66 +128,77 @@ def g_bullet_table(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> dict
 def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Coefficient of p_mu in the exponential of the connected generating
     function at framing zero.  Each 1/(2 sin), filled through lam^F,
-    starts at lam^-1 and is complete through lam^(F - 2), so a product of k
-    caps is complete through lam^(F - k - 1); the exponential multiplies at
-    most d caps (each of profile weight at least 1), hence F = lam_max + d + 1.
+    starts at lam^-1 and is complete through lam^F (a closed Bernoulli
+    series), so a product of k caps is complete through lam^(F - k + 1);
+    the exponential multiplies at most d caps (each of profile weight at
+    least 1), hence F = lam_max + d - 1.
     """
     mu = check_partition(mu)
     return g_bullet_table(a, sum(mu), lam_max, x_deg_max)[mu]
 
 
 def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
-    """The one-point series (lam/2)/sin(lam/2), computed by exact series
-    division: lam times the degree-one cap."""
-    cap = cap_closed_form(1, 1, (), lam_trunc + 1)
-    return (cap * Series.monomial(trig_context(1), {"lam": 1}, 1)).restrict(maxes={"lam": lam_trunc})
+    """The one-point series (lam/2)/sin(lam/2): lam times the degree-one
+    cap 1/(2 sin(lam/2)).  Its closed Bernoulli series, complete through
+    lam^F, makes the product complete through lam^(F + 1); hence
+    F = lam_trunc - 1."""
+    ctx = trig_context(1)
+    cap = _inv_two_sin(ctx, 1, lam_trunc - 1, field_for(1))
+    return (cap * Series.monomial(ctx, {"lam": 1}, 1)).restrict(maxes={"lam": lam_trunc})
 
 
 # -- quantum dimensions ------------------------------------------------------
 
 
 def _sin_half(ctx: SeriesContext, k: int, lam_fill: int, field) -> Series:
+    # sin(k lam/2) = (e^{i k lam/2} - e^{-i k lam/2})/(2i), complete through lam^lam_fill.
     i = field.imaginary_unit()
-    return _exp_diff(ctx, k, lam_fill, i) * (field.from_fraction(Fraction(1, 2)) * i ** (-1))
+    rate = i * Fraction(k, 2)
+    diff = Series.exp_monomial(ctx, {"lam": 1}, rate, maxes={"lam": lam_fill}) - \
+        Series.exp_monomial(ctx, {"lam": 1}, -rate, maxes={"lam": lam_fill})
+    return diff * (i * Fraction(-1, 2))
 
 
 def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
     """i^{|nu|} over the product of (e^{i h lam/2} - e^{-i h lam/2}) across
-    the hook lengths h of the shape.  Each difference, filled through
-    lam^F, starts at lam^1, so its inverse starts at lam^-1 and is complete
-    through lam^(F - 2); a product of |nu| inverses (one per box) is
-    complete through lam^(F - |nu| - 1), hence F = lam_trunc + |nu| + 1."""
+    the hook lengths h of the shape.  Each inverse, a closed Bernoulli
+    series filled through lam^F, starts at lam^-1 and is complete through
+    lam^F; a product of |nu| inverses (one per box) is complete through
+    lam^(F - |nu| + 1), hence F = lam_trunc + |nu| - 1."""
     nu = check_partition(nu)
     ctx = trig_context(1)
     field = field_for(1)
-    i = field.imaginary_unit()
-    fill = lam_trunc + sum(nu) + 1
-    out = Series.one(ctx) * i ** sum(nu)
+    fill = lam_trunc + sum(nu) - 1
+    out = Series.one(ctx) * field.root_of_unity(4, sum(nu))
     for h in hooks(nu):
-        out = out * _exp_diff(ctx, h, fill, i).invert()
+        out = out * Series.inverse_trig(ctx, "lam", "e^(t/2) - e^(-t/2)", h, fill, field)
     return out.restrict(maxes={"lam": lam_trunc})
 
 
 def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
-    """The sine-product form of the same quantity.  Filled through lam^F,
-    each sine starts at lam^1 and is complete through lam^F, each inverse
-    sine starts at lam^-1 and is complete through lam^(F - 2).  The pairs
-    A < B give one of each, the boxes one inverse each, so the lowest
-    exponents sum to -|nu| and the product is complete through
-    lam^(F - |nu| - 1), hence F = lam_trunc + |nu| + 1."""
+    """The sine-product form of the same quantity.  The pairs A < B give
+    one sine and one inverse sine each, the boxes one inverse each, so the
+    lowest exponents sum to -|nu|.  A sine filled through lam^F starts at
+    lam^1 and is complete through lam^F, so the product is complete through
+    lam^(F - |nu| - 1) as far as the sines go: they fill through
+    lam_trunc + |nu| + 1.  An inverse sine, a closed Bernoulli series
+    filled through lam^F, starts at lam^-1 and is complete through lam^F,
+    so the product reaches lam^(F - |nu| + 1): the inverses fill through
+    lam_trunc + |nu| - 1."""
     nu = check_partition(nu)
     ctx = trig_context(1)
     field = field_for(1)
     l = len(nu)
-    fill = lam_trunc + sum(nu) + 1
+    sine_fill = lam_trunc + sum(nu) + 1
+    inverse_fill = lam_trunc + sum(nu) - 1
     out = Series.one(ctx)
     for A in range(1, l + 1):
         for B in range(A + 1, l + 1):
-            out = out * _sin_half(ctx, nu[A - 1] - nu[B - 1] + B - A, fill, field)
-            out = out * _sin_half(ctx, B - A, fill, field).invert()
+            out = out * _sin_half(ctx, nu[A - 1] - nu[B - 1] + B - A, sine_fill, field)
+            out = out * (_inv_two_sin(ctx, B - A, inverse_fill, field) * 2)
     for i_row in range(1, l + 1):
         for v in range(1, nu[i_row - 1] + 1):
-            out = out * (_sin_half(ctx, v - i_row + l, fill, field) * 2).invert()
+            out = out * _inv_two_sin(ctx, v - i_row + l, inverse_fill, field)
     return out.restrict(maxes={"lam": lam_trunc})
 
 

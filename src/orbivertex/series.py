@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import CycloNum, cyclo_field
 
@@ -98,6 +99,33 @@ def _nmin(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+@lru_cache(maxsize=None)
+def bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n of t/(e^t - 1) = sum_n B_n t^n/n!, so
+    B_1 = -1/2 (sympy 1.14 returns +1/2), from the recurrence
+    sum_{j<=n} C(n+1, j) B_j = 0 over the cached lower numbers."""
+    if n < 0:
+        raise ValueError("Bernoulli index must be nonnegative")
+    if n < 2:
+        return Fraction(-1, 2) if n else Fraction(1)
+    if n % 2:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
+
+
+# 1/f(t) = (1/t) sum_n w(n) B_n t^n/n! for the denominators f the package
+# inverts, by t/(e^t - 1) = sum_n B_n t^n/n!:
+# * 1/(1 - e^t) = -(1/t) t/(e^t - 1);
+# * 1/(1 + e^t) = 2/(1 - e^(2t)) - 1/(1 - e^t);
+# * 1/(e^(t/2) - e^(-t/2)) = e^(t/2)/(e^t - 1), and e^(xt) t/(e^t - 1)
+#   = sum_n B_n(x) t^n/n! with B_n(1/2) = (2^(1-n) - 1) B_n.
+_TRIG_WEIGHTS = {
+    "1 - e^t": lambda n: -1,
+    "1 + e^t": lambda n: 1 - 2**n,
+    "e^(t/2) - e^(-t/2)": lambda n: Fraction(2, 2**n) - 1,
+}
 
 
 @dataclass(frozen=True)
@@ -290,6 +318,30 @@ class Series:
                 terms[k] = c
             power = power * coeff
         return cls(ctx, terms, (0,) * ctx.n, tuple(maxes_v), tuple(bounds_v))
+
+    @classmethod
+    def inverse_trig(cls, ctx: SeriesContext, var: str, denominator: str, k, fill: int, field) -> "Series":
+        """1/f(t) at t = i k var, for f(t) one of "1 - e^t", "1 + e^t" and
+        "e^(t/2) - e^(-t/2)", with i the imaginary unit of the cyclotomic
+        field.  The coefficients are closed Bernoulli expressions, so the
+        series is complete through var^fill, and its floor is var^-1 (var^0
+        for 1 + e^t, which does not vanish at t = 0).  No cap may weigh var."""
+        weight = _TRIG_WEIGHTS[denominator]
+        at = ctx.index[var]
+        k = Fraction(k)
+        terms = {}
+        # The coefficient of var^(n-1) is w(n) B_n (i k)^(n-1)/n!.
+        for n in range(fill + 2):
+            c = weight(n) * bernoulli(n)
+            if c:
+                key = [0] * ctx.n
+                key[at] = ctx.scale(var, n - 1)
+                terms[tuple(key)] = field.root_of_unity(4, n - 1) * (c * k ** (n - 1) / math.factorial(n))
+        floors = [0] * ctx.n
+        floors[at] = ctx.scale(var, -1 if weight(0) else 0)
+        maxes = [None] * ctx.n
+        maxes[at] = ctx.scale(var, fill)
+        return cls(ctx, terms, tuple(floors), tuple(maxes), (None,) * len(ctx.caps))
 
     # -- structure -------------------------------------------------------
 

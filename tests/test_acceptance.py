@@ -109,7 +109,7 @@ def test_criterion_07_sine_ratio_series():
         assert series.coefficient({"lam": k}) == taylor[k]
     assert taylor[2] == Fraction(1, 24)
     assert taylor[4] == Fraction(7, 5760)
-    print("criterion 7 PASS: series division reproduces the sine-ratio expansion")
+    print("criterion 7 PASS: the closed Bernoulli expansion matches the Taylor-division oracle")
 
 
 def test_criterion_08_box_counting_against_closed_form():

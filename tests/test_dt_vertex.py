@@ -211,7 +211,8 @@ def _closed_and_loop(rf, d, lam_max, x_deg_max):
 
 def test_lam_pad_is_tight():
     # Filled through lam_max + lam_pad the change of variables reaches
-    # lam_max.  For the framing-zero forms one order less makes the cut to
+    # lam_max.  For the framing-zero forms, whose len(mu) denominator
+    # factors all vanish at lam = 0, one order less makes the cut to
     # lam_max refuse, so the pad carries no spare margin; the vertex-side
     # numerators of some shapes vanish at lam = 0, which only adds reach.
     lam_max, x_deg_max = 2, 1
@@ -222,6 +223,7 @@ def test_lam_pad_is_tight():
                     fill = lam_max + lam_pad(rf)
                     change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
                 rf = _r_bullet_zero_form(a, mu)
+                assert lam_pad(rf) == len(mu), (a, mu)
                 short = change_of_vars(rf, d, lam_max + lam_pad(rf) - 1, x_deg_max)
                 with pytest.raises(PrecisionError, match=f"reaches only {lam_max - 1}, need {lam_max}"):
                     short.restrict(maxes={"lam": lam_max})
@@ -231,7 +233,7 @@ def test_lam_pad_counts_vanishing_factors():
     # 1 - q^2 and 1 + q vanish at lam = 0 under q -> -exp(i lam); 1 - q does not.
     assert lam_pad(RationalForm(1, {(0,): 1}, {})) == 0
     assert lam_pad(RationalForm(1, {(0,): 1}, {(1, 1): 2})) == 0
-    assert lam_pad(RationalForm(1, {(0,): 1}, {(2, 1): 2, (1, -1): 1, (1, 1): 1})) == 4
+    assert lam_pad(RationalForm(1, {(0,): 1}, {(2, 1): 2, (1, -1): 1, (1, 1): 1})) == 3
 
 
 def test_correspondence_refuses_an_empty_window():

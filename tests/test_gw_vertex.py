@@ -25,7 +25,7 @@ from orbivertex.gw_vertex import (
     transport_back,
 )
 from orbivertex.partitions import partitions_of
-from orbivertex.series import PrecisionError
+from orbivertex.series import PrecisionError, Series
 from orbivertex.verify import mv_a1_check
 
 from oracles import taylor_inverse_sin_ratio
@@ -87,14 +87,14 @@ def test_g_bullet_equals_framing_zero_closed_form():
 
 
 def test_g_bullet_fill_is_tight():
-    # g_bullet_mu fills the caps through lam_max + d + 1, which the
+    # g_bullet_mu fills the caps through lam_max + d - 1, which the
     # exponential needs exactly: one order less and the cut refuses.
     lam_max, x_deg_max = 2, 1
     for a in (1, 2, 3):
         for d in (1, 2, 3):
             window = {"lam": lam_max}
-            assemble_G0(a, d, x_deg_max, lam_max + d + 1).exp(cap="pweight").restrict(maxes=window)
-            short = assemble_G0(a, d, x_deg_max, lam_max + d).exp(cap="pweight")
+            assemble_G0(a, d, x_deg_max, lam_max + d - 1).exp(cap="pweight").restrict(maxes=window)
+            short = assemble_G0(a, d, x_deg_max, lam_max + d - 2).exp(cap="pweight")
             with pytest.raises(PrecisionError, match=f"reaches only {lam_max - 1}, need {lam_max}"):
                 short.restrict(maxes=window)
 
@@ -108,28 +108,57 @@ def test_g_bullet_table_matches_the_per_profile_path():
             table = g_bullet_table(a, d, lam_max, x_deg_max)
             assert list(table) == list(partitions_of(d))
             for mu, series in table.items():
-                bullet = assemble_G0(a, d, x_deg_max, lam_max + d + 1).exp(cap="pweight")
+                bullet = assemble_G0(a, d, x_deg_max, lam_max + d - 1).exp(cap="pweight")
                 one = bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
                 one = one.embed(trig_context(a)).restrict(maxes={"lam": lam_max})
                 assert series.to_data() == one.to_data(), (a, mu)
                 assert g_bullet_mu(a, mu, lam_max, x_deg_max).to_data() == one.to_data(), (a, mu)
 
 
+QUANTUM_SHAPES = ((1,), (2,), (2, 1), (3, 1), (2, 2, 1))
+
+
+def _shortened(monkeypatch, owner, name, fill_at):
+    # Replace owner.name by the same function filled one order less; fill_at
+    # is the position of the fill among its arguments.
+    real = getattr(owner, name)
+
+    def short(*args):
+        args = list(args)
+        args[fill_at] -= 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, short)
+
+
 def test_quantum_dim_fill_is_tight(monkeypatch):
-    # Both quantum dimensions fill through lam_trunc + |nu| + 1, which the
-    # product needs exactly: with every factor one order shorter the cut
-    # refuses.
-    for nu in ((1,), (2,), (2, 1), (3, 1), (2, 2, 1)):
+    # The inverses fill through lam_trunc + |nu| - 1 and the sines of the
+    # sine form through lam_trunc + |nu| + 1, which the products need
+    # exactly: with either kind of factor one order shorter the cut refuses.
+    # Only shapes with two or more rows have sine factors.
+    refusal = "reaches only {}, need {}"
+    for nu in QUANTUM_SHAPES:
         for lam_trunc in (0, 4):
             quantum_dim_hook(nu, lam_trunc)
             quantum_dim_sine(nu, lam_trunc)
-    real = gw_vertex._exp_diff
-    monkeypatch.setattr(gw_vertex, "_exp_diff", lambda ctx, k, fill, i: real(ctx, k, fill - 1, i))
-    for nu in ((1,), (2,), (2, 1), (3, 1), (2, 2, 1)):
-        for lam_trunc in (0, 4):
-            for form in (quantum_dim_hook, quantum_dim_sine):
-                with pytest.raises(PrecisionError, match=f"reaches only {lam_trunc - 1}, need {lam_trunc}"):
-                    form(nu, lam_trunc)
+    with monkeypatch.context() as patch:
+        # Series.inverse_trig, seen through the class, takes (ctx, var,
+        # denominator, k, fill, field).
+        _shortened(patch, Series, "inverse_trig", 4)
+        for nu in QUANTUM_SHAPES:
+            for lam_trunc in (0, 4):
+                for form in (quantum_dim_hook, quantum_dim_sine):
+                    with pytest.raises(PrecisionError, match=refusal.format(lam_trunc - 1, lam_trunc)):
+                        form(nu, lam_trunc)
+    with monkeypatch.context() as patch:
+        _shortened(patch, gw_vertex, "_sin_half", 2)
+        for nu in QUANTUM_SHAPES:
+            for lam_trunc in (0, 4):
+                if len(nu) == 1:
+                    quantum_dim_sine(nu, lam_trunc)
+                    continue
+                with pytest.raises(PrecisionError, match=refusal.format(lam_trunc - 1, lam_trunc)):
+                    quantum_dim_sine(nu, lam_trunc)
 
 
 def test_character_sum_route():

@@ -1,5 +1,6 @@
 """Property tests of the truncated power sums behind Series.invert, exp
-and log, against sympy's exact expansions, of the integer window check
+and log, and of the closed Bernoulli inverses (Series.inverse_trig), against
+sympy's exact expansions, of the integer window check
 against Fraction grades, of the ring laws gluing rests on, of the 1/a
 lambda lattice of the local context, and of CycloNum multiplication and
 inverse against sympy's arithmetic modulo the cyclotomic polynomial.
@@ -12,15 +13,17 @@ examples are derandomized and few, so the suite stays deterministic.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from sympy import Poly, cyclotomic_poly, symbols
+from sympy import I, Poly, bernoulli as sympy_bernoulli, cyclotomic_poly, exp, series, symbols
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_exp, rs_log, rs_series_inversion
 from sympy.polys.rings import ring
 
-from orbivertex.exactnum import CycloNum, cyclo_field
+from orbivertex.dt_vertex import _den_factor_inverse, trig_context
+from orbivertex.exactnum import CycloNum, cyclo_field, field_for
 from orbivertex.localgw import local_context
 from orbivertex.series import (
     GradeCap,
@@ -28,6 +31,7 @@ from orbivertex.series import (
     Series,
     SeriesContext,
     VarSpec,
+    bernoulli,
     self_in_window_static,
 )
 
@@ -275,3 +279,78 @@ def test_cyclonum_inverse_matches_sympy(order, xs):
         return
     _agree(x.inverse(), px.invert(modulus))
     assert x * x.inverse() == x.field.one
+
+
+def test_bernoulli_table_matches_sympy():
+    # The package's convention is t/(e^t - 1) = sum_n B_n t^n/n!, so
+    # B_1 = -1/2; sympy 1.14 returns +1/2 for bernoulli(1).
+    assert bernoulli(1) == Fraction(-1, 2) == -abs(sympy_bernoulli(1))
+    for n in (0, *range(2, 41)):
+        want = sympy_bernoulli(n)
+        assert bernoulli(n) == Fraction(int(want.p), int(want.q)), n
+
+
+TRIG_T = symbols("t")
+TRIG_FORMS = {
+    "1 - e^t": 1 / (1 - exp(TRIG_T)),
+    "1 + e^t": 1 / (1 + exp(TRIG_T)),
+    "e^(t/2) - e^(-t/2)": 1 / (exp(TRIG_T / 2) - exp(-TRIG_T / 2)),
+}
+TRIG_FILL = 14
+
+
+@lru_cache(maxsize=None)
+def _trig_expansion(denominator: str):
+    # sympy's Laurent series of 1/f(t) through t^TRIG_FILL, expanded once
+    # per f; the rate i k enters by the substitution t = i k lam.
+    return series(TRIG_FORMS[denominator], TRIG_T, 0, TRIG_FILL + 1).removeO()
+
+
+def _gaussian(c):
+    # An element of Q(i) (the field of order 4) as a sympy number.
+    re, im = c.coeff_fractions()
+    return re + im * I
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TRIG_FORMS)), st.integers(1, 7), st.sampled_from([1, -1]), st.integers(-2, TRIG_FILL))
+def test_inverse_trig_matches_sympy(denominator, k, sign, fill):
+    # 1/f(t) at t = i (sign k) lam is complete through lam^fill: every
+    # coefficient from below the floor to the fill is sympy's, and a read
+    # one step above the fill raises unless it lies below the floor.
+    ctx = trig_context(1)
+    inv = Series.inverse_trig(ctx, "lam", denominator, sign * k, fill, field_for(1))
+    want = _trig_expansion(denominator)
+    floor = -1 if want.coeff(TRIG_T, -1) else 0
+    assert (inv.floors, inv.maxes, inv.cap_bounds) == ((floor,), (fill,), (None,))
+    for e in range(floor - 2, fill + 1):
+        got = inv.coefficient({"lam": e})
+        expect = want.coeff(TRIG_T, e) * (I * sign * k) ** e if e >= floor else 0
+        assert _gaussian(field_for(1).zero + got) == expect, e
+    if fill + 1 >= floor:
+        with pytest.raises(PrecisionError):
+            inv.coefficient({"lam": fill + 1})
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 7), st.sampled_from([1, -1]), st.integers(1, 20))
+@example(4, 7, 1, 20)
+@example(4, 7, -1, 20)
+def test_den_factor_inverse_matches_the_neumann_inverse(a, k, s, fill):
+    # The closed inverse of the image 1 - s (-1)^k e^(i k lam) against
+    # Series.invert of that image filled through lam^fill, serialized.  When
+    # the image vanishes at lam = 0 the Neumann inverse is complete only
+    # through lam^(fill - 2), so the closed one is cut there; otherwise both
+    # are complete through lam^fill and agree uncut.
+    ctx = trig_context(a)
+    field = field_for(a)
+    sign = s * (-1) ** k
+    image = Series.one(ctx) - Series.exp_monomial(
+        ctx, {"lam": 1}, field.imaginary_unit() * k, maxes={"lam": fill}
+    ) * field.from_fraction(Fraction(sign))
+    neumann = image.invert()
+    closed = _den_factor_inverse(a, k, s, fill)
+    if sign == 1:
+        assert neumann.maxes[0] == fill - 2
+        closed = closed.restrict(maxes={"lam": fill - 2})
+    assert closed.to_data() == neumann.to_data()

@@ -13,15 +13,15 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def _tracer_targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_tracer_target_resolves_to_a_callable():
-    targets = _tracer_targets()
+    targets = _tracer().TARGETS
     assert targets
     for target, _name, _leaf in targets:
         mod_name, _, attr_path = target.partition(":")
@@ -40,3 +40,36 @@ def test_aliases_the_tracer_relies_on():
 
     assert gw_vertex._r_bullet_zero_closed is dt_vertex.r_bullet_zero
     assert callable(gw_vertex.r_bullet_zero)
+
+
+def test_the_tracer_clears_the_framing_zero_memo():
+    # The benchmark starts every in-process item from cold caches by
+    # clearing each lru_cache the package binds at module level; the
+    # framing-zero memo and the Bernoulli table must be among them.
+    from orbivertex import dt_vertex, series
+
+    caches = _tracer().lru_caches()
+    assert dt_vertex._r_bullet_zero_series in caches
+    assert series.bernoulli in caches
+
+
+def test_a_repeated_framing_zero_call_transports_once(monkeypatch):
+    from orbivertex import dt_vertex
+
+    calls = []
+    real = dt_vertex.change_of_vars
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dt_vertex, "change_of_vars", counted)
+    dt_vertex._r_bullet_zero_series.cache_clear()
+    first = dt_vertex.r_bullet_zero(2, (2, 1), lam_max=3, x_deg_max=2)
+    assert len(calls) == 1
+    # The same input, with mu given as a list, is served from the memo.
+    again = dt_vertex.r_bullet_zero(2, [2, 1], lam_max=3, x_deg_max=2)
+    assert len(calls) == 1
+    assert again.to_data() == first.to_data()
+    dt_vertex.r_bullet_zero(2, (2, 1), lam_max=4, x_deg_max=2)
+    assert len(calls) == 2
