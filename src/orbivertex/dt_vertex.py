@@ -10,13 +10,13 @@ trigonometric series all live here.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .characters import chi
 from .partitions import (
-    boxes,
     check_partition,
     colored_box_count,
     conjugate,
@@ -260,102 +260,64 @@ def reduced_vertex_closed(nu, a: int) -> RationalForm:
 
 # -- brute force colored box enumerator -------------------------------------
 
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-
-def _base_candidates(cells) -> tuple:
-    # Cells (0, y, z) that can start a fresh column: 2d-addable cells of
-    # the leg shape.
-    out = []
-    ys = [y for y, _ in cells]
-    zs = [z for _, z in cells]
-    for y in range(max(ys, default=-1) + 2):
-        for z in range(max(zs, default=-1) + 2):
-            if (y, z) in cells:
-                continue
-            if (y == 0 or (y - 1, z) in cells) and (z == 0 or (y, z - 1) in cells):
-                out.append((0, y, z))
-    return tuple(out)
-
-
-def lattice_ideal_states(nu, max_volume: int):
-    """All downward-closed box configurations containing the leg cylinder
-    with at most max_volume added boxes, listed per added volume."""
+def _height_functions(nu, max_volume: int):
+    """Every configuration over the leg cylinder of nu with at most
+    max_volume added boxes, as a height function {(y, z): h > 0} on the
+    cells of N^2 outside nu.  Heights weakly decrease in y and in z and
+    are unbounded over nu, so each row is a weakly decreasing run that
+    starts at its first cell outside nu; a row that ends empty at
+    y >= len(nu) ends the configuration."""
     nu = check_partition(nu)
-    cells = frozenset(boxes(nu))
-    base = _base_candidates(cells)
+    if max_volume < 0:
+        raise ValueError("max_volume must be nonnegative")
+    heights = {}
 
-    def in_cyl(b):
-        return (b[1], b[2]) in cells
+    def first(y):
+        return nu[y] if y < len(nu) else 0
 
-    def addable(F):
-        def in_pi(b):
-            return in_cyl(b) or b in F
+    def extend(y, z, cap, room):
+        # Row y holds heights from first(y) through z - 1; cell (y, z)
+        # takes at most cap boxes, and room boxes are left in all.
+        if z > first(y) or y < len(nu):
+            yield from extend(y + 1, first(y + 1), room, room)
+        else:
+            yield dict(heights)
+        if y and z >= first(y - 1):
+            cap = min(cap, heights.get((y - 1, z), 0))
+        for h in range(1, min(cap, room) + 1):
+            heights[y, z] = h
+            yield from extend(y, z + 1, h, room - h)
+        heights.pop((y, z), None)
 
-        cands = set(base)
-        for f in F:
-            for e in _UNITS:
-                cands.add((f[0] + e[0], f[1] + e[1], f[2] + e[2]))
-        out = []
-        for c in cands:
-            if in_pi(c):
-                continue
-            ok = True
-            for i in range(3):
-                if c[i] == 0:
-                    continue
-                pred = tuple(c[j] - (1 if j == i else 0) for j in range(3))
-                if not in_pi(pred):
-                    ok = False
-                    break
-            if ok:
-                out.append(c)
-        return out
-
-    levels = [{frozenset()}]
-    for _ in range(max_volume):
-        nxt = set()
-        for F in levels[-1]:
-            for b in addable(F):
-                nxt.add(F | {b})
-        levels.append(nxt)
-    return levels
+    yield from extend(0, first(0), max_volume, max_volume)
 
 
 def box_counting_series(nu, a: int, max_volume: int) -> Series:
     """Generating series of colored box counts over the leg cylinder,
     complete through total added volume max_volume.
 
-    Each added box is colored by its leg coordinate minus its column
-    coordinate mod a; the monomial of a configuration is
-    q^(n_0) prod_l q_l^(n_l - n_0) where n_c counts added boxes of color c,
-    so that q tracks full color cycles and the grading q -> a, q_l -> 1
-    tracks total volume.
+    The h boxes over cell (y, z) are colored (x - z) mod a for x < h; the
+    monomial of a configuration is q^(n_0) prod_l q_l^(n_l - n_0) where
+    n_c counts added boxes of color c, so that q tracks full color cycles
+    and the grading q -> a, q_l -> 1 tracks total volume.
     """
-    ctx = box_context(a)
-    terms = {}
-    for level in lattice_ideal_states(nu, max_volume):
-        for F in level:
-            counts = [0] * a
-            for b in F:
-                counts[(b[0] - b[2]) % a] += 1
-            exps = {"q": counts[0]}
-            for l in range(1, a):
-                exps[f"q{l}"] = counts[l] - counts[0]
-            key = ctx.key_from(exps)
-            terms[key] = terms.get(key, Fraction(0)) + 1
-    return Series(
-        ctx,
-        terms,
-        tuple(min(k[i] for k in terms) for i in range(ctx.n)),
-        (None,) * ctx.n,
-        (Fraction(max_volume),),
-    )
+    terms = Counter()
+    for heights in _height_functions(nu, max_volume):
+        counts = [0] * a
+        for (_, z), h in heights.items():
+            for x in range(h):
+                counts[(x - z) % a] += 1
+        terms[(counts[0],) + tuple(n - counts[0] for n in counts[1:])] += 1
+    return Series.from_terms(box_context(a), terms, cap_bounds={"vol": max_volume})
 
 
 def volume_counts(nu, max_volume: int) -> list:
     """Number of configurations per added volume (colors ignored)."""
-    return [len(level) for level in lattice_ideal_states(nu, max_volume)]
+    counts = [0] * (max_volume + 1)
+    for heights in _height_functions(nu, max_volume):
+        counts[sum(heights.values())] += 1
+    return counts
 
 
 # -- change of variables into trigonometric series ---------------------------

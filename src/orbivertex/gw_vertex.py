@@ -151,27 +151,29 @@ def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
 
 
 def _sin_half(ctx: SeriesContext, k: int, lam_fill: int, field) -> Series:
-    # sin(k lam/2) = (e^{i k lam/2} - e^{-i k lam/2})/(2i), complete through lam^lam_fill.
+    # sin(k lam/2) = (e^{i k lam/2} - e^{-i k lam/2})/(2i), complete through
+    # lam^lam_fill.  The constant terms cancel, so its floor is lam^1.
     i = field.imaginary_unit()
     rate = i * Fraction(k, 2)
     diff = Series.exp_monomial(ctx, {"lam": 1}, rate, maxes={"lam": lam_fill}) - \
         Series.exp_monomial(ctx, {"lam": 1}, -rate, maxes={"lam": lam_fill})
-    return diff * (i * Fraction(-1, 2))
+    sine = diff * (i * Fraction(-1, 2))
+    floors = tuple(ctx.scale(v, 1) if v == "lam" else f for v, f in zip(ctx.names, sine.floors))
+    return Series(ctx, sine.terms, floors, sine.maxes, sine.cap_bounds)
 
 
 def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
-    """i^{|nu|} over the product of (e^{i h lam/2} - e^{-i h lam/2}) across
-    the hook lengths h of the shape.  Each inverse, a closed Bernoulli
-    series filled through lam^F, starts at lam^-1 and is complete through
-    lam^F; a product of |nu| inverses (one per box) is complete through
-    lam^(F - |nu| + 1), hence F = lam_trunc + |nu| - 1."""
+    """The product of 1/(2 sin(h lam/2)) across the hook lengths h of the
+    shape.  Each factor, a closed Bernoulli series filled through lam^F,
+    starts at lam^-1 and is complete through lam^F; a product of |nu|
+    factors (one per box) is complete through lam^(F - |nu| + 1), hence
+    F = lam_trunc + |nu| - 1."""
     nu = check_partition(nu)
     ctx = trig_context(1)
-    field = field_for(1)
     fill = lam_trunc + sum(nu) - 1
-    out = Series.one(ctx) * field.root_of_unity(4, sum(nu))
+    out = Series.one(ctx)
     for h in hooks(nu):
-        out = out * Series.inverse_trig(ctx, "lam", "e^(t/2) - e^(-t/2)", h, fill, field)
+        out = out * _inv_two_sin(ctx, h, fill, field_for(1))
     return out.restrict(maxes={"lam": lam_trunc})
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 Partition = tuple
 
@@ -85,20 +86,9 @@ def gamma_vectors(a: int, max_len: int) -> tuple:
     """All weakly decreasing tuples over {1, ..., a-1} of length at most max_len."""
     if a < 1:
         raise ValueError("modulus must be a positive integer")
-    out = [()]
-    if a == 1:
-        return tuple(out)
-
-    def descend(largest, room, prefix):
-        for v in range(largest, 0, -1):
-            prefix.append(v)
-            out.append(tuple(prefix))
-            if room > 1:
-                descend(v, room - 1, prefix)
-            prefix.pop()
-
-    if max_len > 0:
-        descend(a - 1, max_len, [])
+    # A negative max_len still admits the empty tuple.
+    lengths = range(max(max_len, 0) + 1)
+    out = (g for n in lengths for g in combinations_with_replacement(range(a - 1, 0, -1), n))
     return tuple(sorted(out, key=lambda g: (len(g), g)))
 
 

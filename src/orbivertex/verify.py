@@ -62,14 +62,17 @@ def mv_a1_check(mu, lam_trunc: int = 8) -> bool:
         raise PrecisionError(f"mv_a1_check: window of 'lam' cut at {lam_trunc} lies below its floor {-d}")
     ctx = trig_context(1)
     field = field_for(1)
-    fill = lam_trunc + d + 2
+    # Each quantum dimension of size d starts at lam^-d and each kappa
+    # exponential at lam^0, so their product is complete through lam^lam_trunc
+    # when the quantum dimension is complete through lam^lam_trunc and the
+    # exponential through lam^(lam_trunc + d).
     rhs = Series.zero(ctx)
     for nu in partitions_of(d):
         c = Fraction(chi(nu, mu), z_aut(mu))
         if c:
             rate = field.imaginary_unit() * Fraction(kappa(nu), 4)
-            turn = Series.exp_monomial(ctx, {"lam": 1}, rate, maxes={"lam": fill})
-            rhs = rhs + quantum_dim_hook(nu, fill) * turn * field.from_fraction(c)
+            turn = Series.exp_monomial(ctx, {"lam": 1}, rate, maxes={"lam": lam_trunc + d})
+            rhs = rhs + quantum_dim_hook(nu, lam_trunc) * turn * field.from_fraction(c)
     lhs = r_bullet_zero(1, mu, lam_max=lam_trunc, x_deg_max=0)
     window = {"lam": lam_trunc}
     return lhs.restrict(maxes=window) == rhs.restrict(maxes=window)

@@ -152,13 +152,23 @@ def test_enumerator_ratio_a1():
 def test_enumerator_ratio_a2():
     ctx = box_context(2)
     empty = box_counting_series((), 2, 6)
-    for nu in ((1,), (1, 1)):
+    for nu in ((1,), (1, 1), (2, 1)):
         full = box_counting_series(nu, 2, 6)
         closed = reduced_vertex_closed(nu, 2).to_series(ctx, 6)
         bounds = {"vol": 6}
         lhs = full.restrict(cap_bounds=bounds)
         rhs = (closed * empty).restrict(cap_bounds=bounds)
         assert lhs == rhs, nu
+
+
+def test_enumerator_ratio_a3():
+    # Leg (2,1) at a = 3 holds one box of each color.
+    ctx = box_context(3)
+    bounds = {"vol": 6}
+    full = box_counting_series((2, 1), 3, 6).restrict(cap_bounds=bounds)
+    closed = reduced_vertex_closed((2, 1), 3).to_series(ctx, 6)
+    empty = box_counting_series((), 3, 6)
+    assert full == (closed * empty).restrict(cap_bounds=bounds)
 
 
 def test_framing_zero_series_is_inverse_sine():
@@ -199,6 +209,10 @@ def test_verify_correspondence_smoke():
 def test_bad_leg_rejected():
     with pytest.raises(ValueError):
         box_counting_series((1, 2), 1, 3)
+    with pytest.raises(ValueError, match="max_volume must be nonnegative"):
+        box_counting_series((1,), 2, -1)
+    with pytest.raises(ValueError, match="max_volume must be nonnegative"):
+        volume_counts((1,), -1)
 
 
 def _closed_and_loop(rf, d, lam_max, x_deg_max):

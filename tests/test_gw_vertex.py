@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbivertex import gw_vertex
+from orbivertex import gw_vertex, verify
 from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import (
@@ -159,6 +159,47 @@ def test_quantum_dim_fill_is_tight(monkeypatch):
                     continue
                 with pytest.raises(PrecisionError, match=refusal.format(lam_trunc - 1, lam_trunc)):
                     quantum_dim_sine(nu, lam_trunc)
+
+
+def test_quantum_dim_floor_is_lowest_stored_term():
+    # Both forms start at lam^-|nu|: in the sine form the sines start at
+    # lam^1 and the inverse sines at lam^-1.
+    for nu in QUANTUM_SHAPES:
+        for form in (quantum_dim_hook, quantum_dim_sine):
+            series = form(nu, 4)
+            lam_floor = series.window_description()["lam"]["floor"]
+            lowest = min(key[0] for key in series.terms)
+            assert lam_floor == lowest == -sum(nu), (form.__name__, nu)
+
+
+def test_quantum_dim_refusal_names_the_floor():
+    for form in (quantum_dim_hook, quantum_dim_sine):
+        with pytest.raises(PrecisionError, match="window of 'lam' cut at -3 lies below its floor -2"):
+            form((1, 1), -3)
+
+
+def test_character_sum_fill_is_tight(monkeypatch):
+    # mv_a1_check fills each quantum dimension through lam^lam_trunc and
+    # each kappa exponential through lam^(lam_trunc + d); with either one
+    # order shorter the cut refuses.  At d = 1 kappa is 0 and the
+    # exponential is exactly 1, so only sizes 2 to 4 run.
+    cases = [(mu, lam_trunc) for d in (2, 3, 4) for mu in partitions_of(d) for lam_trunc in (0, 3, 8)]
+    for mu, lam_trunc in cases:
+        assert mv_a1_check(mu, lam_trunc), mu
+    real_exp = Series.exp_monomial
+
+    def short_exp(ctx, exponents, coeff, maxes):
+        return real_exp(ctx, exponents, coeff, maxes={name: m - 1 for name, m in maxes.items()})
+
+    for shorten in (
+        lambda patch: _shortened(patch, verify, "quantum_dim_hook", 1),
+        lambda patch: patch.setattr(Series, "exp_monomial", short_exp),
+    ):
+        with monkeypatch.context() as patch:
+            shorten(patch)
+            for mu, lam_trunc in cases:
+                with pytest.raises(PrecisionError, match=f"reaches only {lam_trunc - 1}, need {lam_trunc}"):
+                    mv_a1_check(mu, lam_trunc)
 
 
 def test_character_sum_route():

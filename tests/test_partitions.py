@@ -77,6 +77,9 @@ def test_gamma_vectors_enumeration():
     # Multisets of colors from {1} with at most 3 entries: (), (1), (1,1), (1,1,1).
     assert len(gamma_vectors(2, 3)) == 4
     assert gamma_vectors(1, 5) == ((),)
+    for a in (1, 2, 4):
+        for n in (-2, -1, 0):
+            assert gamma_vectors(a, n) == ((),), (a, n)
     vectors = gamma_vectors(3, 2)
     assert (1, 2) in vectors or (2, 1) in vectors
     assert len(vectors) == 6

@@ -1,0 +1,45 @@
+"""The runtime is stdlib-only and free of floats.
+
+Every module of the package is parsed, not imported, so the checks see
+code on every branch, including branches no test runs.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbivertex"
+
+
+def _nodes():
+    # (module file name, node) for every node of every package module.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
+def test_no_float_literals_or_float_name():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{name}:{node.lineno}: literal {node.value!r}")
+        if isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{name}:{node.lineno}: name 'float'")
+    assert not found, found
+
+
+def test_absolute_imports_are_stdlib():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.partition(".")[0] not in sys.stdlib_module_names:
+                found.append(f"{name}:{node.lineno}: import {module}")
+    assert not found, found
