@@ -442,12 +442,11 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
                 v = c * p
                 acc = terms.get(kx)
                 terms[kx] = v if acc is None else acc + v
-    maxes = (lam_fill if lam_used else None,) + (None,) * (a - 1)
-    bounds = (Fraction(x_deg_max) if x_used else None,)
+    tops = (lam_fill if lam_used else None,) + (None,) * (a - 1) + (Fraction(x_deg_max) if x_used else None,)
     # The window is the one the sum of the term series would have; a
     # negative extent in it leaves out even the constant terms.
-    terms = {k: c for k, c in terms.items() if c and self_in_window_static(k, maxes, bounds, ctx)}
-    total = Series(ctx, terms, (0,) * ctx.n, maxes, bounds)
+    terms = {k: c for k, c in terms.items() if c and self_in_window_static(k, tops, ctx)}
+    total = Series(ctx, terms, (0,) * ctx.n, tops)
     for (k, s), m in rf.den.items():
         total = total * _den_factor_inverse(a, k, s, lam_fill) ** m
     return total

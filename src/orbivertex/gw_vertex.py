@@ -159,7 +159,7 @@ def _sin_half(ctx: SeriesContext, k: int, lam_fill: int, field) -> Series:
         Series.exp_monomial(ctx, {"lam": 1}, -rate, maxes={"lam": lam_fill})
     sine = diff * (i * Fraction(-1, 2))
     floors = tuple(ctx.scale(v, 1) if v == "lam" else f for v, f in zip(ctx.names, sine.floors))
-    return Series(ctx, sine.terms, floors, sine.maxes, sine.cap_bounds)
+    return Series(ctx, sine.terms, floors, sine.tops)
 
 
 def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:

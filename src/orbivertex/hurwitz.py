@@ -74,7 +74,7 @@ class PhiKernel:
         # Exact through the window on one axis, so nothing lies below the
         # lowest stored term (off-diagonal kernels vanish at argument zero).
         floors = tuple(min(k[i] for k in total.terms) for i in range(ctx.n))
-        return Series(ctx, total.terms, floors, total.maxes, total.cap_bounds)
+        return Series(ctx, total.terms, floors, total.tops)
 
 
 def burnside_value(chi_euler: int, nu, mu) -> Fraction:

@@ -65,12 +65,11 @@ def cap_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
         new_lam = a * key[0] + d + sum(m * (a - j) for j, m in enumerate(key[1:], start=1))
         terms[(new_lam,) + tuple(key[1:])] = c * scalar
     floors = (a * base.floors[0] + d,) + tuple(base.floors[1:])
-    lam_top = None if base.maxes[0] is None else a * base.maxes[0] + d
-    maxes = (lam_top,) + tuple(base.maxes[1:])
+    lam_top = None if base.tops[0] is None else a * base.tops[0] + d
     # The rescaling pushes some complete terms past the boxed lambda bound
     # (the exact guarantee region is not a box); keep only the boxed window
     # so every stored coefficient is jointly guaranteed.
-    return Series(ctx, terms, floors, maxes, base.cap_bounds).restrict()
+    return Series(ctx, terms, floors, (lam_top,) + base.tops[1:]).restrict()
 
 
 @dataclass

@@ -4,15 +4,15 @@ A Series stores exact coefficients (Fraction or cyclotomic) on an integer
 exponent lattice, plus a record of how much of the true object the stored
 data is guaranteed to represent:
 
-* ``floors[v]``: the true support is known to have no term below this
-  exponent in variable v, so reads below it return an exact zero;
-* ``maxes[v]``: stored data is complete up to this exponent in variable v,
-  with None meaning complete in that whole direction;
-* ``cap_bounds[c]``: stored data is complete through this weighted total
-  grade, again with None meaning no truncation.
+* ``tops``: the window, one upper bound per slot: first each variable's
+  max exponent, then each cap's bound on its weighted total grade, with
+  None where a direction is open.  Stored data is complete on the keys
+  that satisfy every finite bound jointly.
+* ``floors[v]``: no term inside the window lies below this exponent in
+  variable v, so reads there return an exact zero.
 
-A term lies inside the window when it satisfies every finite constraint
-jointly.  All arithmetic propagates windows conservatively, and reading a
+``maxes`` and ``cap_bounds`` are read-only views of the two parts of
+``tops``.  All arithmetic propagates windows conservatively, and reading a
 coefficient outside the window raises PrecisionError rather than return
 silently wrong data.
 
@@ -211,25 +211,61 @@ class SeriesContext:
     def grade(self, ci: int, key) -> Fraction:
         return Fraction(sum(w * k for w, k in zip(self._wnum[ci], key)), self._wden[ci])
 
+    def level(self, j: int, key):
+        """Window slot j at a scaled key: the exponent of variable j, or
+        the grade under cap j - n."""
+        return key[j] if j < self.n else self.grade(j - self.n, key)
+
+    def natural_top(self, j: int, top):
+        """A value of window slot j in natural units."""
+        return self.natural(j, top) if j < self.n else top
+
+    def extents(self, maxes=None, cap_bounds=None):
+        """(slot, label, extent, scaled extent) for each extent given in
+        natural units, keyed by variable or cap name."""
+        for name, m in (maxes or {}).items():
+            yield self.index[name], f"window of {name!r}", m, self.scale(name, m)
+        for name, b in (cap_bounds or {}).items():
+            yield self.n + self.cap_index[name], f"cap {name!r}", b, Fraction(b)
+
+    def window(self, maxes=None, cap_bounds=None) -> tuple:
+        """The window tuple of the given extents; missing entries are open."""
+        tops = [None] * (self.n + len(self.caps))
+        for j, _, _, top in self.extents(maxes, cap_bounds):
+            tops[j] = top
+        return tuple(tops)
+
     def __repr__(self):
         return f"SeriesContext({', '.join(self.names)})"
 
 
 class Series:
-    __slots__ = ("ctx", "terms", "floors", "maxes", "cap_bounds")
+    __slots__ = ("ctx", "terms", "floors", "tops")
 
-    def __init__(self, ctx: SeriesContext, terms: dict, floors, maxes, cap_bounds):
+    def __init__(self, ctx: SeriesContext, terms: dict, floors, tops):
+        tops = tuple(tops)
+        if len(tops) != ctx.n + len(ctx.caps):
+            raise ValueError("window needs one top per variable and per cap")
         self.ctx = ctx
         self.terms = terms
         self.floors = tuple(floors)
-        self.maxes = tuple(maxes)
-        self.cap_bounds = tuple(cap_bounds)
+        self.tops = tops
+
+    @property
+    def maxes(self) -> tuple:
+        """Each variable's scaled max exponent (None: open)."""
+        return self.tops[: self.ctx.n]
+
+    @property
+    def cap_bounds(self) -> tuple:
+        """Each cap's bound on its grade (None: open)."""
+        return self.tops[self.ctx.n :]
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: SeriesContext) -> "Series":
-        return cls(ctx, {}, (0,) * ctx.n, (None,) * ctx.n, (None,) * len(ctx.caps))
+        return cls(ctx, {}, (0,) * ctx.n, ctx.window())
 
     @classmethod
     def monomial(cls, ctx: SeriesContext, exponents: dict, coeff) -> "Series":
@@ -237,7 +273,7 @@ class Series:
         if not coeff:
             return cls.zero(ctx)
         key = ctx.key_from(exponents)
-        return cls(ctx, {key: coeff}, key, (None,) * ctx.n, (None,) * len(ctx.caps))
+        return cls(ctx, {key: coeff}, key, ctx.window())
 
     @classmethod
     def one(cls, ctx: SeriesContext) -> "Series":
@@ -259,22 +295,17 @@ class Series:
             if c:
                 stored[key] = stored.get(key, Fraction(0)) + c
         stored = {k: c for k, c in stored.items() if c}
-        maxes_v = [None] * ctx.n
-        for name, m in (maxes or {}).items():
-            maxes_v[ctx.index[name]] = ctx.scale(name, m)
-        bounds_v = [None] * len(ctx.caps)
-        for name, b in (cap_bounds or {}).items():
-            bounds_v[ctx.cap_index[name]] = Fraction(b)
+        tops = ctx.window(maxes, cap_bounds)
         if floors is None:
             if stored:
                 floors_v = tuple(min(k[i] for k in stored) for i in range(ctx.n))
-            elif any(v is not None for v in maxes_v + bounds_v):
+            elif any(t is not None for t in tops):
                 raise ValueError("no stored terms to read floors from: pass floors")
             else:
                 floors_v = (0,) * ctx.n
         else:
             floors_v = tuple(ctx.scale(ctx.names[i], floors[i]) for i in range(ctx.n))
-        return cls(ctx, stored, floors_v, tuple(maxes_v), tuple(bounds_v))._check_stored()
+        return cls(ctx, stored, floors_v, tops)._check_stored()
 
     @classmethod
     def exp_monomial(cls, ctx: SeriesContext, exponents: dict, coeff, maxes=None, cap_bounds=None) -> "Series":
@@ -288,22 +319,16 @@ class Series:
             raise ValueError("exponential of a constant is not supported")
         if not coeff:
             return cls.one(ctx)
-        maxes_v = [None] * ctx.n
-        bounds_v = [None] * len(ctx.caps)
+        # Only the slots that m occupies bound the powers of m.
+        tops = list(ctx.window(maxes, cap_bounds))
         n_candidates = []
-        for name, m in (maxes or {}).items():
-            i = ctx.index[name]
-            s = ctx.scale(name, m)
-            if key[i] > 0:
-                maxes_v[i] = s
-                n_candidates.append(s // key[i])
-        for name, b in (cap_bounds or {}).items():
-            ci = ctx.cap_index[name]
-            b = Fraction(b)
-            g = ctx.grade(ci, key)
-            if g > 0:
-                bounds_v[ci] = b
-                n_candidates.append(int(b / g))
+        for j, top in enumerate(tops):
+            if top is not None:
+                step = ctx.level(j, key)
+                if step > 0:
+                    n_candidates.append(top // step)
+                else:
+                    tops[j] = None
         if not n_candidates:
             raise PrecisionError("exponential needs a finite window in some occupied direction")
         n_max = min(n_candidates)
@@ -311,13 +336,13 @@ class Series:
         power = _as_coeff(1)
         for n in range(n_max + 1):
             k = tuple(n * e for e in key)
-            if not self_in_window_static(k, maxes_v, bounds_v, ctx):
+            if not self_in_window_static(k, tops, ctx):
                 break
             c = power / math.factorial(n)
             if c:
                 terms[k] = c
             power = power * coeff
-        return cls(ctx, terms, (0,) * ctx.n, tuple(maxes_v), tuple(bounds_v))
+        return cls(ctx, terms, (0,) * ctx.n, tops)
 
     @classmethod
     def inverse_trig(cls, ctx: SeriesContext, var: str, denominator: str, k, fill: int, field) -> "Series":
@@ -327,49 +352,39 @@ class Series:
         series is complete through var^fill, and its floor is var^-1 (var^0
         for 1 + e^t, which does not vanish at t = 0).  No cap may weigh var."""
         weight = _TRIG_WEIGHTS[denominator]
-        at = ctx.index[var]
         k = Fraction(k)
         terms = {}
         # The coefficient of var^(n-1) is w(n) B_n (i k)^(n-1)/n!.
         for n in range(fill + 2):
             c = weight(n) * bernoulli(n)
             if c:
-                key = [0] * ctx.n
-                key[at] = ctx.scale(var, n - 1)
-                terms[tuple(key)] = field.root_of_unity(4, n - 1) * (c * k ** (n - 1) / math.factorial(n))
-        floors = [0] * ctx.n
-        floors[at] = ctx.scale(var, -1 if weight(0) else 0)
-        maxes = [None] * ctx.n
-        maxes[at] = ctx.scale(var, fill)
-        return cls(ctx, terms, tuple(floors), tuple(maxes), (None,) * len(ctx.caps))
+                key = ctx.key_from({var: n - 1})
+                terms[key] = field.root_of_unity(4, n - 1) * (c * k ** (n - 1) / math.factorial(n))
+        floors = ctx.key_from({var: -1 if weight(0) else 0})
+        return cls(ctx, terms, floors, ctx.window({var: fill}))
 
     # -- structure -------------------------------------------------------
 
     def _check_stored(self) -> "Series":
         # Every stored term must lie in the window and on or above the floors.
         for key in self.terms:
-            if not self_in_window_static(key, self.maxes, self.cap_bounds, self.ctx):
+            if not self_in_window_static(key, self.tops, self.ctx):
                 raise ValueError("stored term lies outside the declared window")
             if any(k < f for k, f in zip(key, self.floors)):
                 raise ValueError("stored term lies below the declared floor")
         return self
 
     def is_exact_zero(self) -> bool:
-        return (
-            not self.terms
-            and all(m is None for m in self.maxes)
-            and all(b is None for b in self.cap_bounds)
-        )
+        return not self.terms and all(t is None for t in self.tops)
 
-    def _val(self, i: int) -> int:
-        if self.terms:
-            return min(k[i] for k in self.terms)
-        return self.floors[i]
-
-    def _cap_val(self, ci: int) -> Fraction:
-        if self.terms:
-            return min(self.ctx.grade(ci, k) for k in self.terms)
-        return self.ctx.grade(ci, self.floors)
+    def _low(self, j: int):
+        # The least value of window slot j over the stored terms, or at the
+        # floors when none are stored.
+        keys = self.terms or (self.floors,)
+        ctx = self.ctx
+        if j < ctx.n:
+            return min(k[j] for k in keys)
+        return min(ctx.grade(j - ctx.n, k) for k in keys)
 
     def _require_same_ctx(self, other: "Series") -> SeriesContext:
         if self.ctx is other.ctx:
@@ -385,23 +400,20 @@ class Series:
             other = Series.monomial(self.ctx, {}, other)
         ctx = self._require_same_ctx(other)
         floors = tuple(min(a, b) for a, b in zip(self.floors, other.floors))
-        maxes = tuple(_nmin(a, b) for a, b in zip(self.maxes, other.maxes))
-        bounds = tuple(_nmin(a, b) for a, b in zip(self.cap_bounds, other.cap_bounds))
+        tops = tuple(map(_nmin, self.tops, other.tops))
         out = {}
         for src in (self.terms, other.terms):
             for k, c in src.items():
-                if self_in_window_static(k, maxes, bounds, ctx):
+                if self_in_window_static(k, tops, ctx):
                     acc = out.get(k)
                     out[k] = c if acc is None else acc + c
         out = {k: c for k, c in out.items() if c}
-        return Series(ctx, out, floors, maxes, bounds)
+        return Series(ctx, out, floors, tops)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(
-            self.ctx, {k: -c for k, c in self.terms.items()}, self.floors, self.maxes, self.cap_bounds
-        )
+        return Series(self.ctx, {k: -c for k, c in self.terms.items()}, self.floors, self.tops)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -415,65 +427,41 @@ class Series:
         scalar = _as_coeff(scalar)
         if not scalar:
             return Series.zero(self.ctx)
-        return Series(
-            self.ctx,
-            {k: scalar * c for k, c in self.terms.items()},
-            self.floors,
-            self.maxes,
-            self.cap_bounds,
-        )
+        return Series(self.ctx, {k: scalar * c for k, c in self.terms.items()}, self.floors, self.tops)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self._scale(other)
         ctx = self._require_same_ctx(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            z = Series.zero(ctx)
-            return Series(
-                z.ctx,
-                {},
-                tuple(a + b for a, b in zip(self.floors, other.floors)),
-                z.maxes,
-                z.cap_bounds,
-            )
         floors = tuple(a + b for a, b in zip(self.floors, other.floors))
-        maxes = []
-        for i in range(ctx.n):
-            c1 = self.maxes[i] + other._val(i) if self.maxes[i] is not None else None
-            c2 = other.maxes[i] + self._val(i) if other.maxes[i] is not None else None
-            maxes.append(_nmin(c1, c2))
-        maxes = tuple(maxes)
-        bounds = []
-        for ci in range(len(ctx.caps)):
-            c1 = self.cap_bounds[ci] + other._cap_val(ci) if self.cap_bounds[ci] is not None else None
-            c2 = other.cap_bounds[ci] + self._cap_val(ci) if other.cap_bounds[ci] is not None else None
-            bounds.append(_nmin(c1, c2))
-        bounds = tuple(bounds)
+        if self.is_exact_zero() or other.is_exact_zero():
+            return Series(ctx, {}, floors, ctx.window())
+        # Each factor's top plus the other factor's lowest value in the slot.
+        tops = tuple(
+            _nmin(None if a is None else a + other._low(j), None if b is None else b + self._low(j))
+            for j, (a, b) in enumerate(zip(self.tops, other.tops))
+        )
         out = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 k = tuple(x + y for x, y in zip(ka, kb))
-                if not self_in_window_static(k, maxes, bounds, ctx):
+                if not self_in_window_static(k, tops, ctx):
                     continue
                 c = ca * cb
                 acc = out.get(k)
                 out[k] = c if acc is None else acc + c
         out = {k: c for k, c in out.items() if c}
-        return Series(ctx, out, floors, maxes, bounds)
+        return Series(ctx, out, floors, tops)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, Series):
-            return self * scalar.invert()
         return self._scale(_coeff_inv(_as_coeff(scalar)))
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return self.invert() ** (-exponent)
         result = Series.one(self.ctx)
         base = self
         e = exponent
@@ -486,23 +474,27 @@ class Series:
 
     # -- analytic operations ------------------------------------------------
 
-    def _clip_to(self, maxes, bounds) -> "Series":
-        # Intersect the window with the given scaled extents and prune.
-        nm = tuple(_nmin(a, b) for a, b in zip(self.maxes, maxes))
-        nb = tuple(_nmin(a, b) for a, b in zip(self.cap_bounds, bounds))
-        terms = {k: c for k, c in self.terms.items() if self_in_window_static(k, nm, nb, self.ctx)}
-        return Series(self.ctx, terms, self.floors, nm, nb)
+    def _clip_to(self, tops) -> "Series":
+        # Intersect the window with the given scaled tops and prune.
+        tops = tuple(map(_nmin, self.tops, tops))
+        terms = {k: c for k, c in self.terms.items() if self_in_window_static(k, tops, self.ctx)}
+        return Series(self.ctx, terms, self.floors, tops)
 
     def _power_sum(self, coeffs, acc: "Series") -> "Series":
         # acc + sum_k coeffs[k-1] * self**k, every power clipped to the window
         # of self.  Empty powers still take part: they narrow the window of
-        # the sum.  The sum is then trimmed to that window.
-        power = self._clip_to(self.maxes, self.cap_bounds)
+        # the sum.  The sum is then trimmed to that window, which holds every
+        # term inside it, so its lowest stored exponents are its floors.
+        power = self._clip_to(self.tops)
         for k, c in enumerate(coeffs):
             if k:
-                power = (power * self)._clip_to(self.maxes, self.cap_bounds)
+                power = (power * self)._clip_to(self.tops)
             acc = acc + (power if c == 1 else power._scale(c))
-        return acc._clip_to(self.maxes, self.cap_bounds)
+        acc = acc._clip_to(self.tops)
+        if not acc.terms:
+            return acc
+        floors = tuple(min(k[i] for k in acc.terms) for i in range(self.ctx.n))
+        return Series(self.ctx, acc.terms, floors, acc.tops)
 
     def invert(self) -> "Series":
         """Multiplicative inverse around the corner of the stored support.
@@ -514,41 +506,54 @@ class Series:
         if not self.terms:
             raise PrecisionError("cannot invert a series with no stored terms")
         ctx = self.ctx
-        n = ctx.n
-        corner = tuple(min(k[i] for k in self.terms) for i in range(n))
+        corner = tuple(min(k[i] for k in self.terms) for i in range(ctx.n))
         c0 = self.terms.get(corner)
         if not c0:
             raise PrecisionError("stored support has no invertible corner term")
-        m_inv = Series(
-            ctx,
-            {tuple(-e for e in corner): _coeff_inv(c0)},
-            tuple(-e for e in corner),
-            (None,) * n,
-            (None,) * len(ctx.caps),
-        )
+        shift = tuple(-e for e in corner)
+        m_inv = Series(ctx, {shift: _coeff_inv(c0)}, shift, ctx.window())
         u = self * m_inv
-        # By the corner-anchored precondition the true support of u lies in
-        # the nonnegative orthant, so its floors are exactly zero; the
-        # summed floor bookkeeping is coarser than that.
-        u = Series(ctx, u.terms, (0,) * n, u.maxes, u.cap_bounds)
         w = Series.one(ctx) - u
-        # 1/u = sum_k w**k.  Score a key by its exponents in the variables
-        # where u has a finite max plus its grades under the caps where u has
-        # a finite bound: a key inside u's window scores at most the sum of
-        # those extents, and a term of w**k scores at least k times the least
-        # score among w's terms, so powers beyond K are empty.
-        bounded = [i for i, m in enumerate(u.maxes) if m is not None]
-        capped = [ci for ci, b in enumerate(u.cap_bounds) if b is not None]
-        scores = [sum(k[i] for i in bounded) + sum(ctx.grade(ci, k) for ci in capped) for k in w.terms]
+        # 1/u = sum_k w**k.  Score a key by its values in the slots where u
+        # has a finite top: a key inside u's window scores at most the sum
+        # of those tops, and a term of w**k scores at least k times the
+        # least score among w's terms, so powers beyond K are empty.
+        finite = [j for j, t in enumerate(u.tops) if t is not None]
+        scores = [sum(ctx.level(j, k) for j in finite) for k in w.terms]
         if scores and min(scores) <= 0:
             raise PrecisionError("inverse has unbounded support for the current window")
-        extent = sum(u.maxes[i] for i in bounded) + sum(u.cap_bounds[ci] for ci in capped)
+        extent = sum(u.tops[j] for j in finite)
         K = extent // min(scores) if scores else 0
-        acc = w._power_sum([1] * K, Series.one(ctx))
-        # Same precondition: every power of w has support in the nonnegative
-        # orthant, so the accumulated floors are exactly zero.
-        acc = Series(ctx, acc.terms, (0,) * n, acc.maxes, acc.cap_bounds)
-        return acc * m_inv
+        return w._power_sum([1] * K, Series.one(ctx)) * m_inv
+
+    def _truncation(self, cap, op: str, what: str, unit: bool = False):
+        # The highest power that exp or log (op) keeps under the named cap
+        # (default: the first), or None when there is nothing to raise to a
+        # power.  Every stored term (described by what) must have positive
+        # grade, so the k-th power grades at least k times the least grade;
+        # with unit, the grade-zero slice must instead be exactly 1.
+        ctx = self.ctx
+        if not ctx.caps:
+            raise PrecisionError(f"{op} needs a grading cap to truncate against")
+        ci = ctx.cap_index[cap] if cap is not None else 0
+        terms = self.terms
+        if unit:
+            zero_key = (0,) * ctx.n
+            for k, c in terms.items():
+                if ctx.grade(ci, k) == 0 and (k != zero_key or c != 1):
+                    raise ValueError(f"{op} requires the grade-zero slice to be exactly 1")
+            if terms.get(zero_key) != 1:
+                raise ValueError(f"{op} requires the grade-zero slice to be exactly 1")
+            terms = [k for k in terms if k != zero_key]
+        if not terms:
+            return None
+        bound = self.tops[ctx.n + ci]
+        if bound is None:
+            raise PrecisionError(f"{op} needs a finite bound on its grading cap")
+        min_grade = min(ctx.grade(ci, k) for k in terms)
+        if min_grade <= 0:
+            raise ValueError(f"{op} requires every {what} to have positive cap grade")
+        return int(bound / min_grade)
 
     def exp(self, cap: str | None = None) -> "Series":
         """exp of a series whose stored terms all have positive grade under
@@ -556,19 +561,9 @@ class Series:
         ctx = self.ctx
         if self.is_exact_zero():
             return Series.one(ctx)
-        if not ctx.caps:
-            raise PrecisionError("exp needs a grading cap to truncate against")
-        ci = ctx.cap_index[cap] if cap is not None else 0
-        bound = self.cap_bounds[ci]
-        if bound is None:
-            raise PrecisionError("exp needs a finite bound on its grading cap")
-        if not self.terms:
-            out = Series.one(ctx)
-            return out + self  # empty terms, but inherits the truncation window
-        min_grade = min(ctx.grade(ci, k) for k in self.terms)
-        if min_grade <= 0:
-            raise ValueError("exp requires every stored term to have positive cap grade")
-        k_max = int(bound / min_grade)
+        k_max = self._truncation(cap, "exp", "stored term")
+        if k_max is None:
+            return Series.one(ctx) + self  # empty terms, but inherits the truncation window
         coeffs = [Fraction(1, math.factorial(k)) for k in range(1, k_max + 1)]
         return self._power_sum(coeffs, Series.one(ctx))
 
@@ -576,25 +571,10 @@ class Series:
         """log of a series whose grade-zero slice under the named cap is
         exactly 1, truncated by that cap's bound."""
         ctx = self.ctx
-        if not ctx.caps:
-            raise PrecisionError("log needs a grading cap to truncate against")
-        ci = ctx.cap_index[cap] if cap is not None else 0
-        zero_key = (0,) * ctx.n
-        for k, c in self.terms.items():
-            if ctx.grade(ci, k) == 0 and (k != zero_key or c != 1):
-                raise ValueError("log requires the grade-zero slice to be exactly 1")
-        if self.terms.get(zero_key) != 1:
-            raise ValueError("log requires the grade-zero slice to be exactly 1")
+        k_max = self._truncation(cap, "log", "nonconstant term", unit=True)
         w = self - Series.one(ctx)
-        if not w.terms:
+        if k_max is None:
             return Series.zero(ctx) + w  # zero, but keep the truncation window
-        bound = self.cap_bounds[ci]
-        if bound is None:
-            raise PrecisionError("log needs a finite bound on its grading cap")
-        min_grade = min(ctx.grade(ci, k) for k in w.terms)
-        if min_grade <= 0:
-            raise ValueError("log requires every nonconstant term to have positive cap grade")
-        k_max = int(bound / min_grade)
         coeffs = [Fraction((-1) ** (k - 1), k) for k in range(1, k_max + 1)]
         return w._power_sum(coeffs, Series.zero(ctx))
 
@@ -604,10 +584,10 @@ class Series:
         """The exact coefficient at the given exponents (unlisted
         variables default to exponent zero)."""
         key = self.ctx.key_from(exponents)
-        if any(k < f for k, f in zip(key, self.floors)):
-            return Fraction(0)
-        if not self_in_window_static(key, self.maxes, self.cap_bounds, self.ctx):
+        if not self_in_window_static(key, self.tops, self.ctx):
             raise PrecisionError(f"coefficient at {exponents} lies outside the guaranteed window")
+        # Inside the window the stored data is complete: in particular,
+        # keys below the floors read zero.
         return self.terms.get(key, Fraction(0))
 
     def extract(self, fixed: dict) -> "Series":
@@ -626,29 +606,25 @@ class Series:
             fixed_grade.append(Fraction(shaved, ctx._wden[ci]))
             new_caps.append(GradeCap(cap.name, {v.name: cap.weights.get(v.name, 0) for v in new_vars}))
         new_ctx = SeriesContext(new_vars, tuple(new_caps))
-        below_floor = any(e < self.floors[i] for i, e in fixed_idx.items())
-        if below_floor:
-            return Series.zero(new_ctx)
         for i, e in fixed_idx.items():
-            if self.maxes[i] is not None and e > self.maxes[i]:
+            if self.tops[i] is not None and e > self.tops[i]:
                 raise PrecisionError(f"slice at {ctx.names[i]} beyond the guaranteed window")
         new_floors = tuple(self.floors[i] for i in keep)
-        new_maxes = tuple(self.maxes[i] for i in keep)
-        new_bounds = []
-        for ci in range(len(ctx.caps)):
-            if self.cap_bounds[ci] is None:
-                new_bounds.append(None)
+        new_tops = [self.tops[i] for i in keep]
+        for ci, bound in enumerate(self.cap_bounds):
+            if bound is None:
+                new_tops.append(None)
                 continue
-            b = self.cap_bounds[ci] - fixed_grade[ci]
+            b = bound - fixed_grade[ci]
             rest_min = Fraction(sum(ctx._wnum[ci][i] * self.floors[i] for i in keep), ctx._wden[ci])
             if b < rest_min:
                 raise PrecisionError(f"slice lies entirely beyond cap {ctx.caps[ci].name!r}")
-            new_bounds.append(b)
+            new_tops.append(b)
         out = {}
         for k, c in self.terms.items():
             if all(k[i] == e for i, e in fixed_idx.items()):
                 out[tuple(k[i] for i in keep)] = c
-        return Series(new_ctx, out, new_floors, new_maxes, tuple(new_bounds))
+        return Series(new_ctx, out, new_floors, new_tops)
 
     def embed(self, ctx: SeriesContext) -> "Series":
         """The same series in another context, matching variables and caps
@@ -662,19 +638,19 @@ class Series:
             if name in ctx.index:
                 if ctx.dens[ctx.index[name]] != src.dens[i]:
                     raise ValueError(f"variable {name!r} has a different exponent lattice")
-            elif self.maxes[i] is not None or any(k[i] for k in self.terms):
+            elif self.tops[i] is not None or any(k[i] for k in self.terms):
                 raise ValueError(f"variable {name!r} carries data the target context lacks")
         for ci, cap in enumerate(src.caps):
             kept = ctx.caps[ctx.cap_index[cap.name]].weights if cap.name in ctx.cap_index else {}
             reweighted = any(kept.get(v, 0) != cap.weights.get(v, 0) for v in src.names)
-            if self.cap_bounds[ci] is not None and reweighted:
+            if self.tops[src.n + ci] is not None and reweighted:
                 raise ValueError(f"finite bound of cap {cap.name!r} would be dropped or reweighted")
         picks = [src.index.get(name) for name in ctx.names]
         terms = {tuple(0 if j is None else k[j] for j in picks): c for k, c in self.terms.items()}
         floors = tuple(0 if j is None else self.floors[j] for j in picks)
-        maxes = tuple(None if j is None else self.maxes[j] for j in picks)
         have = dict(zip((cap.name for cap in src.caps), self.cap_bounds))
-        return Series(ctx, terms, floors, maxes, tuple(have.get(cap.name) for cap in ctx.caps))
+        tops = [None if j is None else self.tops[j] for j in picks] + [have.get(cap.name) for cap in ctx.caps]
+        return Series(ctx, terms, floors, tops)
 
     def restrict(self, maxes=None, cap_bounds=None) -> "Series":
         """The series cut to a smaller window, and the checked way to compare
@@ -683,36 +659,20 @@ class Series:
         admits no key on or above the floors (an empty window)."""
         self.require_window(maxes, cap_bounds)
         ctx = self.ctx
-        new_maxes = [None] * ctx.n
-        for name, m in (maxes or {}).items():
-            i = ctx.index[name]
-            new_maxes[i] = ctx.scale(name, m)
-            floor = ctx.natural(i, self.floors[i])
-            if m < floor:
-                raise PrecisionError(f"window of {name!r} cut at {m} lies below its floor {floor}")
-        new_bounds = [None] * len(ctx.caps)
-        for name, b in (cap_bounds or {}).items():
-            ci = ctx.cap_index[name]
-            new_bounds[ci] = Fraction(b)
-            # Weights are nonnegative, so no key above the floors grades lower.
-            floor = ctx.grade(ci, self.floors)
-            if b < floor:
-                raise PrecisionError(f"cap {name!r} cut at {b} lies below its floor {floor}")
-        return self._clip_to(new_maxes, new_bounds)
+        # Cap weights are nonnegative, so no key above the floors grades
+        # lower than the floors do.
+        for j, label, e, _ in ctx.extents(maxes, cap_bounds):
+            floor = ctx.natural_top(j, ctx.level(j, self.floors))
+            if e < floor:
+                raise PrecisionError(f"{label} cut at {e} lies below its floor {floor}")
+        return self._clip_to(ctx.window(maxes, cap_bounds))
 
     def require_window(self, maxes=None, cap_bounds=None) -> "Series":
         """Assert that the guaranteed window covers the given extents."""
-        for name, m in (maxes or {}).items():
-            i = self.ctx.index[name]
-            if self.maxes[i] is not None and self.maxes[i] < self.ctx.scale(name, m):
-                raise PrecisionError(
-                    f"window of {name!r} reaches only {self.ctx.natural(i, self.maxes[i])}, need {m}"
-                )
-        for name, b in (cap_bounds or {}).items():
-            ci = self.ctx.cap_index[name]
-            have = self.cap_bounds[ci]
-            if have is not None and have < Fraction(b):
-                raise PrecisionError(f"cap {name!r} reaches only {have}, need {b}")
+        for j, label, e, top in self.ctx.extents(maxes, cap_bounds):
+            have = self.tops[j]
+            if have is not None and have < top:
+                raise PrecisionError(f"{label} reaches only {self.ctx.natural_top(j, have)}, need {e}")
         return self
 
     def substitute(self, scalars: dict) -> "Series":
@@ -731,7 +691,7 @@ class Series:
             nc = factor * c
             if nc:
                 out[k] = nc
-        return Series(ctx, out, self.floors, self.maxes, self.cap_bounds)
+        return Series(ctx, out, self.floors, self.tops)
 
     # -- inspection -----------------------------------------------------------
 
@@ -747,10 +707,10 @@ class Series:
         for i, name in enumerate(self.ctx.names):
             d[name] = {
                 "floor": self.ctx.natural(i, self.floors[i]),
-                "max": None if self.maxes[i] is None else self.ctx.natural(i, self.maxes[i]),
+                "max": None if self.tops[i] is None else self.ctx.natural(i, self.tops[i]),
             }
         for ci, cap in enumerate(self.ctx.caps):
-            d[f"cap:{cap.name}"] = self.cap_bounds[ci]
+            d[f"cap:{cap.name}"] = self.tops[self.ctx.n + ci]
         return d
 
     def to_data(self) -> dict:
@@ -808,12 +768,11 @@ class Series:
         floors = tuple(
             ctx.scale(ctx.names[i], Fraction(f)) for i, f in enumerate(data["floors"])
         )
-        maxes = tuple(
+        tops = [
             None if m is None else ctx.scale(ctx.names[i], Fraction(m))
             for i, m in enumerate(data["maxes"])
-        )
-        bounds = tuple(None if b is None else Fraction(b) for b in data["cap_bounds"])
-        return cls(ctx, terms, floors, maxes, bounds)._check_stored()
+        ] + [None if b is None else Fraction(b) for b in data["cap_bounds"]]
+        return cls(ctx, terms, floors, tops)._check_stored()
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -826,12 +785,13 @@ class Series:
         return f"Series({len(self.terms)} terms in {', '.join(self.ctx.names) or 'Q'})"
 
 
-def self_in_window_static(key, maxes, bounds, ctx: SeriesContext) -> bool:
-    for k, m in zip(key, maxes):
+def self_in_window_static(key, tops, ctx: SeriesContext) -> bool:
+    """Whether a scaled key lies inside the window ``tops``."""
+    for k, m in zip(key, tops):
         if m is not None and k > m:
             return False
     # grade > b, cross-multiplied: integers only.
-    for wnum, wden, b in zip(ctx._wnum, ctx._wden, bounds):
+    for wnum, wden, b in zip(ctx._wnum, ctx._wden, tops[ctx.n :]):
         if b is not None and sum(w * k for w, k in zip(wnum, key)) * b.denominator > b.numerator * wden:
             return False
     return True

@@ -248,6 +248,24 @@ def test_framed_lam_floor_is_lowest_stored_term():
                     assert series.floors[0] == min(k[0] for k in series.terms), (a, mu, tau)
 
 
+def test_cap_exponential_reads_outside_its_window_raise():
+    # The p1^5 term p1^5 (2 sin(lam/2))^-5/5! lies outside the profile
+    # weight 3 and reaches lam^-5, below the lam floor -3 of the stored data.
+    bullet = assemble_G0(1, 3, 0, 4).exp(cap="pweight")
+    assert bullet.floors[0] == -3
+    with pytest.raises(PrecisionError):
+        bullet.coefficient({"lam": -5, "p1": 5})
+    assert bullet.coefficient({"lam": -5, "p1": 3}) == 0
+
+
+def test_connected_profile_floor_is_lowest_stored_term():
+    for tau in (0, 1):
+        series = connected_profile_series(2, (1,), tau, 3, lam_max=4)
+        assert series.floors[0] == min(k[0] for k in series.terms) == -1, tau
+        with pytest.raises(PrecisionError, match="below its floor -1"):
+            connected_profile_series(2, (1,), tau, 3, lam_max=-2)
+
+
 def test_empty_window_keeps_its_floor_when_lifted():
     # Through x-degree 1 this series stores no terms, but through x-degree
     # 2 it has a lam^-2 x^2 term: the lift into the profile context must

@@ -128,6 +128,75 @@ def test_extract_reduces_context():
     assert slice_y.coefficient({"x": 2}) == 3
 
 
+def _exp_p_over_q():
+    # exp(p/q) through p^2: 1 + p/q + p^2/(2 q^2).  Outside the window the
+    # true series goes on below the floor q^-2: p^3/(6 q^3), ...
+    ctx = SeriesContext([VarSpec("q"), VarSpec("p")], caps=[GradeCap("pw", {"p": 1})])
+    return Series.from_terms(ctx, {(-1, 1): 1}, cap_bounds={"pw": 2}).exp()
+
+
+def test_reads_check_the_window_before_the_floors():
+    s = _exp_p_over_q()
+    assert s.floors == (-2, 0)
+    assert s.coefficient({"q": -2, "p": 2}) == Fraction(1, 2)
+    # Inside the window a key below the floors reads an exact zero ...
+    assert s.coefficient({"q": -3, "p": 2}) == 0
+    # ... but outside it the read raises, floors or not.
+    with pytest.raises(PrecisionError):
+        s.coefficient({"q": -3, "p": 3})
+
+
+def test_extract_below_a_floor_keeps_the_window():
+    sliced = _exp_p_over_q().extract({"q": -3})
+    assert sliced.coefficient({"p": 2}) == 0
+    with pytest.raises(PrecisionError):
+        sliced.coefficient({"p": 3})
+
+
+def test_power_sum_floors_are_the_lowest_stored_exponents():
+    # log(1 + p/q) through p^3 stores p/q, -p^2/(2 q^2) and p^3/(3 q^3).
+    ctx = SeriesContext([VarSpec("q"), VarSpec("p")], caps=[GradeCap("pw", {"p": 1})])
+    s = Series.from_terms(ctx, {(0, 0): 1, (-1, 1): 1}, cap_bounds={"pw": 3}).log()
+    assert s.coefficient({"q": -3, "p": 3}) == Fraction(1, 3)
+    assert s.floors == (-3, 1)
+
+
+def test_exp_and_log_refusals_name_the_operation():
+    bare = Series.from_terms(one_var_ctx(), {(0,): 1, (1,): 1})
+    for op in ("exp", "log"):
+        with pytest.raises(PrecisionError, match=f"{op} needs a grading cap"):
+            getattr(bare, op)()
+    ctx = capped_ctx()
+    open_cap = Series.from_terms(ctx, {(0,): 1, (1,): 1})
+    with pytest.raises(PrecisionError, match="exp needs a finite bound"):
+        (open_cap - 1).exp()
+    with pytest.raises(PrecisionError, match="log needs a finite bound"):
+        open_cap.log()
+    laurent = Series.from_terms(ctx, {(-1,): 1}, cap_bounds={"deg": 2})
+    with pytest.raises(ValueError, match="exp requires every stored term"):
+        laurent.exp()
+    with pytest.raises(ValueError, match="log requires every nonconstant term"):
+        (laurent + 1).log()
+    with pytest.raises(ValueError, match="log requires the grade-zero slice"):
+        (laurent + 2).log()
+
+
+def test_window_tuple_length_is_checked():
+    ctx = capped_ctx()
+    with pytest.raises(ValueError):
+        Series(ctx, {}, (0,), (None,))
+    s = Series(ctx, {}, (0,), (3, Fraction(2)))
+    assert (s.maxes, s.cap_bounds) == ((3,), (Fraction(2),))
+
+
+def test_series_division_and_negative_powers_are_refused():
+    s = Series.from_terms(one_var_ctx(), {(0,): 1, (1,): 1}, maxes={"q": 3})
+    with pytest.raises(TypeError):
+        s / s
+    with pytest.raises(TypeError):
+        s ** -1
+
+
 def test_substitute_diagonal_rescaling():
     ctx = one_var_ctx()
     s = Series.from_terms(ctx, {(0,): 1, (1,): 2, (2,): 3}, maxes={"q": 5})

@@ -161,10 +161,10 @@ def test_integer_window_check_matches_fraction_grades(dens, weights, key, picks)
     bounds = tuple(g if pick == "on" else pick for g, pick in zip(grades, picks))
     for bs in (bounds, tuple(None if b is None else b - Fraction(1, 36) for b in bounds)):
         want = all(b is None or ctx.grade(ci, key) <= b for ci, b in enumerate(bs))
-        assert self_in_window_static(key, (None,) * 3, bs, ctx) == want, bs
+        assert self_in_window_static(key, (None,) * 3 + bs, ctx) == want, bs
     if all(pick is None or pick == "on" for pick in picks):
         # A key exactly on every finite bound lies inside the window.
-        assert self_in_window_static(key, (None,) * 3, bounds, ctx)
+        assert self_in_window_static(key, (None,) * 3 + bounds, ctx)
 
 
 RING_CTX = SeriesContext([VarSpec("x"), VarSpec("y")], caps=[GradeCap("tot", {"x": 1, "y": 1})])
