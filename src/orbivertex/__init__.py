@@ -8,6 +8,8 @@ their stored data guarantees.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .exactnum import CycloField, CycloNum, cyclo_field, cyclotomic_polynomial, field_for
 from .series import (
     GradeCap,
@@ -29,7 +31,7 @@ from .partitions import (
     partitions_of,
     z_aut,
 )
-from .characters import character_table, chi
+from .characters import chi
 from .hurwitz import (
     PhiKernel,
     burnside_value,
@@ -82,73 +84,9 @@ from .localgw import (
 )
 from .verify import mv_a1_check, phi_composition_check
 
-__all__ = [
-    "CycloField",
-    "CycloNum",
-    "cyclo_field",
-    "cyclotomic_polynomial",
-    "field_for",
-    "GradeCap",
-    "PrecisionError",
-    "Series",
-    "SeriesContext",
-    "VarSpec",
-    "coeff_from_data",
-    "coeff_to_data",
-    "aut_gamma",
-    "check_partition",
-    "colored_box_count",
-    "conjugate",
-    "gamma_vectors",
-    "hooks",
-    "kappa",
-    "partitions_of",
-    "z_aut",
-    "character_table",
-    "chi",
-    "PhiKernel",
-    "burnside_value",
-    "factorization_oracle",
-    "phi_composition_check",
-    "simple_branch_count",
-    "RationalForm",
-    "box_context",
-    "box_counting_series",
-    "correspondence_report",
-    "reduced_vertex_closed",
-    "schur_rational",
-    "trig_context",
-    "verify_correspondence",
-    "vertex_side_series",
-    "volume_counts",
-    "r_bullet_zero",
-    "FramedVertex",
-    "abelian_lift",
-    "assemble_G0",
-    "cap_closed_form",
-    "character_image_order",
-    "connected_profile_series",
-    "g_bullet_mu",
-    "g_bullet_table",
-    "gw_context",
-    "lambda_g_psi_series",
-    "mv_a1_check",
-    "project_element",
-    "quantum_dim_hook",
-    "quantum_dim_sine",
-    "r_bullet_tau",
-    "transport_back",
-    "LocalBlock",
-    "block_from_data",
-    "block_to_data",
-    "cap_family",
-    "cap_level0",
-    "cap_series",
-    "emit_table",
-    "glue",
-    "identity_block",
-    "local_context",
-    "run_glue_plan",
-    "tube",
-    "__version__",
-]
+# Every public name imported above, and the version.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

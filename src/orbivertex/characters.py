@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import check_partition, partitions_of
+from .partitions import check_partition
 
 
 @lru_cache(maxsize=None)
@@ -42,8 +42,3 @@ def chi(nu, mu) -> int:
     beta = tuple(sorted(nu[i] + (n - 1 - i) for i in range(n)))
     return _chi_from_beta(beta, mu)
 
-
-def character_table(d: int) -> dict:
-    """All character values for the symmetric group on d letters."""
-    rows = partitions_of(d)
-    return {(nu, mu): chi(nu, mu) for nu in rows for mu in rows}

@@ -13,6 +13,8 @@ import argparse
 import inspect
 import json
 import sys
+from itertools import accumulate
+from math import gcd
 
 from . import __version__
 from .characters import chi
@@ -27,12 +29,16 @@ from .localgw import (
     emit_table,
     run_glue_plan,
 )
-from .partitions import check_partition, partitions_of
+from .partitions import check_partition, partition_counts, partitions_of
 from .series import PrecisionError, _frac_str
 from .verify import SUITES
 
 CHAR_DEGREE_LIMIT = 8
 BOX_LIMIT = 10
+# gw, local-gw --mu/--d and verify --suite correspondence --a/--d refuse a
+# transport_cost over this budget.  At the default windows (a, d) = (12, 1)
+# costs 1.5e5 (under 2 s cold) and (20, 1) costs 2.0e6 (about 21 s).
+COST_BUDGET = 10**6
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +124,40 @@ def _windows(args) -> dict:
     return {key: value for key, value in named.items() if value is not None}
 
 
+def transport_cost(a: int, d: int, lam: int, x: int) -> int:
+    """Estimated work of a profile table: the field degree phi(4a) times
+    the C(a - 1 + x, x) monomials in the x variables, the lam + d + 1
+    orders of a lam window that starts at lam^-d, and the p(d) profiles.
+    Exact up to COST_BUDGET, and past it a lower bound over the budget:
+    each factor is read off a nondecreasing sequence (p(n); C(n, j) for
+    j <= n/2; the running count of odd j < 4a prime to a) that stops once
+    the product passes the budget, so a huge flag is priced at once."""
+    cost = lam + d + 1
+
+    def factor(values, last):
+        return next(v for i, v in enumerate(values) if i == last or cost * v > COST_BUDGET)
+
+    n, k = a - 1 + x, min(a - 1, x)
+    cost *= factor(partition_counts(), d)
+    cost *= factor(accumulate(range(1, k + 1), lambda c, j: c * (n + 1 - j) // j, initial=1), k)
+    cost *= factor(accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2)), 2 * a - 1)
+    return cost
+
+
+def _require_budget(args, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"):
+    # Refuse a run whose transport_cost, at the window flags or else at the
+    # defaults of the library call fn, is over COST_BUDGET.
+    params = inspect.signature(fn).parameters
+    lam_max = params[lam].default if args.lambda_order is None else args.lambda_order
+    x_deg_max = params[x].default if args.x_order is None else args.x_order
+    cost = transport_cost(args.a, d, lam_max, x_deg_max)
+    if cost > COST_BUDGET:
+        raise GuardError(
+            f"a={args.a}, d={d} at lambda order {lam_max} and x order {x_deg_max} is "
+            f"estimated at {cost} or more, over the budget of {COST_BUDGET}"
+        )
+
+
 def cmd_char(args) -> int:
     d = args.d
     if d > CHAR_DEGREE_LIMIT:
@@ -171,6 +211,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_gw(args) -> int:
+    _require_budget(args, sum(args.mu), r_bullet_tau)
     series = r_bullet_tau(args.a, args.mu, args.tau or 0, **_windows(args)).series
     return _emit_json(args, {"series": series.to_data()})
 
@@ -194,8 +235,10 @@ def cmd_local_gw(args) -> int:
             plan = json.load(fh)
         block = run_glue_plan(plan, **_windows(args))
     elif args.mu is not None:
+        _require_budget(args, sum(args.mu), cap_level0)
         block = cap_level0(args.a, args.mu, **_windows(args))
     else:
+        _require_budget(args, args.d, cap_family)
         block = cap_family(args.a, args.d, **_windows(args))
     if args.format == "csv":
         return _emit_csv(args, emit_table(block))
@@ -217,6 +260,8 @@ def cmd_verify(args) -> int:
         )
     if args.suite == "correspondence" and ("a" in flags) != ("d" in flags):
         raise UsageError("correspondence takes --a and --d together, or neither")
+    if args.suite == "correspondence" and "a" in flags:
+        _require_budget(args, args.d, suite, "lambda_order", "x_order")
     checks = suite(**flags)
     passed = all(c["passed"] for c in checks)
     first_failure = next((c["name"] for c in checks if not c["passed"]), None)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import lru_cache, reduce
+from math import comb, lcm
+from operator import mul
 
 from .characters import chi
 from .partitions import (
@@ -47,14 +48,9 @@ class RationalForm:
         self.a = a
         self.num = {k: c for k, c in num.items() if c}
         self.den = {f: m for f, m in den.items() if m}
-        for f, m in self.den.items():
-            k, s = f
+        for (k, s), m in self.den.items():
             if k < 1 or s not in (1, -1) or m < 0:
-                raise ValueError(f"bad denominator factor {f}^{m}")
-
-    @classmethod
-    def zero(cls, a: int) -> "RationalForm":
-        return cls(a, {}, {})
+                raise ValueError(f"bad denominator factor {(k, s)}^{m}")
 
     @classmethod
     def monomial(cls, a: int, q_exp, ql_exps=(), coeff=1) -> "RationalForm":
@@ -67,10 +63,6 @@ class RationalForm:
         if key != exps:
             raise ValueError(f"exponents {exps} are not all integers")
         return cls(a, {key: Fraction(coeff)}, {})
-
-    @classmethod
-    def one(cls, a: int) -> "RationalForm":
-        return cls.monomial(a, 0)
 
     def _require_same(self, other: "RationalForm"):
         if self.a != other.a:
@@ -118,18 +110,8 @@ class RationalForm:
         return {k: c for k, c in num.items() if c}
 
     def __add__(self, other):
-        """Sum over the least common denominator.  The correspondence check
-        expands its forms once with numerator_over instead; this operator
-        stays because the benchmark tracer (bench/tracer.py) wraps it by
-        name, until the package reports its own stage spans."""
-        self._require_same(other)
-        den = dict(self.den)
-        for f, m in other.den.items():
-            den[f] = max(den.get(f, 0), m)
-        na = self.numerator_over(den)
-        for k, c in other.numerator_over(den).items():
-            na[k] = na.get(k, 0) + c
-        return RationalForm(self.a, na, den)
+        """Sum over the least common denominator."""
+        return weighted_sum([(1, self), (1, other)])
 
     def flip_q_sign(self) -> "RationalForm":
         """Substitute q -> -q: numerator terms change sign with odd q
@@ -143,21 +125,22 @@ class RationalForm:
 
     def to_series(self, ctx: SeriesContext, q_max: int) -> Series:
         """Expand into a series in q (complete through q^q_max) with exact
-        Laurent dependence on the color variables."""
+        Laurent dependence on the color variables.  Each 1/(1 - s q^k)^m is
+        the m-th power of the geometric series sum_n s^n q^(kn), written in
+        closed form: the coefficient of q^(kn) is C(n + m - 1, m - 1) s^n."""
         if not self.num:
             return Series.zero(ctx)
         fill = q_max + max(0, -min(key[0] for key in self.num))
+        names = ("q",) + tuple(f"q{l}" for l in range(1, self.a))
         total = Series.zero(ctx)
-        den_inv = Series.one(ctx)
-        for (k, s), m in self.den.items():
-            base = Series.one(ctx) - Series.monomial(ctx, {"q": k}, s)
-            den_inv = den_inv * base.restrict(maxes={"q": fill}).invert() ** m
         for key, c in self.num.items():
-            exps = {"q": key[0]}
-            for l in range(1, self.a):
-                if key[l]:
-                    exps[f"q{l}"] = key[l]
-            total = total + Series.monomial(ctx, exps, c) * den_inv
+            total = total + Series.monomial(ctx, {v: e for v, e in zip(names, key) if e}, c)
+        for (k, s), m in self.den.items():
+            geom = {
+                ctx.key_from({"q": k * n}): Fraction(comb(n + m - 1, m - 1) * s**n)
+                for n in range(fill // k + 1)
+            }
+            total = total * Series(ctx, geom, (0,) * ctx.n, ctx.window({"q": fill}))
         return total.restrict(maxes={"q": q_max})
 
     def to_data(self) -> dict:
@@ -174,6 +157,41 @@ class RationalForm:
 
     def __repr__(self):
         return f"RationalForm({len(self.num)} terms / {len(self.den)} factors, a={self.a})"
+
+
+def common_denominator(forms) -> tuple:
+    """Write rational forms over their least common denominator D, each
+    factor (1 - s q^k) at its largest multiplicity among them.  Returns D,
+    the least common multiple N of the numerator coefficient denominators,
+    and per form N times its numerator over D, as an int dict.  Raises
+    ValueError when the forms have different moduli."""
+    a = forms[0].a
+    den = {}
+    for rf in forms:
+        forms[0]._require_same(rf)
+        for f, m in rf.den.items():
+            den[f] = max(den.get(f, 0), m)
+    scale = lcm(*(c.denominator for rf in forms for c in rf.num.values()))
+    nums = [
+        RationalForm(a, {k: int(c * scale) for k, c in rf.num.items()}, rf.den).numerator_over(den)
+        for rf in forms
+    ]
+    return den, scale, nums
+
+
+def weighted_sum(terms) -> RationalForm:
+    """sum w * rf over (w, rf) pairs with rational weights, summed in
+    integers over the least common denominator of the forms whose weight
+    is nonzero; some weight must be nonzero."""
+    terms = [(Fraction(w), rf) for w, rf in terms if w]
+    den, scale, nums = common_denominator([rf for _, rf in terms])
+    wscale = lcm(*(w.denominator for w, _ in terms))
+    num = {}
+    for (w, _), expanded in zip(terms, nums):
+        w = int(w * wscale)
+        for k, v in expanded.items():
+            num[k] = num.get(k, 0) + w * v
+    return RationalForm(terms[0][1].a, {k: Fraction(v, scale * wscale) for k, v in num.items()}, den)
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +215,7 @@ def powersum_rational(a: int, k: int) -> RationalForm:
         raise ValueError("power sum index must be positive")
     num = {}
     for l in range(a):
-        key = [0] + [k if j > l else 0 for j in range(1, a)]
-        key = tuple(key)
+        key = (0,) + tuple(k if j > l else 0 for j in range(1, a))
         num[key] = num.get(key, 0) + 1
     return RationalForm(a, num, {(k, 1): 1})
 
@@ -207,38 +224,23 @@ def powersum_rational(a: int, k: int) -> RationalForm:
 def _powersum_products(a: int, d: int) -> tuple:
     # (mu, p_mu at the colored alphabet) for every mu of size d, with int
     # numerator coefficients.
-    out = []
-    for mu in partitions_of(d):
-        prod = powersum_rational(a, mu[0])
-        for part in mu[1:]:
-            prod = prod * powersum_rational(a, part)
-        out.append((mu, prod))
-    return tuple(out)
+    return tuple(
+        (mu, reduce(mul, [powersum_rational(a, part) for part in mu])) for mu in partitions_of(d)
+    )
 
 
 @lru_cache(maxsize=None)
 def schur_rational(nu: tuple, a: int) -> RationalForm:
     """Schur function at the colored alphabet via the character expansion
-    sum_mu chi^nu(mu)/z_mu p_mu.  Each product p_mu it uses is written once
-    over their least common denominator, and the numerators are summed in
-    integers, scaled by the least common multiple of the z_mu."""
+    sum_mu chi^nu(mu)/z_mu p_mu, summed over the least common denominator
+    of the products p_mu."""
     nu = check_partition(nu)
     d = sum(nu)
     if d == 0:
-        return RationalForm.one(a)
-    terms = [(chi(nu, mu), z_aut(mu), prod) for mu, prod in _powersum_products(a, d)]
-    terms = [t for t in terms if t[0]]
-    scale = lcm(*(z for _, z, _ in terms))
-    den = {}
-    for _, _, prod in terms:
-        for f, m in prod.den.items():
-            den[f] = max(den.get(f, 0), m)
-    num = {}
-    for c, z, prod in terms:
-        w = c * (scale // z)
-        for k, v in prod.numerator_over(den).items():
-            num[k] = num.get(k, 0) + w * v
-    return RationalForm(a, {k: Fraction(v, scale) for k, v in num.items()}, den)
+        return RationalForm.monomial(a, 0)
+    return weighted_sum(
+        [(Fraction(chi(nu, mu), z_aut(mu)), prod) for mu, prod in _powersum_products(a, d)]
+    )
 
 
 def colored_weights(nu, a: int) -> tuple:
@@ -502,13 +504,8 @@ def _shifted_vertex(a: int, nu: tuple) -> RationalForm:
 def _vertex_side_form(a: int, mu: tuple) -> RationalForm:
     # The shifted vertices summed with character weights, for a nonempty
     # checked mu.
-    d = sum(mu)
-    acc = RationalForm.zero(a)
-    for nu in partitions_of(d):
-        c = Fraction(chi(nu, mu), z_aut(mu))
-        if c:
-            acc = acc + _shifted_vertex(a, nu) * c
-    return acc
+    weights = [(Fraction(chi(nu, mu), z_aut(mu)), nu) for nu in partitions_of(sum(mu))]
+    return weighted_sum([(c, _shifted_vertex(a, nu)) for c, nu in weights if c])
 
 
 def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
@@ -516,10 +513,8 @@ def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Seri
     per-shape sign and monomial shifts against the sign-flipped reduced
     vertex, summed with character weights, then transported.
 
-    correspondence_report no longer takes this path (it checks the
-    rational identity behind it exactly); the function stays because the
-    benchmark tracer (bench/tracer.py) wraps it by name, until the package
-    reports its own stage spans."""
+    correspondence_report checks the rational identity behind it instead;
+    the function stays because the benchmark tracer wraps it by name."""
     mu = check_partition(mu)
     d = sum(mu)
     if d == 0:
@@ -535,10 +530,9 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
     The DT half is exact, with no lam window: the vertex-side form
     sum_nu chi^nu(mu)/z_mu times the shifted, sign-flipped reduced vertex
     of nu equals the power-sum form of r_bullet_zero as a rational function
-    of q, q_1 .. q_{a-1}.  Every shifted vertex and every power-sum form is
-    written once over one shared denominator D (each factor (1 - s q^k) at
-    its largest multiplicity among them), so each profile compares a
-    character-weighted sum of expanded numerators with one numerator.
+    of q, q_1 .. q_{a-1}.  All these forms are written once over their
+    common denominator, so each profile compares a character-weighted sum
+    of integer numerators with one numerator.
 
     The GW half is on the window lam <= lam_max: the exponential table
     g_bullet_table(a, d) against r_bullet_zero(a, mu), whose transport has
@@ -561,18 +555,7 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
     # z_mu times the power-sum form: the identity of mu then reads
     # sum_nu chi^nu(mu) shifted_nu = z_mu product_mu.
     products = [_r_bullet_zero_form(a, mu) * z_aut(mu) for mu in profiles]
-    forms = shifted + products
-    den = {}
-    for rf in forms:
-        for f, m in rf.den.items():
-            den[f] = max(den.get(f, 0), m)
-    # Every numerator over den, times the least common multiple of the
-    # coefficient denominators, so that the sums below run in ints.
-    scale = lcm(*(c.denominator for rf in forms for c in rf.num.values()))
-    expanded = [
-        RationalForm(a, {k: int(c * scale) for k, c in rf.num.items()}, rf.den).numerator_over(den)
-        for rf in forms
-    ]
+    _, _, expanded = common_denominator(shifted + products)
     vertices = expanded[: len(profiles)]
     table = gw_vertex.g_bullet_table(a, d, lam_max=lam_max, x_deg_max=x_deg_max)
     window = {"lam": lam_max}

@@ -41,6 +41,17 @@ def partitions_of(d: int) -> tuple:
     return tuple(out)
 
 
+def partition_counts():
+    """p(0), p(1), p(2), ... without listing any partition, by Euler's
+    pentagonal number recurrence."""
+    p = [1]
+    while True:
+        yield p[-1]
+        n = len(p)
+        pentagonal = ((k * (3 * k + s) // 2, (-1) ** (k + 1)) for k in range(1, n + 1) for s in (-1, 1))
+        p.append(sum(sign * p[n - g] for g, sign in pentagonal if g <= n))
+
+
 def conjugate(mu) -> Partition:
     mu = check_partition(mu)
     if not mu:

@@ -290,6 +290,8 @@ class Series:
         """
         stored = {}
         for exps, c in terms.items():
+            if len(exps) != ctx.n:
+                raise ValueError(f"exponents {exps} need one entry per variable, {ctx.n} in all")
             key = tuple(ctx.scale(ctx.names[i], e) for i, e in enumerate(exps))
             c = _as_coeff(c)
             if c:
@@ -384,7 +386,8 @@ class Series:
         ctx = self.ctx
         if j < ctx.n:
             return min(k[j] for k in keys)
-        return min(ctx.grade(j - ctx.n, k) for k in keys)
+        wnum = ctx._wnum[j - ctx.n]
+        return Fraction(min(sum(w * e for w, e in zip(wnum, k)) for k in keys), ctx._wden[j - ctx.n])
 
     def _require_same_ctx(self, other: "Series") -> SeriesContext:
         if self.ctx is other.ctx:
@@ -749,8 +752,10 @@ class Series:
     def from_data(cls, data: dict) -> "Series":
         """Rebuild a series, in a fresh context, from :meth:`to_data` output.
 
-        A stored term outside the window or below a floor raises
-        ``ValueError``, as in :meth:`from_terms`.
+        A floors, maxes or cap_bounds list of the wrong length, a repeated
+        exponent tuple, and a stored term outside the window or below a
+        floor raise ``ValueError``; zero coefficients are dropped, as in
+        :meth:`from_terms`.
         """
         ctx = SeriesContext(
             tuple(VarSpec(v["name"], v["denominator"]) for v in data["variables"]),
@@ -759,20 +764,20 @@ class Series:
                 for c in data["caps"]
             ),
         )
+        caps = tuple(c.name for c in ctx.caps)
+        for field, names in (("floors", ctx.names), ("maxes", ctx.names), ("cap_bounds", caps)):
+            if len(data[field]) != len(names):
+                raise ValueError(f"{field!r} has {len(data[field])} entries, need {len(names)}")
         terms = {}
         for t in data["terms"]:
-            key = tuple(
-                ctx.scale(ctx.names[i], Fraction(e)) for i, e in enumerate(t["exponents"])
-            )
-            terms[key] = coeff_from_data(t["coeff"])
-        floors = tuple(
-            ctx.scale(ctx.names[i], Fraction(f)) for i, f in enumerate(data["floors"])
-        )
-        tops = [
-            None if m is None else ctx.scale(ctx.names[i], Fraction(m))
-            for i, m in enumerate(data["maxes"])
-        ] + [None if b is None else Fraction(b) for b in data["cap_bounds"]]
-        return cls(ctx, terms, floors, tops)._check_stored()
+            exps = tuple(Fraction(e) for e in t["exponents"])
+            if exps in terms:
+                raise ValueError(f"'terms' repeat the exponents {t['exponents']}")
+            terms[exps] = coeff_from_data(t["coeff"])
+        maxes = {n: Fraction(m) for n, m in zip(ctx.names, data["maxes"]) if m is not None}
+        bounds = {n: Fraction(b) for n, b in zip(caps, data["cap_bounds"]) if b is not None}
+        floors = [Fraction(f) for f in data["floors"]]
+        return cls.from_terms(ctx, terms, maxes, bounds, floors)
 
     def __eq__(self, other):
         if not isinstance(other, Series):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbivertex.characters import character_table, chi
+from orbivertex.characters import chi
 from orbivertex.partitions import conjugate, partitions_of, z_aut
 
 from oracles import (
@@ -50,14 +50,6 @@ def test_conjugation_twists_by_sign():
             for mu in partitions_of(d):
                 sign = (-1) ** (d - len(mu))
                 assert chi(conjugate(nu), mu) == sign * chi(nu, mu)
-
-
-def test_character_table_shape():
-    table = character_table(3)
-    assert len(table) == 9
-    assert table[((3,), (1, 1, 1))] == 1
-    assert table[((1, 1, 1), (1, 1, 1))] == 1
-    assert table[((2, 1), (1, 1, 1))] == 2
 
 
 def test_size_mismatch_rejected():

@@ -2,7 +2,7 @@
 
 import json
 
-from orbivertex import hurwitz, verify
+from orbivertex import cli, hurwitz, verify
 from orbivertex.localgw import block_to_data, cap_level0
 from orbivertex.cli import (
     EXIT_GUARD,
@@ -149,15 +149,25 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_tampered_plan_exits_three(tmp_path, capsys):
-    block = block_to_data(cap_level0(1, (1,), lam_max=2))
-    terms = block["entries"][0]["series"]["terms"]
-    terms.append({"exponents": ["-7/1"], "coeff": "1/1"})
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps({"d": 1, "blocks": [block]}))
-    code, out, err = run_cli(capsys, "local-gw", "--glue", str(plan_path))
-    assert code == EXIT_GUARD
-    assert "below the declared floor" in err
-    assert not out
+    def tampered(edit):
+        block = block_to_data(cap_level0(1, (1,), lam_max=2))
+        edit(block["entries"][0]["series"])
+        return block
+
+    cases = [
+        (lambda s: s["terms"].append({"exponents": ["-7/1"], "coeff": "1/1"}), "below the declared floor"),
+        (lambda s: s.update(floors=[]), "'floors' has 0 entries, need 1"),
+        (lambda s: s["terms"].append({"exponents": [], "coeff": "1/1"}), "need one entry per variable"),
+        (lambda s: s["terms"][0]["exponents"].append("0/1"), "need one entry per variable"),
+        (lambda s: s["terms"].append(dict(s["terms"][0])), "'terms' repeat the exponents"),
+    ]
+    for edit, message in cases:
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"d": 1, "blocks": [tampered(edit)]}))
+        code, out, err = run_cli(capsys, "local-gw", "--glue", str(plan_path))
+        assert code == EXIT_GUARD, message
+        assert message in err and "Traceback" not in err
+        assert not out
 
 
 def test_cost_guards_exit_three(capsys):
@@ -166,6 +176,46 @@ def test_cost_guards_exit_three(capsys):
     assert "guard" in err
     code, _, _ = run_cli(capsys, "dt", "--a", "1", "--nu", "1", "--enumerate", "11")
     assert code == EXIT_GUARD
+    # Refused before any work: it would run for about 20 s.
+    code, out, err = run_cli(capsys, "gw", "--a", "20", "--mu", "1")
+    assert code == EXIT_GUARD and not out
+    assert err.startswith("cost guard: a=20, d=1")
+
+
+def test_transport_cost_estimate():
+    # phi(4a) * C(a - 1 + x, x) * (lam + d + 1) * p(d), as the library would
+    # run it at the default windows.
+    assert cli.transport_cost(12, 1, 5, 4) == 16 * 1365 * 7 == 152880
+    assert cli.transport_cost(4, 4, 5, 4) == 8 * 35 * 10 * 5 == 14000
+    assert cli.transport_cost(2, 9, 5, 4) == 4 * 5 * 15 * 30
+    assert cli.transport_cost(1, 0, 0, 10**9) == 2
+    # Past the budget the estimate is a lower bound over it, and huge flags
+    # are priced without computing their large factors.
+    assert cli.COST_BUDGET < cli.transport_cost(20, 1, 5, 4) <= 32 * 8855 * 7
+    for huge in ((10**9, 1, 5, 4), (10**6, 0, 0, 10**6), (2, 10**5, 0, 0), (1, 1, 10**12, 0)):
+        assert cli.transport_cost(*huge) > cli.COST_BUDGET, huge
+
+
+def test_transport_cost_guard_exits_three(monkeypatch, capsys):
+    # gw --a 2 --mu 2 at lam 5, x 4 costs 4 * 5 * 8 * 2 = 320; verify at
+    # (a, d) = (2, 2) and the caps too.
+    monkeypatch.setattr(cli, "COST_BUDGET", 319)
+    for argv in (
+        "gw --a 2 --mu 2",
+        "local-gw --a 2 --mu 2",
+        "local-gw --a 2 --d 2",
+        "verify --suite correspondence --a 2 --d 2",
+    ):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_GUARD, argv
+        assert err.startswith("cost guard: a=2, d=2 at lambda order 5 and x order 4 is estimated at 320")
+        assert not out
+    # The flags move the estimate: one lam order less is under the budget.
+    code, _, _ = run_cli(capsys, "gw", "--a", "2", "--mu", "2", "--lambda-order", "4")
+    assert code == EXIT_OK
+    monkeypatch.setattr(cli, "COST_BUDGET", 320)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "correspondence", "--a", "2", "--d", "2")
+    assert code == EXIT_OK
 
 
 def test_oracle_tuple_guard_exits_three(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from orbivertex.dt_vertex import (
     box_context,
     box_counting_series,
     change_of_vars,
+    common_denominator,
     correspondence_report,
     lam_pad,
     powersum_rational,
@@ -22,6 +23,7 @@ from orbivertex.dt_vertex import (
     verify_correspondence,
     vertex_side_series,
     volume_counts,
+    weighted_sum,
 )
 from orbivertex.partitions import partitions_of
 from orbivertex.series import PrecisionError, Series
@@ -56,6 +58,22 @@ def test_schur_rational_expands_to_colored_schur():
                 assert closed == direct, (a, nu)
 
 
+def test_schur_expansion_needs_no_series_inverse(monkeypatch):
+    # to_series writes each 1/(1 - s q^k)^m in closed form, and the
+    # correspondence expands no inverse either: both run while
+    # Series.invert refuses, and the expansions match the oracle.
+    def refuse(self):
+        raise AssertionError("Series.invert called")
+
+    shapes = [(a, nu) for a in (1, 2) for d in range(1, 5) for nu in partitions_of(d)]
+    with monkeypatch.context() as m:
+        m.setattr(Series, "invert", refuse)
+        closed = {(a, nu): schur_rational(nu, a).to_series(colored_context(a), 6) for a, nu in shapes}
+        assert all(ok for _, ok in correspondence_report(2, 3))
+    for (a, nu), series in closed.items():
+        assert series == schur_at_colored(nu, a, 6), (a, nu)
+
+
 def test_rational_form_algebra():
     geom = RationalForm(1, {(0,): Fraction(1)}, {(1, 1): 1})  # 1/(1-q)
     doubled = geom + geom
@@ -65,6 +83,28 @@ def test_rational_form_algebra():
     series = flipped.to_series(ctx, 5)
     for k in range(6):
         assert series.coefficient({"q": k}) == (-1) ** k
+    # Forms of different moduli have no common denominator.
+    for add in (lambda f, g: f + g, lambda f, g: common_denominator([f, g])):
+        with pytest.raises(ValueError, match="different moduli"):
+            add(geom, RationalForm.monomial(2, 0))
+
+
+def test_weighted_sum_equals_the_fold_of_sums():
+    # Three forms over different denominators, with Laurent and color terms.
+    forms = [
+        RationalForm(2, {(0, 0): Fraction(1)}, {(1, 1): 1}),
+        RationalForm(2, {(-1, 1): Fraction(3, 2), (2, 0): Fraction(-1)}, {(1, -1): 2}),
+        RationalForm(2, {(1, -2): Fraction(5)}, {(2, 1): 1, (1, 1): 2}),
+    ]
+    weights = [Fraction(1, 3), -2, Fraction(5, 4)]
+    total = weighted_sum(list(zip(weights, forms)))
+    fold = forms[0] * weights[0] + forms[1] * weights[1] + forms[2] * weights[2]
+    assert total.den == {(1, 1): 2, (1, -1): 2, (2, 1): 1}
+    # Over one denominator, equal rational functions have equal numerators.
+    _, _, (left, right) = common_denominator([total, fold])
+    assert left == right
+    ctx = colored_context(2)
+    assert total.to_series(ctx, 6) == fold.to_series(ctx, 6)
 
 
 def test_numerator_over_refuses_a_missing_factor():

@@ -287,6 +287,25 @@ def test_from_data_refuses_terms_outside_the_window():
         Series.from_data(below)
 
 
+def test_from_data_refuses_malformed_lists_and_terms():
+    ctx = SeriesContext([VarSpec("q"), VarSpec("x")], caps=[GradeCap("deg", {"x": 1})])
+    data = Series.from_terms(ctx, {(0, 0): 1, (1, 2): 2}, maxes={"q": 2}, cap_bounds={"deg": 3}).to_data()
+    for field, value in (("floors", []), ("floors", ["0/1"] * 3), ("maxes", ["2/1"]), ("cap_bounds", [])):
+        with pytest.raises(ValueError, match=f"'{field}' has {len(value)} entries, need"):
+            Series.from_data(dict(data, **{field: value}))
+    for exponents in (["1/1"], ["1/1", "0/1", "0/1"]):
+        bad = dict(data, terms=data["terms"] + [{"exponents": exponents, "coeff": "1/1"}])
+        with pytest.raises(ValueError, match="need one entry per variable, 2 in all"):
+            Series.from_data(bad)
+    repeated = dict(data, terms=data["terms"] + [{"exponents": ["1/1", "4/2"], "coeff": "5/1"}])
+    with pytest.raises(ValueError, match=r"'terms' repeat the exponents \['1/1', '4/2'\]"):
+        Series.from_data(repeated)
+    # A zero coefficient is dropped, as from_terms drops it.
+    zero = dict(data, terms=data["terms"] + [{"exponents": ["2/1", "0/1"], "coeff": "0/1"}])
+    assert Series.from_data(zero).terms == Series.from_data(data).terms
+    assert Series.from_data(zero).to_data() == data
+
+
 def test_coeff_encoding_forms():
     assert coeff_to_data(Fraction(-3, 7)) == "-3/7"
     assert coeff_from_data("-3/7") == Fraction(-3, 7)
