@@ -31,13 +31,15 @@ from .localgw import (
 )
 from .partitions import check_partition, partition_counts, partitions_of
 from .series import PrecisionError, _frac_str
-from .verify import SUITES
+from .verify import DEFAULT_DT_VERTEX_MODULI, SUITES
 
 CHAR_DEGREE_LIMIT = 8
 BOX_LIMIT = 10
 # gw, local-gw --mu/--d and verify --suite correspondence --a/--d refuse a
 # transport_cost over this budget.  At the default windows (a, d) = (12, 1)
-# costs 1.5e5 (under 2 s cold) and (20, 1) costs 2.0e6 (about 21 s).
+# costs 1.5e5 (under 2 s cold) and (20, 1) costs 2.0e6 (about 21 s).  dt
+# and verify --suite dt-vertex refuse a vertex_cost over it: dt --a 1000
+# --nu 1 costs 1.0e6 (about 3 s cold).
 COST_BUDGET = 10**6
 
 EXIT_OK = 0
@@ -124,6 +126,17 @@ def _windows(args) -> dict:
     return {key: value for key, value in named.items() if value is not None}
 
 
+def _priced(cost: int, values, last: int) -> int:
+    # cost times the value at index last of the nondecreasing sequence
+    # values, read no further than the product passing COST_BUDGET.
+    return cost * next(v for i, v in enumerate(values) if i == last or cost * v > COST_BUDGET)
+
+
+def _binomials(n: int, k: int):
+    # C(n, j) for j = 0 .. k, nondecreasing while k <= n/2.
+    return accumulate(range(1, k + 1), lambda c, j: c * (n + 1 - j) // j, initial=1)
+
+
 def transport_cost(a: int, d: int, lam: int, x: int) -> int:
     """Estimated work of a profile table: the field degree phi(4a) times
     the C(a - 1 + x, x) monomials in the x variables, the lam + d + 1
@@ -132,16 +145,24 @@ def transport_cost(a: int, d: int, lam: int, x: int) -> int:
     each factor is read off a nondecreasing sequence (p(n); C(n, j) for
     j <= n/2; the running count of odd j < 4a prime to a) that stops once
     the product passes the budget, so a huge flag is priced at once."""
-    cost = lam + d + 1
+    k = min(a - 1, x)
+    cost = _priced(lam + d + 1, partition_counts(), d)
+    cost = _priced(cost, _binomials(a - 1 + x, k), k)
+    return _priced(cost, accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2)), 2 * a - 1)
 
-    def factor(values, last):
-        return next(v for i, v in enumerate(values) if i == last or cost * v > COST_BUDGET)
 
-    n, k = a - 1 + x, min(a - 1, x)
-    cost *= factor(partition_counts(), d)
-    cost *= factor(accumulate(range(1, k + 1), lambda c, j: c * (n + 1 - j) // j, initial=1), k)
-    cost *= factor(accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2)), 2 * a - 1)
-    return cost
+def vertex_cost(a: int, n: int, volume: int = 0) -> int:
+    """Estimated work of the closed reduced vertex of a shape of size n,
+    expanded through the given volume: the a exponents of each of at most
+    C(a - 1 + n, n) color monomials, in each of the p(n) power-sum products
+    of its Schur expansion, for each of the p(n) rows of the character table
+    of size n; times (volume + 1)^2 for the expansion in q and the product
+    with the empty-leg series.  Exact up to COST_BUDGET, and past it a lower
+    bound over the budget, as in transport_cost."""
+    k = min(a - 1, n)
+    cost = _priced(a * (volume + 1) ** 2, partition_counts(), n)
+    cost = _priced(cost, partition_counts(), n)
+    return _priced(cost, _binomials(a - 1 + n, k), k)
 
 
 def _require_budget(args, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"):
@@ -155,6 +176,19 @@ def _require_budget(args, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"
         raise GuardError(
             f"a={args.a}, d={d} at lambda order {lam_max} and x order {x_deg_max} is "
             f"estimated at {cost} or more, over the budget of {COST_BUDGET}"
+        )
+
+
+def _require_vertex_budget(a: int, n: int, volume: int):
+    # Refuse a box enumeration past BOX_LIMIT, then a closed vertex whose
+    # vertex_cost is over COST_BUDGET, before either is built.
+    if volume > BOX_LIMIT:
+        raise GuardError(f"box enumeration is guarded to {BOX_LIMIT} added boxes")
+    cost = vertex_cost(a, n, volume)
+    if cost > COST_BUDGET:
+        raise GuardError(
+            f"the closed vertex at a={a}, size {n} and volume {volume} is estimated at "
+            f"{cost} or more, over the budget of {COST_BUDGET}"
         )
 
 
@@ -217,11 +251,10 @@ def cmd_gw(args) -> int:
 
 
 def cmd_dt(args) -> int:
+    _require_vertex_budget(args.a, sum(args.nu), args.enumerate or 0)
     result = {"vertex": reduced_vertex_closed(args.nu, args.a).to_data()}
     if args.enumerate is not None:
         n = args.enumerate
-        if n > BOX_LIMIT:
-            raise GuardError(f"box enumeration is guarded to {BOX_LIMIT} added boxes")
         result["enumerator"] = box_counting_series(args.nu, args.a, n).to_data()
         result["volume_counts"] = volume_counts(args.nu, n)
     return _emit_json(args, result)
@@ -262,6 +295,9 @@ def cmd_verify(args) -> int:
         raise UsageError("correspondence takes --a and --d together, or neither")
     if args.suite == "correspondence" and "a" in flags:
         _require_budget(args, args.d, suite, "lambda_order", "x_order")
+    if args.suite == "dt-vertex":
+        grid = {name: p.default for name, p in takes.items()} | flags
+        _require_vertex_budget(grid["a"] or max(DEFAULT_DT_VERTEX_MODULI), grid["d"], grid["enumerate"])
     checks = suite(**flags)
     passed = all(c["passed"] for c in checks)
     first_failure = next((c["name"] for c in checks if not c["passed"]), None)

@@ -27,7 +27,7 @@ from .dt_vertex import r_bullet_zero
 from .exactnum import field_for
 from .hurwitz import PhiKernel
 from .partitions import check_partition, partitions_of, z_aut
-from .series import GradeCap, Series, SeriesContext, VarSpec, coeff_to_data
+from .series import GradeCap, Series, SeriesContext, VarSpec, coeff_to_data, require_fields
 
 
 @lru_cache(maxsize=None)
@@ -198,8 +198,10 @@ def block_to_data(block: LocalBlock) -> dict:
 def block_from_data(data: dict) -> LocalBlock:
     if data.get("kind") != "local-block":
         raise ValueError("not a serialized block")
+    require_fields(data, "a local block", "entries", "d", "a_list", "slots")
     parsed = {}
     for entry in data["entries"]:
+        require_fields(entry, "a block entry", "boundary", "series")
         key = tuple(check_partition(tuple(part)) for part in entry["boundary"])
         parsed[key] = Series.from_data(entry["series"])
     return LocalBlock(
@@ -249,7 +251,10 @@ def block_from_spec(spec: dict, lam_max: int = 5, x_deg_max: int = 4) -> LocalBl
     {"kind": "cap-family", "a": .., "d": ..}, {"kind": "identity",
     "a": .., "d": ..}, and inline {"kind": "local-block", ...} data.
     """
+    require_fields(spec, "a plan block")
     kind = spec.get("kind")
+    need = {"cap": ("a", "mu"), "cap-family": ("a", "d"), "identity": ("a", "d")}
+    require_fields(spec, f"a {kind!r} block", *need.get(kind, ()))
     if kind == "cap":
         return cap_level0(int(spec["a"]), tuple(spec["mu"]), lam_max, x_deg_max)
     if kind == "cap-family":
@@ -268,6 +273,7 @@ def run_glue_plan(plan: dict, lam_max: int = 5, x_deg_max: int = 4) -> LocalBloc
     blocks are contracted in order, so the ends may be one-slot caps and
     the interior entries must expose two slots.
     """
+    require_fields(plan, "the gluing plan", "d", "blocks")
     d = int(plan["d"])
     specs = plan["blocks"]
     if not specs:

@@ -64,10 +64,21 @@ def coeff_to_data(c):
     return _frac_str(c)
 
 
+def require_fields(data, what: str, *names):
+    """Raise ValueError unless data is a mapping that holds every field in
+    names; the message names what was read and the first missing field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{what} lacks the field {name!r}")
+
+
 def coeff_from_data(data):
     """Inverse of :func:`coeff_to_data`."""
     if isinstance(data, str):
         return Fraction(data)
+    require_fields(data, "a cyclotomic coefficient", "order", "coeffs")
     field = cyclo_field(data["order"])
     coeffs = [Fraction(s) for s in data["coeffs"]]
     den = math.lcm(*(f.denominator for f in coeffs)) if coeffs else 1
@@ -752,11 +763,16 @@ class Series:
     def from_data(cls, data: dict) -> "Series":
         """Rebuild a series, in a fresh context, from :meth:`to_data` output.
 
-        A floors, maxes or cap_bounds list of the wrong length, a repeated
-        exponent tuple, and a stored term outside the window or below a
-        floor raise ``ValueError``; zero coefficients are dropped, as in
-        :meth:`from_terms`.
+        A missing field, a floors, maxes or cap_bounds list of the wrong
+        length, a repeated exponent tuple, and a stored term outside the
+        window or below a floor raise ``ValueError``; zero coefficients are
+        dropped, as in :meth:`from_terms`.
         """
+        require_fields(data, "series data", "variables", "caps", "floors", "maxes", "cap_bounds", "terms")
+        for v in data["variables"]:
+            require_fields(v, "a series variable", "name", "denominator")
+        for c in data["caps"]:
+            require_fields(c, "a grade cap", "name", "weights")
         ctx = SeriesContext(
             tuple(VarSpec(v["name"], v["denominator"]) for v in data["variables"]),
             tuple(
@@ -770,6 +786,7 @@ class Series:
                 raise ValueError(f"{field!r} has {len(data[field])} entries, need {len(names)}")
         terms = {}
         for t in data["terms"]:
+            require_fields(t, "a series term", "exponents", "coeff")
             exps = tuple(Fraction(e) for e in t["exponents"])
             if exps in terms:
                 raise ValueError(f"'terms' repeat the exponents {t['exponents']}")

@@ -2,9 +2,9 @@
 
 ``SUITES`` maps each suite name to a plain function.  Its keyword
 parameters are named after the CLI flags (``a``, ``d``, ``r``, ``tau``,
-``lambda_order``, ``x_order``) and default to the windows ``orbivertex
-verify`` uses when a flag is absent; ``verify`` refuses a flag that the
-suite has no parameter for.  Each function returns a list of
+``lambda_order``, ``x_order``, ``enumerate``) and default to the windows
+``orbivertex verify`` uses when a flag is absent; ``verify`` refuses a flag
+that the suite has no parameter for.  Each function returns a list of
 ``{"name", "passed", ...}`` checks.  ``orbivertex verify --suite NAME`` and
 the acceptance tests both run through this registry, so every identity is
 coded once.
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
+from . import dt_vertex as dtv
 from .characters import chi
 from .dt_vertex import correspondence_report, r_bullet_zero, trig_context
 from .exactnum import field_for
@@ -31,6 +32,7 @@ from .partitions import check_partition, kappa, partitions_of, z_aut
 from .series import PrecisionError, Series, SeriesContext, VarSpec, _frac_str
 
 DEFAULT_CORRESPONDENCE_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+DEFAULT_DT_VERTEX_MODULI = (1, 2, 3)
 
 
 def phi_composition_check(nu, mu, order: int = 6) -> bool:
@@ -141,6 +143,31 @@ def correspondence(*, a=None, d=None, lambda_order=5, x_order=4) -> list:
     ]
 
 
+def dt_vertex(*, a=None, d=4, enumerate=8) -> list:
+    """The box-counting enumerator of every leg nu with 1 <= |nu| <= d is
+    the closed reduced vertex of nu times the empty-leg enumerator, through
+    added volume ``enumerate``, at quotient order a; with a not given, for
+    a in 1, 2, 3."""
+    # The module's functions are read off the module, so that a test can
+    # substitute a wrong vertex.
+    bounds = {"vol": enumerate}
+    checks = []
+    for pa in DEFAULT_DT_VERTEX_MODULI if a is None else (a,):
+        ctx = dtv.box_context(pa)
+        empty = dtv.box_counting_series((), pa, enumerate)
+        for size in range(1, d + 1):
+            for nu in partitions_of(size):
+                closed = dtv.reduced_vertex_closed(nu, pa).to_series(ctx, enumerate)
+                full = dtv.box_counting_series(nu, pa, enumerate).restrict(cap_bounds=bounds)
+                checks.append(
+                    {
+                        "name": f"dt-vertex-a{pa}-nu{_partition_label(nu)}",
+                        "passed": full == (closed * empty).restrict(cap_bounds=bounds),
+                    }
+                )
+    return checks
+
+
 def mv_a1(*, d=4, lambda_order=8) -> list:
     """The character sum reproduces the one-leg series at a=1 for every
     profile of size 1..d."""
@@ -240,6 +267,7 @@ SUITES = {
     "phi": phi,
     "burnside": burnside,
     "correspondence": correspondence,
+    "dt-vertex": dt_vertex,
     "mv-a1": mv_a1,
     "quantum-dim": quantum_dim,
     "gluing": gluing,

@@ -3,22 +3,16 @@
 Each criterion is one test function, so a verbose pytest run prints one
 pass/fail line per criterion.  Every comparison is exact (Fraction or
 cyclotomic equality); there are no tolerances anywhere.  Criteria 2, 3, 5,
-6, 10 and 11, the six-pair part of 4 and the correspondence reach targets
-run the named suites of ``orbivertex.verify.SUITES`` at explicit windows,
-the same checks that ``orbivertex verify`` prints, and pin how many checks
-each suite ran.
+6, 8, 10 and 11, the six-pair part of 4 and the correspondence and DT
+vertex reach targets run the named suites of ``orbivertex.verify.SUITES``
+at explicit windows, the same checks that ``orbivertex verify`` prints,
+and pin how many checks each suite ran.
 """
 
 from fractions import Fraction
 
 from orbivertex.characters import chi
-from orbivertex.dt_vertex import (
-    box_context,
-    box_counting_series,
-    r_bullet_zero,
-    reduced_vertex_closed,
-    volume_counts,
-)
+from orbivertex.dt_vertex import r_bullet_zero, volume_counts
 from orbivertex.gw_vertex import g_bullet_mu, lambda_g_psi_series, transport_back
 from orbivertex.partitions import partitions_of, z_aut
 from orbivertex.verify import SUITES
@@ -113,23 +107,16 @@ def test_criterion_07_sine_ratio_series():
 
 
 def test_criterion_08_box_counting_against_closed_form():
-    ctx1 = box_context(1)
-    empty1 = box_counting_series((), 1, 6)
-    for nu in ((1,), (2,), (1, 1)):
-        full = box_counting_series(nu, 1, 6)
-        closed = reduced_vertex_closed(nu, 1).to_series(ctx1, 6)
-        window = {"q": 6}
-        assert full.restrict(maxes=window) == (closed * empty1).restrict(maxes=window), nu
-    ctx2 = box_context(2)
-    empty2 = box_counting_series((), 2, 6)
-    full2 = box_counting_series((1,), 2, 6)
-    closed2 = reduced_vertex_closed((1,), 2).to_series(ctx2, 6)
-    bounds = {"vol": 6}
-    assert full2.restrict(cap_bounds=bounds) == (closed2 * empty2).restrict(
-        cap_bounds=bounds
-    )
+    # Every leg of size 1..4 at a in {1, 2, 3}, through added volume 8.
+    run_suite("dt-vertex", 33, d=4, enumerate=8)
     assert volume_counts((), 4) == plane_partition_counts(4) == [1, 1, 3, 6, 13]
     print("criterion 8 PASS: enumerator ratios match the closed reduced vertex")
+
+
+def test_dt_vertex_reach_targets():
+    # Legs of size up to 3 at a = 4 and a = 6, in 4 and 6 colors.
+    run_suite("dt-vertex", 6, a=4, d=3)
+    run_suite("dt-vertex", 6, a=6, d=3)
 
 
 def test_criterion_09_framing_transport_round_trip():

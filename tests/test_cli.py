@@ -2,7 +2,7 @@
 
 import json
 
-from orbivertex import cli, hurwitz, verify
+from orbivertex import cli, dt_vertex, hurwitz, verify
 from orbivertex.localgw import block_to_data, cap_level0
 from orbivertex.cli import (
     EXIT_GUARD,
@@ -157,6 +157,7 @@ def test_tampered_plan_exits_three(tmp_path, capsys):
     cases = [
         (lambda s: s["terms"].append({"exponents": ["-7/1"], "coeff": "1/1"}), "below the declared floor"),
         (lambda s: s.update(floors=[]), "'floors' has 0 entries, need 1"),
+        (lambda s: s.pop("floors"), "series data lacks the field 'floors'"),
         (lambda s: s["terms"].append({"exponents": [], "coeff": "1/1"}), "need one entry per variable"),
         (lambda s: s["terms"][0]["exponents"].append("0/1"), "need one entry per variable"),
         (lambda s: s["terms"].append(dict(s["terms"][0])), "'terms' repeat the exponents"),
@@ -170,12 +171,58 @@ def test_tampered_plan_exits_three(tmp_path, capsys):
         assert not out
 
 
+def test_plan_missing_fields_exit_three(tmp_path, capsys):
+    # A plan, a block spec, a block entry and a serialized block, each
+    # without one field it needs.
+    block = block_to_data(cap_level0(1, (1,), lam_max=2))
+    no_series = dict(block, entries=[{"boundary": [[1]]}])
+    no_slots = {k: v for k, v in block.items() if k != "slots"}
+    cases = [
+        ({"blocks": [block]}, "the gluing plan lacks the field 'd'"),
+        ({"d": 1, "blocks": [{"kind": "cap", "a": 1}]}, "a 'cap' block lacks the field 'mu'"),
+        ({"d": 1, "blocks": [no_series]}, "a block entry lacks the field 'series'"),
+        ({"d": 1, "blocks": [no_slots]}, "a local block lacks the field 'slots'"),
+    ]
+    for plan, message in cases:
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "local-gw", "--glue", str(plan_path))
+        assert code == EXIT_GUARD, message
+        assert message in err and "Traceback" not in err
+        assert not out
+
+
+def test_dt_vertex_suite_names_a_wrong_vertex(monkeypatch, capsys):
+    # Doubling the closed vertex of one shape fails that shape's check and
+    # no other.
+    real = dt_vertex.reduced_vertex_closed
+
+    def wrong(nu, a):
+        return real(nu, a) * 2 if (nu, a) == ((2, 1), 2) else real(nu, a)
+
+    monkeypatch.setattr(dt_vertex, "reduced_vertex_closed", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "dt-vertex", "--a", "2")
+    assert code == EXIT_VERIFY
+    result = json.loads(out)["result"]
+    assert [c["name"] for c in result["checks"] if not c["passed"]] == ["dt-vertex-a2-nu(2,1)"]
+    assert result["first_failure"] == "dt-vertex-a2-nu(2,1)"
+    assert len(result["checks"]) == 11
+
+
 def test_cost_guards_exit_three(capsys):
     code, _, err = run_cli(capsys, "char", "--d", "9")
     assert code == EXIT_GUARD
     assert "guard" in err
-    code, _, _ = run_cli(capsys, "dt", "--a", "1", "--nu", "1", "--enumerate", "11")
-    assert code == EXIT_GUARD
+    for argv in ("dt --a 1 --nu 1 --enumerate 11", "verify --suite dt-vertex --enumerate 11"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_GUARD and not out, argv
+        assert err == "cost guard: box enumeration is guarded to 10 added boxes\n", argv
+    # The closed vertex is priced before it is built: dt --a 3000 --nu 1
+    # would run for about 30 s.
+    for argv in ("dt --a 3000 --nu 1", "verify --suite dt-vertex --a 500 --d 1 --enumerate 2"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_GUARD and not out, argv
+        assert err.startswith("cost guard: the closed vertex at a="), argv
     # Refused before any work: it would run for about 20 s.
     code, out, err = run_cli(capsys, "gw", "--a", "20", "--mu", "1")
     assert code == EXIT_GUARD and not out
@@ -194,6 +241,33 @@ def test_transport_cost_estimate():
     assert cli.COST_BUDGET < cli.transport_cost(20, 1, 5, 4) <= 32 * 8855 * 7
     for huge in ((10**9, 1, 5, 4), (10**6, 0, 0, 10**6), (2, 10**5, 0, 0), (1, 1, 10**12, 0)):
         assert cli.transport_cost(*huge) > cli.COST_BUDGET, huge
+
+
+def test_vertex_cost_estimate():
+    # a * (volume + 1)^2 * p(n)^2 * C(a - 1 + n, n).
+    assert cli.vertex_cost(1000, 1) == 1000 * 1000 == cli.COST_BUDGET
+    assert cli.vertex_cost(3, 4, 8) == 3 * 81 * 25 * 15
+    assert cli.vertex_cost(6, 3, 8) == 6 * 81 * 9 * 56
+    assert cli.vertex_cost(1, 0) == 1
+    # Huge flags are priced at once, as a lower bound over the budget.
+    for huge in ((10**12, 1, 0), (1, 10**6, 0), (2, 10**5, 10)):
+        assert cli.vertex_cost(*huge) > cli.COST_BUDGET, huge
+
+
+def test_vertex_cost_guard_exits_three(monkeypatch, capsys):
+    # dt --a 2 --nu 2,1 costs 2 * 9 * 4 = 72; the suite at a = 2, d = 2 and
+    # volume 2 costs 2 * 9 * 4 * 3 = 216.
+    monkeypatch.setattr(cli, "COST_BUDGET", 71)
+    code, out, err = run_cli(capsys, "dt", "--a", "2", "--nu", "2,1")
+    assert code == EXIT_GUARD and not out
+    assert err.startswith("cost guard: the closed vertex at a=2, size 3 and volume 0 is estimated at 72")
+    monkeypatch.setattr(cli, "COST_BUDGET", 215)
+    argv = "verify --suite dt-vertex --a 2 --d 2 --enumerate 2"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_GUARD and not out
+    assert err.startswith("cost guard: the closed vertex at a=2, size 2 and volume 2 is estimated at 216")
+    monkeypatch.setattr(cli, "COST_BUDGET", 216)
+    assert run_cli(capsys, *argv.split())[0] == EXIT_OK
 
 
 def test_transport_cost_guard_exits_three(monkeypatch, capsys):

@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from orbivertex import dt_vertex, gw_vertex
+from orbivertex import gw_vertex
 from orbivertex.characters import chi
 from orbivertex.dt_vertex import (
     RationalForm,
     _r_bullet_zero_form,
     _vertex_side_form,
-    box_context,
     box_counting_series,
     change_of_vars,
-    common_denominator,
     correspondence_report,
     lam_pad,
     powersum_rational,
@@ -25,7 +23,7 @@ from orbivertex.dt_vertex import (
     volume_counts,
     weighted_sum,
 )
-from orbivertex.partitions import partitions_of
+from orbivertex.partitions import conjugate, partitions_of
 from orbivertex.series import PrecisionError, Series
 
 from oracles import (
@@ -74,6 +72,23 @@ def test_schur_expansion_needs_no_series_inverse(monkeypatch):
         assert series == schur_at_colored(nu, a, 6), (a, nu)
 
 
+def test_schur_rational_character_orthogonality():
+    # sum_nu chi^nu(mu) s_{nu'} = (-1)^(d - len(mu)) p_mu at the colored
+    # alphabet, as exact rational functions.  With the per-shape shifts and
+    # the sign flip it says that the vertex-side form equals the power-sum
+    # form of r_bullet_zero, so vertex_side_series and r_bullet_zero agree.
+    pairs = [(a, d) for a in (1, 2, 3) for d in range(1, 6)] + [(4, d) for d in range(1, 5)]
+    for a, d in pairs:
+        for mu in partitions_of(d):
+            p_mu = RationalForm.monomial(a, 0)
+            for part in mu:
+                p_mu = p_mu * powersum_rational(a, part)
+            terms = [(chi(nu, mu), schur_rational(conjugate(nu), a)) for nu in partitions_of(d)]
+            assert weighted_sum(terms + [(-((-1) ** (d - len(mu))), p_mu)]).num == {}, (a, mu)
+            vertex_side = weighted_sum([(1, _vertex_side_form(a, mu)), (-1, _r_bullet_zero_form(a, mu))])
+            assert vertex_side.num == {}, (a, mu)
+
+
 def test_rational_form_algebra():
     geom = RationalForm(1, {(0,): Fraction(1)}, {(1, 1): 1})  # 1/(1-q)
     doubled = geom + geom
@@ -84,7 +99,7 @@ def test_rational_form_algebra():
     for k in range(6):
         assert series.coefficient({"q": k}) == (-1) ** k
     # Forms of different moduli have no common denominator.
-    for add in (lambda f, g: f + g, lambda f, g: common_denominator([f, g])):
+    for add in (lambda f, g: f + g, lambda f, g: weighted_sum([(1, f), (2, g)])):
         with pytest.raises(ValueError, match="different moduli"):
             add(geom, RationalForm.monomial(2, 0))
 
@@ -101,8 +116,7 @@ def test_weighted_sum_equals_the_fold_of_sums():
     fold = forms[0] * weights[0] + forms[1] * weights[1] + forms[2] * weights[2]
     assert total.den == {(1, 1): 2, (1, -1): 2, (2, 1): 1}
     # Over one denominator, equal rational functions have equal numerators.
-    _, _, (left, right) = common_denominator([total, fold])
-    assert left == right
+    assert weighted_sum([(1, total), (-1, fold)]).num == {}
     ctx = colored_context(2)
     assert total.to_series(ctx, 6) == fold.to_series(ctx, 6)
 
@@ -175,40 +189,6 @@ def test_one_box_leg_counts_are_prefix_sums():
     flat = plane_partition_counts(6)
     prefix = [sum(flat[: n + 1]) for n in range(7)]
     assert volume_counts((1,), 6) == prefix
-
-
-def test_enumerator_ratio_a1():
-    ctx = box_context(1)
-    empty = box_counting_series((), 1, 6)
-    for nu in ((1,), (2,), (1, 1)):
-        full = box_counting_series(nu, 1, 6)
-        closed = reduced_vertex_closed(nu, 1).to_series(ctx, 6)
-        window = {"q": 6}
-        lhs = full.restrict(maxes=window)
-        rhs = (closed * empty).restrict(maxes=window)
-        assert lhs == rhs, nu
-
-
-def test_enumerator_ratio_a2():
-    ctx = box_context(2)
-    empty = box_counting_series((), 2, 6)
-    for nu in ((1,), (1, 1), (2, 1)):
-        full = box_counting_series(nu, 2, 6)
-        closed = reduced_vertex_closed(nu, 2).to_series(ctx, 6)
-        bounds = {"vol": 6}
-        lhs = full.restrict(cap_bounds=bounds)
-        rhs = (closed * empty).restrict(cap_bounds=bounds)
-        assert lhs == rhs, nu
-
-
-def test_enumerator_ratio_a3():
-    # Leg (2,1) at a = 3 holds one box of each color.
-    ctx = box_context(3)
-    bounds = {"vol": 6}
-    full = box_counting_series((2, 1), 3, 6).restrict(cap_bounds=bounds)
-    closed = reduced_vertex_closed((2, 1), 3).to_series(ctx, 6)
-    empty = box_counting_series((), 3, 6)
-    assert full == (closed * empty).restrict(cap_bounds=bounds)
 
 
 def test_framing_zero_series_is_inverse_sine():
@@ -305,22 +285,6 @@ def test_correspondence_matches_the_literal_check():
     pairs = [(a, d) for a in (1, 2, 3) for d in range(5)] + [(4, 2)]
     for a, d in pairs:
         assert correspondence_report(a, d) == correspondence_report_literal(a, d), (a, d)
-
-
-def test_correspondence_dt_half_fails_on_a_wrong_vertex(monkeypatch):
-    # Doubling the reduced vertex of one shape breaks the identity of every
-    # profile whose character weight on that shape is nonzero, and only
-    # those: chi^(3,1)(3,1) = 0.
-    doubled = (3, 1)
-    real = dt_vertex.reduced_vertex_closed
-
-    def wrong(nu, a):
-        return real(nu, a) * 2 if nu == doubled else real(nu, a)
-
-    monkeypatch.setattr(dt_vertex, "reduced_vertex_closed", wrong)
-    report = correspondence_report(2, 4, lam_max=2, x_deg_max=1)
-    assert report == [(mu, chi(doubled, mu) == 0) for mu in partitions_of(4)]
-    assert [mu for mu, ok in report if ok] == [(3, 1)]
 
 
 def test_correspondence_gw_half_fails_on_a_wrong_table_entry(monkeypatch):

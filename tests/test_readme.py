@@ -1,10 +1,12 @@
-"""The README's library example and command lines run as written."""
+"""The README's library example and command lines run as written, and its
+suite list and suite table name every registered suite."""
 
 import re
 import shlex
 from pathlib import Path
 
 from orbivertex.cli import EXIT_OK, main
+from orbivertex.verify import SUITES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +30,13 @@ def test_command_lines_exit_zero(capsys):
     for command in commands:
         assert main(shlex.split(command)[1:]) == EXIT_OK, command
         capsys.readouterr()
+
+
+def test_suite_list_and_table_name_every_suite():
+    text = README.read_text()
+    listed = re.search(r"A verification suite \(one of (.*?)\):", text, re.S).group(1)
+    table = text[text.index("| suite | flags (default) |"):]
+    table = table[: table.index("\n\n")]
+    rows = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert re.findall(r"`([^`]+)`", listed) == sorted(SUITES)
+    assert sorted(rows) == sorted(SUITES)
