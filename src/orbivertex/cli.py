@@ -13,7 +13,7 @@ import argparse
 import inspect
 import json
 import sys
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd
 
 from . import __version__
@@ -26,10 +26,12 @@ from .localgw import (
     block_to_data,
     cap_family,
     cap_level0,
+    check_block_spec,
     emit_table,
+    plan_blocks,
     run_glue_plan,
 )
-from .partitions import check_partition, partition_counts, partitions_of
+from .partitions import check_partition, hooks, partition_counts, partitions_of
 from .series import PrecisionError, _frac_str
 from .verify import DEFAULT_DT_VERTEX_MODULI, SUITES
 
@@ -165,29 +167,71 @@ def vertex_cost(a: int, n: int, volume: int = 0) -> int:
     return _priced(cost, _binomials(a - 1 + n, k), k)
 
 
-def _require_budget(args, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"):
+def _leg_configurations(volume: int):
+    # The running number of box configurations with at most volume added
+    # boxes over the legs nu with |nu| <= 0, 1, 2, ...: over one leg they
+    # count sum_(v <= volume) [q^v] M(q) / prod_(cells of nu) (1 - q^hook),
+    # with M(q) = prod_k (1 - q^k)^-k the MacMahon function.
+    macmahon = [k for k in range(1, volume + 1) for _ in range(k)]
+    total = 0
+    for n in count():
+        for nu in partitions_of(n):
+            coeffs = [1] + [0] * volume
+            for h in macmahon + [h for h in hooks(nu) if h <= volume]:
+                for v in range(h, volume + 1):
+                    coeffs[v] += coeffs[v - h]
+            total += sum(coeffs)
+        yield total
+
+
+def enumeration_cost(d: int, volume: int) -> int:
+    """Estimated work of the box enumeration of the dt-vertex suite: the
+    number of configurations with at most volume added boxes over every leg
+    nu with |nu| <= d.  Exact up to COST_BUDGET, and past it a lower bound
+    over the budget, as in transport_cost; but each size's legs are listed,
+    so callers bound d first, as the dt-vertex guard does with
+    vertex_cost, whose p(d)^2 passes the budget from d = 22 on."""
+    return _priced(1, _leg_configurations(volume), d)
+
+
+def _require_budget(args, a: int, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"):
     # Refuse a run whose transport_cost, at the window flags or else at the
     # defaults of the library call fn, is over COST_BUDGET.
     params = inspect.signature(fn).parameters
     lam_max = params[lam].default if args.lambda_order is None else args.lambda_order
     x_deg_max = params[x].default if args.x_order is None else args.x_order
-    cost = transport_cost(args.a, d, lam_max, x_deg_max)
+    cost = transport_cost(a, d, lam_max, x_deg_max)
     if cost > COST_BUDGET:
         raise GuardError(
-            f"a={args.a}, d={d} at lambda order {lam_max} and x order {x_deg_max} is "
+            f"a={a}, d={d} at lambda order {lam_max} and x order {x_deg_max} is "
             f"estimated at {cost} or more, over the budget of {COST_BUDGET}"
         )
 
 
-def _require_vertex_budget(a: int, n: int, volume: int):
+def _require_plan_budget(args, plan):
+    # Price every cap and cap-family block of a gluing plan before any block
+    # is built; a shape the builder refuses is left for it to name.
+    for spec in plan_blocks(plan):
+        kind = check_block_spec(spec)
+        if kind in ("cap", "cap-family"):
+            a, d = int(spec["a"]), sum(check_partition(spec["mu"])) if kind == "cap" else int(spec["d"])
+            if a >= 1 and d >= 0:
+                _require_budget(args, a, d, run_glue_plan)
+
+
+def _require_vertex_budget(a: int, n: int, volume: int, legs: bool = False):
     # Refuse a box enumeration past BOX_LIMIT, then a closed vertex whose
-    # vertex_cost is over COST_BUDGET, before either is built.
+    # vertex_cost, plus with legs the enumeration_cost of every leg up to
+    # size n, is over COST_BUDGET, before anything is built.
     if volume > BOX_LIMIT:
         raise GuardError(f"box enumeration is guarded to {BOX_LIMIT} added boxes")
     cost = vertex_cost(a, n, volume)
+    if legs and cost <= COST_BUDGET:
+        cost += enumeration_cost(n, volume)
     if cost > COST_BUDGET:
+        enumerated = ", with the box enumeration of every leg up to that size," if legs else ""
         raise GuardError(
-            f"the closed vertex at a={a}, size {n} and volume {volume} is estimated at "
+            f"the closed vertex at a={a}, size {n} and volume {volume}{enumerated} is estimated at "
             f"{cost} or more, over the budget of {COST_BUDGET}"
         )
 
@@ -245,7 +289,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    _require_budget(args, sum(args.mu), r_bullet_tau)
+    _require_budget(args, args.a, sum(args.mu), r_bullet_tau)
     series = r_bullet_tau(args.a, args.mu, args.tau or 0, **_windows(args)).series
     return _emit_json(args, {"series": series.to_data()})
 
@@ -266,12 +310,13 @@ def cmd_local_gw(args) -> int:
     if args.glue is not None:
         with open(args.glue, "r", encoding="utf-8") as fh:
             plan = json.load(fh)
+        _require_plan_budget(args, plan)
         block = run_glue_plan(plan, **_windows(args))
     elif args.mu is not None:
-        _require_budget(args, sum(args.mu), cap_level0)
+        _require_budget(args, args.a, sum(args.mu), cap_level0)
         block = cap_level0(args.a, args.mu, **_windows(args))
     else:
-        _require_budget(args, args.d, cap_family)
+        _require_budget(args, args.a, args.d, cap_family)
         block = cap_family(args.a, args.d, **_windows(args))
     if args.format == "csv":
         return _emit_csv(args, emit_table(block))
@@ -294,10 +339,10 @@ def cmd_verify(args) -> int:
     if args.suite == "correspondence" and ("a" in flags) != ("d" in flags):
         raise UsageError("correspondence takes --a and --d together, or neither")
     if args.suite == "correspondence" and "a" in flags:
-        _require_budget(args, args.d, suite, "lambda_order", "x_order")
+        _require_budget(args, args.a, args.d, suite, "lambda_order", "x_order")
     if args.suite == "dt-vertex":
         grid = {name: p.default for name, p in takes.items()} | flags
-        _require_vertex_budget(grid["a"] or max(DEFAULT_DT_VERTEX_MODULI), grid["d"], grid["enumerate"])
+        _require_vertex_budget(grid["a"] or max(DEFAULT_DT_VERTEX_MODULI), grid["d"], grid["enumerate"], legs=True)
     checks = suite(**flags)
     passed = all(c["passed"] for c in checks)
     first_failure = next((c["name"] for c in checks if not c["passed"]), None)

@@ -244,6 +244,24 @@ def emit_table(block: LocalBlock) -> str:
 # -- gluing plans ----------------------------------------------------------
 
 
+def check_block_spec(spec) -> str:
+    """The kind of a plan entry, once it holds every field that kind needs."""
+    require_fields(spec, "a plan block")
+    kind = spec.get("kind")
+    need = {"cap": ("a", "mu"), "cap-family": ("a", "d"), "identity": ("a", "d")}
+    require_fields(spec, f"a {kind!r} block", *need.get(kind, ()))
+    return kind
+
+
+def plan_blocks(plan) -> list:
+    """The block specs of a gluing plan, once it holds a degree and at
+    least one block."""
+    require_fields(plan, "the gluing plan", "d", "blocks")
+    if not plan["blocks"]:
+        raise ValueError("empty gluing plan")
+    return plan["blocks"]
+
+
 def block_from_spec(spec: dict, lam_max: int = 5, x_deg_max: int = 4) -> LocalBlock:
     """Build one block from a plan entry.
 
@@ -251,10 +269,7 @@ def block_from_spec(spec: dict, lam_max: int = 5, x_deg_max: int = 4) -> LocalBl
     {"kind": "cap-family", "a": .., "d": ..}, {"kind": "identity",
     "a": .., "d": ..}, and inline {"kind": "local-block", ...} data.
     """
-    require_fields(spec, "a plan block")
-    kind = spec.get("kind")
-    need = {"cap": ("a", "mu"), "cap-family": ("a", "d"), "identity": ("a", "d")}
-    require_fields(spec, f"a {kind!r} block", *need.get(kind, ()))
+    kind = check_block_spec(spec)
     if kind == "cap":
         return cap_level0(int(spec["a"]), tuple(spec["mu"]), lam_max, x_deg_max)
     if kind == "cap-family":
@@ -273,11 +288,8 @@ def run_glue_plan(plan: dict, lam_max: int = 5, x_deg_max: int = 4) -> LocalBloc
     blocks are contracted in order, so the ends may be one-slot caps and
     the interior entries must expose two slots.
     """
-    require_fields(plan, "the gluing plan", "d", "blocks")
+    specs = plan_blocks(plan)
     d = int(plan["d"])
-    specs = plan["blocks"]
-    if not specs:
-        raise ValueError("empty gluing plan")
     acc = block_from_spec(specs[0], lam_max, x_deg_max)
     for spec in specs[1:]:
         acc = glue(acc, block_from_spec(spec, lam_max, x_deg_max), d)

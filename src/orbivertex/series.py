@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, le, mul
 
 from .exactnum import CycloNum, cyclo_field
 
@@ -494,21 +496,17 @@ class Series:
         terms = {k: c for k, c in self.terms.items() if self_in_window_static(k, tops, self.ctx)}
         return Series(self.ctx, terms, self.floors, tops)
 
-    def _power_sum(self, coeffs, acc: "Series") -> "Series":
-        # acc + sum_k coeffs[k-1] * self**k, every power clipped to the window
-        # of self.  Empty powers still take part: they narrow the window of
-        # the sum.  The sum is then trimmed to that window, which holds every
-        # term inside it, so its lowest stored exponents are its floors.
-        power = self._clip_to(self.tops)
-        for k, c in enumerate(coeffs):
-            if k:
-                power = (power * self)._clip_to(self.tops)
-            acc = acc + (power if c == 1 else power._scale(c))
-        acc = acc._clip_to(self.tops)
-        if not acc.terms:
-            return acc
-        floors = tuple(min(k[i] for k in acc.terms) for i in range(self.ctx.n))
-        return Series(self.ctx, acc.terms, floors, acc.tops)
+    def _tight(self) -> "Series":
+        # For a series that holds every term inside its window: its floors
+        # become its lowest stored exponents.
+        if not self.terms:
+            return self
+        return Series(self.ctx, self.terms, tuple(map(min, zip(*self.terms))), self.tops)
+
+    def _powers(self, count: int):
+        # self, self**2, ..., self**count, each power cut to the window of
+        # self.  An empty power still has a window, read off its floors.
+        return accumulate(repeat(self, count), lambda power, s: (power * s)._clip_to(s.tops))
 
     def invert(self) -> "Series":
         """Multiplicative inverse around the corner of the stored support.
@@ -538,14 +536,18 @@ class Series:
             raise PrecisionError("inverse has unbounded support for the current window")
         extent = sum(u.tops[j] for j in finite)
         K = extent // min(scores) if scores else 0
-        return w._power_sum([1] * K, Series.one(ctx)) * m_inv
+        total = Series.one(ctx)
+        for power in w._powers(K):
+            total = total + power
+        return total._clip_to(w.tops)._tight() * m_inv
 
     def _truncation(self, cap, op: str, what: str, unit: bool = False):
-        # The highest power that exp or log (op) keeps under the named cap
-        # (default: the first), or None when there is nothing to raise to a
-        # power.  Every stored term (described by what) must have positive
-        # grade, so the k-th power grades at least k times the least grade;
-        # with unit, the grade-zero slice must instead be exactly 1.
+        # The index of the named cap (default: the first) and the highest
+        # power that exp or log (op) keeps under it, None when there is
+        # nothing to raise to a power.  Every stored term (described by
+        # what) must have positive grade, so the k-th power grades at least
+        # k times the least grade; with unit, the grade-zero slice must
+        # instead be exactly 1.
         ctx = self.ctx
         if not ctx.caps:
             raise PrecisionError(f"{op} needs a grading cap to truncate against")
@@ -560,37 +562,121 @@ class Series:
                 raise ValueError(f"{op} requires the grade-zero slice to be exactly 1")
             terms = [k for k in terms if k != zero_key]
         if not terms:
-            return None
+            return ci, None
         bound = self.tops[ctx.n + ci]
         if bound is None:
             raise PrecisionError(f"{op} needs a finite bound on its grading cap")
         min_grade = min(ctx.grade(ci, k) for k in terms)
         if min_grade <= 0:
             raise ValueError(f"{op} requires every {what} to have positive cap grade")
-        return int(bound / min_grade)
+        return ci, max(int(bound / min_grade), 0)
+
+    def _power_window(self, k_max: int) -> tuple:
+        # The window of sum_{k <= k_max} self**k over _powers.  A nonempty
+        # power moves each finite top by the slot's lowest stored value when
+        # that is negative; an empty one reads its floors instead, so only
+        # when a floor lies lower still are the powers multiplied out.
+        ctx = self.ctx
+        lows = [min(0, self._low(j)) for j in range(len(self.tops))]
+        if k_max > 1 and any(t is not None and ctx.level(j, self.floors) < lows[j] for j, t in enumerate(self.tops)):
+            tops = self.tops
+            for power in self._powers(k_max):
+                tops = tuple(map(_nmin, tops, power.tops))
+            return tops
+        return tuple(None if t is None else t + max(k_max - 1, 0) * low for t, low in zip(self.tops, lows))
+
+    def _by_grade(self, ci: int, k_max: int, log: bool) -> "Series":
+        # exp(self), or log(1 + self) with log, grade by grade under cap ci,
+        # from f' = f g' (Knuth, TAOCP vol. 2, 4.7).  With F_h the slices of
+        # self, grades as integer numerators over the cap's denominator:
+        #   exp:  g E_g = sum_h h F_h E_(g-h),      E_0 = 1;
+        #   log:  M_g = g F_g - sum_h F_h M_(g-h),  M_0 = 0,  L_g = M_g / g.
+        # The result is cut at the window W of the powers.  A slice that r
+        # more factors may still multiply is needed only on W moved up by r
+        # times each slot's lowest negative value, so pairs are cut there.
+        # Terms are bucketed by their values in W's finite slots (as integer
+        # numerators), so each cut is one test per pair of buckets.
+        ctx, n = self.ctx, self.ctx.n
+        window = self._power_window(k_max)
+
+        def level(j, key):
+            return key[j] if j < n else sum(map(mul, ctx._wnum[j - n], key))
+
+        def top(j):
+            t = window[j]
+            return t if j < n else t.numerator * ctx._wden[j - n] // t.denominator
+
+        slots = [j for j, t in enumerate(window) if t is not None and j != n + ci]
+        limit, g_max = [top(j) for j in slots], top(n + ci)
+        slices = {}
+        for k, c in self.terms.items():
+            slices.setdefault(level(n + ci, k), {}).setdefault(tuple(level(j, k) for j in slots), {})[k] = c
+        rises = [-min(0, *col) for col in zip(*(b for s in slices.values() for b in s))]
+        h_min = min(slices)
+        grades = {0}
+        for _ in range(k_max):
+            grades |= {g + h for g in grades for h in slices if g + h <= g_max}
+        factors = {h: {b: {k: -c if log else h * c for k, c in t.items()} for b, t in s.items()} for h, s in slices.items()}
+        out = {} if log else {0: {(0,) * len(slots): {(0,) * n: _as_coeff(1)}}}
+        for g in sorted(grades)[1:]:
+            acc = {b: {k: g * c for k, c in t.items()} for b, t in slices.get(g, {}).items()} if log else {}
+            r = (g_max - g) // h_min
+            cut = [t + r * rise for t, rise in zip(limit, rises)]
+            for h, fh in factors.items():
+                for bb, tb in out.get(g - h, {}).items():
+                    for ba, ta in fh.items():
+                        bk = tuple(map(add, ba, bb))
+                        if not all(map(le, bk, cut)):
+                            continue
+                        target = acc.setdefault(bk, {})
+                        for kb, cb in tb.items():
+                            for ka, ca in ta.items():
+                                k = tuple(map(add, ka, kb))
+                                c = ca * cb
+                                prev = target.get(k)
+                                target[k] = c if prev is None else prev + c
+            out[g] = {b: {k: c if log else c / g for k, c in t.items() if c} for b, t in acc.items()}
+        terms = {
+            k: c / g if log else c
+            for g, buckets in out.items()
+            if g <= g_max
+            for b, t in buckets.items()
+            if all(map(le, b, limit))
+            for k, c in t.items()
+        }
+        floors = tuple(min(0, k_max * f) for f in self.floors)
+        return Series(ctx, terms, floors, window)._tight()
 
     def exp(self, cap: str | None = None) -> "Series":
         """exp of a series whose stored terms all have positive grade under
-        the named cap (default: the first cap), truncated by its bound."""
+        the named cap (default: the first cap), truncated by its bound.
+
+        Built grade by grade from the recurrence g E_g = sum_h h F_h E_(g-h)
+        over the cap's slices F_h, one pass over pairs per grade.  The
+        window is that of the sum of the powers f**k, each cut to the
+        window of f, through the highest power the bound admits; the
+        floors are the lowest stored exponents."""
         ctx = self.ctx
         if self.is_exact_zero():
             return Series.one(ctx)
-        k_max = self._truncation(cap, "exp", "stored term")
+        ci, k_max = self._truncation(cap, "exp", "stored term")
         if k_max is None:
             return Series.one(ctx) + self  # empty terms, but inherits the truncation window
-        coeffs = [Fraction(1, math.factorial(k)) for k in range(1, k_max + 1)]
-        return self._power_sum(coeffs, Series.one(ctx))
+        return self._by_grade(ci, k_max, log=False)
 
     def log(self, cap: str | None = None) -> "Series":
         """log of a series whose grade-zero slice under the named cap is
-        exactly 1, truncated by that cap's bound."""
+        exactly 1, truncated by that cap's bound.
+
+        With w = self - 1, built grade by grade from g L_g = g W_g -
+        sum_h h L_h W_(g-h); window and floors as for :meth:`exp`, of the
+        powers of w."""
         ctx = self.ctx
-        k_max = self._truncation(cap, "log", "nonconstant term", unit=True)
+        ci, k_max = self._truncation(cap, "log", "nonconstant term", unit=True)
         w = self - Series.one(ctx)
         if k_max is None:
             return Series.zero(ctx) + w  # zero, but keep the truncation window
-        coeffs = [Fraction((-1) ** (k - 1), k) for k in range(1, k_max + 1)]
-        return w._power_sum(coeffs, Series.zero(ctx))
+        return w._by_grade(ci, k_max, log=True)
 
     # -- reading and reshaping ----------------------------------------------
 

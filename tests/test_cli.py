@@ -1,9 +1,12 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+import time
+from pathlib import Path
 
 from orbivertex import cli, dt_vertex, hurwitz, verify
 from orbivertex.localgw import block_to_data, cap_level0
+from orbivertex.partitions import partitions_of
 from orbivertex.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -11,6 +14,8 @@ from orbivertex.cli import (
     EXIT_VERIFY,
     main,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +176,24 @@ def test_tampered_plan_exits_three(tmp_path, capsys):
         assert not out
 
 
+def test_plan_cost_guard_exits_three(tmp_path, capsys):
+    # Every cap and cap-family block is priced before any block is built:
+    # the family at a = 20 would take about 20 s.
+    plan = {"d": 1, "blocks": [{"kind": "cap", "a": 1, "mu": [1]}, {"kind": "cap-family", "a": 20, "d": 1}]}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "local-gw", "--glue", str(plan_path))
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_GUARD and not out
+    assert err.startswith("cost guard: a=20, d=1 at lambda order 5 and x order 4 is estimated at")
+    plan["blocks"][1] = {"kind": "cap", "a": 20, "mu": [1]}
+    plan_path.write_text(json.dumps(plan))
+    assert run_cli(capsys, "local-gw", "--glue", str(plan_path))[0] == EXIT_GUARD
+    # The benchmark's one-box plan is under the budget and runs.
+    assert run_cli(capsys, "local-gw", "--glue", str(ROOT / "bench" / "plans" / "one_box.json"))[0] == EXIT_OK
+
+
 def test_plan_missing_fields_exit_three(tmp_path, capsys):
     # A plan, a block spec, a block entry and a serialized block, each
     # without one field it needs.
@@ -254,20 +277,47 @@ def test_vertex_cost_estimate():
         assert cli.vertex_cost(*huge) > cli.COST_BUDGET, huge
 
 
+def test_enumeration_cost_counts_the_configurations():
+    # The configurations the dt-vertex suite enumerates: every leg with
+    # |nu| <= d (the empty leg too), through volume V.
+    for d, volume in ((0, 0), (2, 2), (3, 5), (4, 8)):
+        enumerated = sum(
+            sum(dt_vertex.volume_counts(nu, volume)) for n in range(d + 1) for nu in partitions_of(n)
+        )
+        assert cli.enumeration_cost(d, volume) == enumerated, (d, volume)
+    assert cli.enumeration_cost(2, 2) == 5 + 8 + 9 + 9
+    # Past the budget the estimate is a lower bound over it.
+    assert cli.enumeration_cost(13, 8) > cli.COST_BUDGET
+
+
 def test_vertex_cost_guard_exits_three(monkeypatch, capsys):
     # dt --a 2 --nu 2,1 costs 2 * 9 * 4 = 72; the suite at a = 2, d = 2 and
-    # volume 2 costs 2 * 9 * 4 * 3 = 216.
+    # volume 2 costs 2 * 9 * 4 * 3 = 216 for the closed vertex and 31 for
+    # the box enumeration.
     monkeypatch.setattr(cli, "COST_BUDGET", 71)
     code, out, err = run_cli(capsys, "dt", "--a", "2", "--nu", "2,1")
     assert code == EXIT_GUARD and not out
     assert err.startswith("cost guard: the closed vertex at a=2, size 3 and volume 0 is estimated at 72")
-    monkeypatch.setattr(cli, "COST_BUDGET", 215)
+    monkeypatch.setattr(cli, "COST_BUDGET", 246)
     argv = "verify --suite dt-vertex --a 2 --d 2 --enumerate 2"
     code, out, err = run_cli(capsys, *argv.split())
     assert code == EXIT_GUARD and not out
-    assert err.startswith("cost guard: the closed vertex at a=2, size 2 and volume 2 is estimated at 216")
-    monkeypatch.setattr(cli, "COST_BUDGET", 216)
+    assert err.startswith(
+        "cost guard: the closed vertex at a=2, size 2 and volume 2, with the box enumeration "
+        "of every leg up to that size, is estimated at 247"
+    )
+    monkeypatch.setattr(cli, "COST_BUDGET", 247)
     assert run_cli(capsys, *argv.split())[0] == EXIT_OK
+
+
+def test_box_enumeration_at_a1_is_refused_at_once(capsys):
+    # The closed vertex costs 8.3e5 here, but the 1.6e6 configurations
+    # over the legs of size <= 13 would take about 20 s to enumerate.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *"verify --suite dt-vertex --a 1 --d 13".split())
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_GUARD and not out
+    assert err.startswith("cost guard: the closed vertex at a=1, size 13 and volume 8, with the box enumeration")
 
 
 def test_transport_cost_guard_exits_three(monkeypatch, capsys):

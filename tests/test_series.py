@@ -1,11 +1,14 @@
 """Window-tracked truncated series: arithmetic, honesty, serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from orbivertex.exactnum import cyclo_field
+from orbivertex.gw_vertex import assemble_G0, gw_context, r_bullet_tau
+from orbivertex.partitions import partitions_of
 from orbivertex.series import (
     GradeCap,
     PrecisionError,
@@ -14,6 +17,7 @@ from orbivertex.series import (
     VarSpec,
     coeff_from_data,
     coeff_to_data,
+    self_in_window_static,
 )
 
 
@@ -159,6 +163,128 @@ def test_power_sum_floors_are_the_lowest_stored_exponents():
     s = Series.from_terms(ctx, {(0, 0): 1, (-1, 1): 1}, cap_bounds={"pw": 3}).log()
     assert s.coefficient({"q": -3, "p": 3}) == Fraction(1, 3)
     assert s.floors == (-3, 1)
+
+
+def _clip(s, tops):
+    # s cut to the window tops, as the power sums cut every power.
+    tops = tuple(t if u is None else u if t is None else min(t, u) for t, u in zip(s.tops, tops))
+    return Series(s.ctx, {k: c for k, c in s.terms.items() if self_in_window_static(k, tops, s.ctx)}, s.floors, tops)
+
+
+def _windowed(ctx, terms, floors=None, **window):
+    # The terms that lie inside the window, with the floors of all of them.
+    return _clip(Series.from_terms(ctx, terms, floors=floors), ctx.window(**window))
+
+
+def _power_sum(f, coeffs, start):
+    # start + sum_k coeffs[k-1] f**k with one product and one cut per power,
+    # then cut to f's window, with floors at the lowest stored exponents.
+    total, power = start, f
+    for k, c in enumerate(coeffs):
+        if k:
+            power = _clip(power * f, f.tops)
+        total = total + power * c
+    total = _clip(total, f.tops)
+    floors = tuple(map(min, zip(*total.terms))) if total.terms else total.floors
+    return Series(f.ctx, total.terms, floors, total.tops)
+
+
+def _exp_and_log_by_powers(s, cap):
+    # (exp(s), log(s)), summed over powers as in the definitions; either is
+    # None where the operation refuses s.
+    ctx = s.ctx
+    ci = ctx.cap_index[cap]
+    bound = s.cap_bounds[ci]
+    out = []
+    for log, f in ((False, s), (True, s - 1)):
+        grades = [ctx.grade(ci, k) for k in f.terms]
+        if not grades or min(grades) <= 0 or (log and s.terms.get((0,) * ctx.n) != 1):
+            out.append(None)
+            continue
+        k_max = max(int(bound / min(grades)), 0)
+        if log:
+            coeffs = [Fraction((-1) ** (k - 1), k) for k in range(1, k_max + 1)]
+        else:
+            coeffs = [Fraction(1, math.factorial(k)) for k in range(1, k_max + 1)]
+        out.append(_power_sum(f, coeffs, Series.zero(ctx) if log else Series.one(ctx)))
+    return out
+
+
+def _assert_exp_and_log_match_power_sums(s, cap):
+    want_exp, want_log = _exp_and_log_by_powers(s, cap)
+    if want_exp is not None:
+        assert s.exp(cap=cap).to_data() == want_exp.to_data()
+    if want_log is not None:
+        assert s.log(cap=cap).to_data() == want_log.to_data()
+
+
+def test_exp_and_log_match_power_sums_on_laurent_inputs():
+    # Every cap starts at lam^-1, so each further factor costs one lam order
+    # of the window.
+    ctx = SeriesContext(
+        [VarSpec("lam"), VarSpec("x"), VarSpec("p1"), VarSpec("p2")],
+        caps=[GradeCap("xdeg", {"x": 1}), GradeCap("pw", {"p1": 1, "p2": 2})],
+    )
+    terms = {(-1, 0, 1, 0): 1, (1, 0, 1, 0): Fraction(-1, 24), (-1, 1, 0, 1): Fraction(1, 2), (3, 2, 0, 1): 3}
+    for bound in range(5):
+        f = _windowed(ctx, terms, maxes={"lam": 3}, cap_bounds={"xdeg": 2, "pw": bound})
+        _assert_exp_and_log_match_power_sums(f, "pw")
+        _assert_exp_and_log_match_power_sums(f + 1, "pw")
+    # The connected generating functions of the correspondence.
+    for a, d in ((1, 4), (2, 3), (3, 3)):
+        _assert_exp_and_log_match_power_sums(assemble_G0(a, d, 4, 5 + d - 1), "pweight")
+
+
+def test_exp_and_log_match_power_sums_on_rational_weights():
+    # A cap with weights 1/2 and 3/2, one of them on a variable of exponent
+    # denominator 2: grades are integer numerators over the denominator 4.
+    ctx = SeriesContext(
+        [VarSpec("u", 2), VarSpec("v"), VarSpec("z")],
+        caps=[GradeCap("c", {"u": Fraction(1, 2), "v": Fraction(3, 2)})],
+    )
+    terms = {
+        (Fraction(1, 2), 0, 0): 2,
+        (1, 0, -1): Fraction(-1, 3),
+        (0, 1, 0): Fraction(1, 5),
+        (Fraction(3, 2), 1, 1): 1,
+    }
+    for bound in (Fraction(1, 4), Fraction(1, 2), 2, Fraction(13, 4)):
+        for maxes in ({}, {"z": 0}, {"u": 1, "z": 1}):
+            f = _windowed(ctx, terms, maxes=maxes, cap_bounds={"c": bound})
+            _assert_exp_and_log_match_power_sums(f, "c")
+            _assert_exp_and_log_match_power_sums(f + 1, "c")
+
+
+def test_an_empty_power_narrows_the_window_through_the_floors():
+    # f = q z + q^2 z under z <= 1: f**2 has no term in the window, and f**3
+    # then reads the floor z^-1 of f twice, so the sum is complete only
+    # through z^-1 and holds nothing.
+    ctx = SeriesContext([VarSpec("q"), VarSpec("z")], caps=[GradeCap("deg", {"q": 1})])
+    f = Series.from_terms(ctx, {(1, 1): 1, (2, 1): 1}, maxes={"z": 1}, cap_bounds={"deg": 3}, floors=(0, -1))
+    _assert_exp_and_log_match_power_sums(f, "deg")
+    _assert_exp_and_log_match_power_sums(f + 1, "deg")
+    e = f.exp()
+    assert (e.terms, e.maxes, e.cap_bounds, e.floors) == ({}, (None, -1), (3,), (0, -3))
+    # Floors at the lowest stored exponents: only the power's own window.
+    tight = Series.from_terms(ctx, {(1, 1): 1, (2, 1): 1}, maxes={"z": 1}, cap_bounds={"deg": 3})
+    assert tight.exp().maxes == (None, 1)
+    _assert_exp_and_log_match_power_sums(tight, "deg")
+
+
+def test_log_matches_power_sums_at_the_abelian_lift_inputs():
+    # The disconnected series that connected_profile_series takes the log
+    # of, at the colors and framings of the abelian lifts.
+    d_max, lam_max = 3, 4
+    for a, tau in ((2, 0), (2, 1), (4, 0), (4, 1)):
+        ctx = gw_context(a, d_max)
+        total = Series.one(ctx)
+        for d in range(1, d_max + 1):
+            for mu in partitions_of(d):
+                lifted = r_bullet_tau(a, mu, tau, lam_max + d_max * (d_max - 1), 1).series.embed(ctx)
+                total = total + lifted * Series.monomial(ctx, {f"p{k}": mu.count(k) for k in set(mu)}, 1)
+        total = total.restrict(cap_bounds={"pweight": d_max})
+        want = _exp_and_log_by_powers(total, "pweight")[1]
+        assert total.log(cap="pweight").to_data() == want.to_data()
 
 
 def test_exp_and_log_refusals_name_the_operation():

@@ -1,6 +1,7 @@
-"""Property tests of the truncated power sums behind Series.invert, exp
-and log, and of the closed Bernoulli inverses (Series.inverse_trig), against
-sympy's exact expansions, of the integer window check
+"""Property tests of Series.invert (a truncated power sum), of exp and log
+(grade recurrences, also over a Laurent variable outside the cap), and of
+the closed Bernoulli inverses (Series.inverse_trig), against sympy's exact
+expansions, of the integer window check
 against Fraction grades, of the ring laws gluing rests on, of the 1/a
 lambda lattice of the local context, and of CycloNum multiplication and
 inverse against sympy's arithmetic modulo the cyclotomic polynomial.
@@ -127,6 +128,43 @@ def test_exp_and_log_match_sympy(rest, bound):
             assert result.coefficient({"q": e}) == _coeff(want, Q**e), e
         with pytest.raises(PrecisionError):
             result.coefficient({"q": bound + 1})
+
+
+_, U, ZL = ring("u,z", QQ)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.tuples(st.integers(1, 3), st.integers(-1, 2)), nonzero, min_size=1, max_size=4),
+    st.integers(1, 5),
+    st.integers(-1, 3),
+)
+@example({(1, -1): Fraction(1)}, 4, 0)  # q/z: every factor lowers z
+@example({(1, -1): Fraction(1), (2, 1): Fraction(-2)}, 5, 1)
+def test_exp_and_log_match_sympy_with_a_laurent_variable(rest, bound, z_max):
+    # q is capped and z is not; z may appear as z^-1, so each power moves
+    # the z window down.  With u = q/z the arguments are polynomials in u
+    # and z: q^i z^j = u^i z^(i+j), where i + j >= 0.
+    ctx = SeriesContext([VarSpec("q"), VarSpec("z")], caps=[GradeCap("deg", {"q": 1})])
+    arg = {k: c for k, c in rest.items() if k[0] <= bound and k[1] <= z_max}
+    if not arg:
+        return
+    p = _sympy_poly({(i, i + j): c for (i, j), c in arg.items()}, (U, ZL))
+    window = {"maxes": {"z": z_max}, "cap_bounds": {"deg": bound}}
+    for result, want in (
+        (Series.from_terms(ctx, arg, **window).exp(), rs_exp(p, U, bound + 1)),
+        (Series.from_terms(ctx, {**arg, (0, 0): Fraction(1)}, **window).log(), rs_log(1 + p, U, bound + 1)),
+    ):
+        z_top = result.maxes[1]
+        assert result.cap_bounds[0] == bound and z_top <= z_max
+        for i in range(bound + 1):
+            for j in range(-bound - 1, z_top + 1):
+                expect = _coeff(want, U**i * ZL ** (i + j)) if i + j >= 0 else 0
+                assert result.coefficient({"q": i, "z": j}) == expect, (i, j)
+        with pytest.raises(PrecisionError):
+            result.coefficient({"z": z_top + 1})
+        with pytest.raises(PrecisionError):
+            result.coefficient({"q": bound + 1, "z": z_top})
 
 
 NAMES = ("u", "v", "w")
