@@ -47,7 +47,6 @@ from .dt_vertex import (
     reduced_vertex_closed,
     schur_rational,
     trig_context,
-    verify_correspondence,
     vertex_side_series,
     volume_counts,
 )

@@ -188,9 +188,12 @@ def enumeration_cost(d: int, volume: int) -> int:
     """Estimated work of the box enumeration of the dt-vertex suite: the
     number of configurations with at most volume added boxes over every leg
     nu with |nu| <= d.  Exact up to COST_BUDGET, and past it a lower bound
-    over the budget, as in transport_cost; but each size's legs are listed,
-    so callers bound d first, as the dt-vertex guard does with
-    vertex_cost, whose p(d)^2 passes the budget from d = 22 on."""
+    over the budget, as in transport_cost.  Every leg has the empty
+    configuration, so the number of legs, sum_(n <= d) p(n), is priced
+    first, without listing a partition; it is exact at volume 0."""
+    legs = _priced(1, accumulate(partition_counts()), d)
+    if legs > COST_BUDGET:
+        return legs
     return _priced(1, _leg_configurations(volume), d)
 
 

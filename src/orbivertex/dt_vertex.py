@@ -544,6 +544,3 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
         for mu in partitions_of(d)
     ]
 
-
-def verify_correspondence(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> bool:
-    return all(ok for _, ok in correspondence_report(a, d, lam_max, x_deg_max))

@@ -287,7 +287,9 @@ def connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_ma
             lifted = r_bullet_tau(a, mu, tau, lam_inner, n_colors).series.embed(ctx)
             exps = {f"p{k}": mu.count(k) for k in set(mu)}
             total = total + lifted * Series.monomial(ctx, exps, 1)
-    total = total.restrict(cap_bounds={"pweight": d_max})
+    # Every term inside the cut is stored, so the lowest stored exponents
+    # are floors, and the log's window reads them.
+    total = total.restrict(cap_bounds={"pweight": d_max})._tight()
     conn = total.log(cap="pweight")
     out = conn.extract({f"x{j}": colors.count(j) for j in range(1, a)})
     return out.restrict(maxes={"lam": lam_max})

@@ -69,12 +69,9 @@ class PhiKernel:
                 continue
             coeff = scale * Fraction(k, 2)
             total = total + c * Series.exp_monomial(ctx, {var: 1}, coeff, maxes=maxes)
-        if not total.terms:
-            return total
         # Exact through the window on one axis, so nothing lies below the
         # lowest stored term (off-diagonal kernels vanish at argument zero).
-        floors = tuple(min(k[i] for k in total.terms) for i in range(ctx.n))
-        return Series(ctx, total.terms, floors, total.tops)
+        return total._tight()
 
 
 def burnside_value(chi_euler: int, nu, mu) -> Fraction:

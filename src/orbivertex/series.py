@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
 from operator import add, le, mul
 
 from .exactnum import CycloNum, cyclo_field
@@ -311,16 +310,12 @@ class Series:
                 stored[key] = stored.get(key, Fraction(0)) + c
         stored = {k: c for k, c in stored.items() if c}
         tops = ctx.window(maxes, cap_bounds)
-        if floors is None:
-            if stored:
-                floors_v = tuple(min(k[i] for k in stored) for i in range(ctx.n))
-            elif any(t is not None for t in tops):
-                raise ValueError("no stored terms to read floors from: pass floors")
-            else:
-                floors_v = (0,) * ctx.n
-        else:
-            floors_v = tuple(ctx.scale(ctx.names[i], floors[i]) for i in range(ctx.n))
-        return cls(ctx, stored, floors_v, tops)._check_stored()
+        if floors is not None:
+            floors = tuple(ctx.scale(ctx.names[i], floors[i]) for i in range(ctx.n))
+            return cls(ctx, stored, floors, tops)._check_stored()
+        if not stored and any(t is not None for t in tops):
+            raise ValueError("no stored terms to read floors from: pass floors")
+        return cls(ctx, stored, (0,) * ctx.n, tops)._tight()._check_stored()
 
     @classmethod
     def exp_monomial(cls, ctx: SeriesContext, exponents: dict, coeff, maxes=None, cap_bounds=None) -> "Series":
@@ -503,11 +498,6 @@ class Series:
             return self
         return Series(self.ctx, self.terms, tuple(map(min, zip(*self.terms))), self.tops)
 
-    def _powers(self, count: int):
-        # self, self**2, ..., self**count, each power cut to the window of
-        # self.  An empty power still has a window, read off its floors.
-        return accumulate(repeat(self, count), lambda power, s: (power * s)._clip_to(s.tops))
-
     def invert(self) -> "Series":
         """Multiplicative inverse around the corner of the stored support.
 
@@ -536,8 +526,9 @@ class Series:
             raise PrecisionError("inverse has unbounded support for the current window")
         extent = sum(u.tops[j] for j in finite)
         K = extent // min(scores) if scores else 0
-        total = Series.one(ctx)
-        for power in w._powers(K):
+        total = power = Series.one(ctx)
+        for _ in range(K):
+            power = (power * w)._clip_to(w.tops)
             total = total + power
         return total._clip_to(w.tops)._tight() * m_inv
 
@@ -572,18 +563,15 @@ class Series:
         return ci, max(int(bound / min_grade), 0)
 
     def _power_window(self, k_max: int) -> tuple:
-        # The window of sum_{k <= k_max} self**k over _powers.  A nonempty
-        # power moves each finite top by the slot's lowest stored value when
-        # that is negative; an empty one reads its floors instead, so only
-        # when a floor lies lower still are the powers multiplied out.
+        # The window of sum_{k <= k_max} self**k, each power cut to the
+        # window of self: every factor's true terms lie on or above its
+        # floors, so k factors move each finite top by k - 1 times the
+        # floors' level in the slot when that is negative.
         ctx = self.ctx
-        lows = [min(0, self._low(j)) for j in range(len(self.tops))]
-        if k_max > 1 and any(t is not None and ctx.level(j, self.floors) < lows[j] for j, t in enumerate(self.tops)):
-            tops = self.tops
-            for power in self._powers(k_max):
-                tops = tuple(map(_nmin, tops, power.tops))
-            return tops
-        return tuple(None if t is None else t + max(k_max - 1, 0) * low for t, low in zip(self.tops, lows))
+        return tuple(
+            None if t is None else t + max(k_max - 1, 0) * min(0, ctx.level(j, self.floors))
+            for j, t in enumerate(self.tops)
+        )
 
     def _by_grade(self, ci: int, k_max: int, log: bool) -> "Series":
         # exp(self), or log(1 + self) with log, grade by grade under cap ci,
@@ -654,8 +642,8 @@ class Series:
         Built grade by grade from the recurrence g E_g = sum_h h F_h E_(g-h)
         over the cap's slices F_h, one pass over pairs per grade.  The
         window is that of the sum of the powers f**k, each cut to the
-        window of f, through the highest power the bound admits; the
-        floors are the lowest stored exponents."""
+        window of f, through the highest power the bound admits, read from
+        the floors of f; the floors are the lowest stored exponents."""
         ctx = self.ctx
         if self.is_exact_zero():
             return Series.one(ctx)
@@ -801,17 +789,6 @@ class Series:
         for k in sorted(self.terms):
             out.append((tuple(self.ctx.natural(i, k[i]) for i in range(self.ctx.n)), self.terms[k]))
         return out
-
-    def window_description(self) -> dict:
-        d = {}
-        for i, name in enumerate(self.ctx.names):
-            d[name] = {
-                "floor": self.ctx.natural(i, self.floors[i]),
-                "max": None if self.tops[i] is None else self.ctx.natural(i, self.tops[i]),
-            }
-        for ci, cap in enumerate(self.ctx.caps):
-            d[f"cap:{cap.name}"] = self.tops[self.ctx.n + ci]
-        return d
 
     def to_data(self) -> dict:
         """Canonical JSON-ready form: exact exponents, coefficients, window."""

@@ -288,6 +288,11 @@ def test_enumeration_cost_counts_the_configurations():
     assert cli.enumeration_cost(2, 2) == 5 + 8 + 9 + 9
     # Past the budget the estimate is a lower bound over it.
     assert cli.enumeration_cost(13, 8) > cli.COST_BUDGET
+    # At volume 0 each leg has only the empty configuration, and a huge
+    # size is priced by the number of legs without listing them.
+    for d in range(7):
+        assert cli.enumeration_cost(d, 0) == sum(len(partitions_of(n)) for n in range(d + 1)), d
+    assert cli.enumeration_cost(10**6, 0) > cli.COST_BUDGET
 
 
 def test_vertex_cost_guard_exits_three(monkeypatch, capsys):

@@ -18,7 +18,6 @@ from orbivertex.dt_vertex import (
     r_bullet_zero,
     reduced_vertex_closed,
     schur_rational,
-    verify_correspondence,
     vertex_side_series,
     volume_counts,
     weighted_sum,
@@ -217,13 +216,13 @@ def test_framing_zero_floor_is_minus_length():
         for d in (1, 2, 3):
             for mu in partitions_of(d):
                 series = r_bullet_zero(a, mu, lam_max=2, x_deg_max=4)
-                lam_floor = series.window_description()["lam"]["floor"]
+                lam_floor = series.floors[0]
                 lowest = min(key[0] for key in series.terms)
                 assert lam_floor == lowest == -len(mu), (a, mu)
 
 
 def test_verify_correspondence_smoke():
-    assert verify_correspondence(1, 2, lam_max=4, x_deg_max=3)
+    assert all(ok for _, ok in correspondence_report(1, 2, lam_max=4, x_deg_max=3))
 
 
 def test_bad_leg_rejected():

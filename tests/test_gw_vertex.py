@@ -167,7 +167,7 @@ def test_quantum_dim_floor_is_lowest_stored_term():
     for nu in QUANTUM_SHAPES:
         for form in (quantum_dim_hook, quantum_dim_sine):
             series = form(nu, 4)
-            lam_floor = series.window_description()["lam"]["floor"]
+            lam_floor = series.floors[0]
             lowest = min(key[0] for key in series.terms)
             assert lam_floor == lowest == -sum(nu), (form.__name__, nu)
 
@@ -259,11 +259,17 @@ def test_cap_exponential_reads_outside_its_window_raise():
 
 
 def test_connected_profile_floor_is_lowest_stored_term():
-    for tau in (0, 1):
-        series = connected_profile_series(2, (1,), tau, 3, lam_max=4)
-        assert series.floors[0] == min(k[0] for k in series.terms) == -1, tau
-        with pytest.raises(PrecisionError, match="below its floor -1"):
-            connected_profile_series(2, (1,), tau, 3, lam_max=-2)
+    for a in (2, 3, 4):
+        for tau in (0, 1):
+            series = connected_profile_series(a, (1,), tau, 3, lam_max=4)
+            assert series.floors[0] == min(k[0] for k in series.terms) == -1, (a, tau)
+            with pytest.raises(PrecisionError, match="below its floor -1"):
+                connected_profile_series(a, (1,), tau, 3, lam_max=-2)
+    # Without colors no cap of degree below a is nonzero, so the series
+    # is empty and keeps the floors of the constant 1.
+    for a, d_max in ((2, 1), (3, 2)):
+        empty = connected_profile_series(a, (), 1, d_max, lam_max=3)
+        assert not empty.terms and empty.floors == (0,) * (1 + d_max), (a, d_max)
 
 
 def test_empty_window_keeps_its_floor_when_lifted():
@@ -275,8 +281,7 @@ def test_empty_window_keeps_its_floor_when_lifted():
     wide = r_bullet_tau(2, (1, 1), 0, lam_max=3, x_deg_max=2).series
     assert wide.coefficient({"lam": -2, "x1": 2})
     lifted = narrow.embed(gw_context(2, 2))
-    assert lifted.window_description()["lam"] == {"floor": -2, "max": 3}
-    assert lifted.window_description()["cap:xdeg"] == 1
+    assert (lifted.floors[0], lifted.maxes[0], lifted.cap_bounds[0]) == (-2, 3, 1)
 
 
 def test_character_image_order_and_projection():

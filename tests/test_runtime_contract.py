@@ -43,3 +43,29 @@ def test_absolute_imports_are_stdlib():
             if module.partition(".")[0] not in sys.stdlib_module_names:
                 found.append(f"{name}:{node.lineno}: import {module}")
     assert not found, found
+
+
+def test_every_private_function_is_named_elsewhere_in_the_package():
+    # A private function or method that no other package code names is
+    # dead, or kept alive only by tests.
+    defined, named = [], []
+    for name, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if node.name.startswith("_") and not dunder:
+                defined.append((name, node))
+        elif isinstance(node, ast.Name):
+            named.append((name, node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            named.append((name, node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            named.append((name, node.lineno, node.name))
+    found = [
+        f"{name}:{fn.lineno}: {fn.name}"
+        for name, fn in defined
+        if not any(
+            ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
+            for where, line, ref in named
+        )
+    ]
+    assert not found, found

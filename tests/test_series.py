@@ -273,18 +273,27 @@ def test_an_empty_power_narrows_the_window_through_the_floors():
 
 def test_log_matches_power_sums_at_the_abelian_lift_inputs():
     # The disconnected series that connected_profile_series takes the log
-    # of, at the colors and framings of the abelian lifts.
-    d_max, lam_max = 3, 4
+    # of, at the colors and framings of the abelian lifts, tightened there
+    # to its lowest stored exponents.  Left at the transports' floor
+    # lam^-d_max instead, each of the k_max - 1 further factors of a power
+    # costs d_max orders of lam, and the log holds the power sums cut there.
+    d_max, lam_inner = 3, 4 + 3 * 2
     for a, tau in ((2, 0), (2, 1), (4, 0), (4, 1)):
         ctx = gw_context(a, d_max)
         total = Series.one(ctx)
         for d in range(1, d_max + 1):
             for mu in partitions_of(d):
-                lifted = r_bullet_tau(a, mu, tau, lam_max + d_max * (d_max - 1), 1).series.embed(ctx)
+                lifted = r_bullet_tau(a, mu, tau, lam_inner, 1).series.embed(ctx)
                 total = total + lifted * Series.monomial(ctx, {f"p{k}": mu.count(k) for k in set(mu)}, 1)
         total = total.restrict(cap_bounds={"pweight": d_max})
-        want = _exp_and_log_by_powers(total, "pweight")[1]
-        assert total.log(cap="pweight").to_data() == want.to_data()
+        tight = total._tight()
+        want = _exp_and_log_by_powers(tight, "pweight")[1]
+        assert tight.log(cap="pweight").to_data() == want.to_data()
+        assert total.floors[0] == -d_max < tight.floors[0]
+        loose = total.log(cap="pweight")
+        top = lam_inner - (d_max - 1) * d_max
+        assert loose.maxes[0] == top
+        assert loose.terms == want.restrict(maxes={"lam": top}).terms
 
 
 def test_exp_and_log_refusals_name_the_operation():
@@ -399,7 +408,7 @@ def test_serialization_round_trip_with_cyclotomics():
     data = json.loads(json.dumps(s.to_data(), sort_keys=True))
     back = Series.from_data(data)
     assert back == s
-    assert back.window_description() == s.window_description()
+    assert back.to_data() == s.to_data()
 
 
 def test_from_data_refuses_terms_outside_the_window():
@@ -481,13 +490,8 @@ def test_embed_matches_variables_and_caps_by_name():
     e = s.embed(dst)
     assert e.coefficient({"lam": Fraction(-1, 2), "x1": 1}) == 3
     assert e.coefficient({"lam": Fraction(1, 2), "x1": 2}) == -1
-    assert e.window_description() == {
-        "lam": {"floor": Fraction(-3, 2), "max": 2},
-        "x1": {"floor": 0, "max": None},
-        "p1": {"floor": 0, "max": None},
-        "cap:xdeg": 2,
-        "cap:pweight": None,
-    }
+    window = {k: e.to_data()[k] for k in ("floors", "maxes", "cap_bounds")}
+    assert window == {"floors": ["-3/2", "0/1", "0/1"], "maxes": ["2/1", None, None], "cap_bounds": ["2/1", None]}
     # A product with a p-series keeps the carried windows.
     prod = e * Series.monomial(dst, {"p1": 1}, 2)
     assert prod.coefficient({"lam": Fraction(-1, 2), "x1": 1, "p1": 1}) == 6
@@ -495,7 +499,7 @@ def test_embed_matches_variables_and_caps_by_name():
         prod.coefficient({"lam": 3, "p1": 1})
     back = e.embed(src)
     assert back == s
-    assert back.window_description() == s.window_description()
+    assert back.to_data() == s.to_data()
 
 
 def test_embed_refuses_to_change_the_series_or_its_window():
