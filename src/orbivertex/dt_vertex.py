@@ -31,6 +31,7 @@ from .series import (
     Series,
     SeriesContext,
     VarSpec,
+    _exp_coefficients,
     _frac_str,
     coeff_to_data,
     self_in_window_static,
@@ -344,17 +345,6 @@ def lam_pad(rf: RationalForm) -> int:
     return sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
 
 
-def _exp_coefficients(c, top: int) -> list:
-    # c^n / n! for n = 0 .. top.
-    out = []
-    p = c.field.one
-    for n in range(top + 1):
-        if n:
-            p = p * c / n
-        out.append(p)
-    return out
-
-
 def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
     """Exact image of token * rf in the trigonometric variables, where the
     composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
@@ -433,7 +423,7 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
                 v = c * p
                 acc = terms.get(kx)
                 terms[kx] = v if acc is None else acc + v
-    tops = (lam_fill if lam_used else None,) + (None,) * (a - 1) + (Fraction(x_deg_max) if x_used else None,)
+    tops = ctx.window({"lam": lam_fill} if lam_used else None, {"xdeg": x_deg_max} if x_used else None)
     # The window is the one the sum of the term series would have; a
     # negative extent in it leaves out even the constant terms.
     terms = {k: c for k, c in terms.items() if c and self_in_window_static(k, tops, ctx)}

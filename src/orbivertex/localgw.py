@@ -68,7 +68,9 @@ def cap_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     lam_top = None if base.tops[0] is None else a * base.tops[0] + d
     # The rescaling pushes some complete terms past the boxed lambda bound
     # (the exact guarantee region is not a box); keep only the boxed window
-    # so every stored coefficient is jointly guaranteed.
+    # so every stored coefficient is jointly guaranteed.  The x variables
+    # and the xdeg cap are the same in both contexts, so their tops carry
+    # over unchanged.
     return Series(ctx, terms, floors, (lam_top,) + base.tops[1:]).restrict()
 
 
@@ -79,7 +81,9 @@ class LocalBlock:
     ``data`` maps tuples of ``slots`` partitions (each of total size ``d``)
     to series over a shared context; missing keys are exact zeros.
     ``a_list`` records the stack orders of the interior points carried by
-    the block, in order.
+    the block, in order.  ``==`` compares the entries' stored terms only,
+    not their windows, so cut both blocks to one window with
+    ``Series.restrict`` before comparing them.
     """
 
     d: int

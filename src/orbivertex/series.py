@@ -4,17 +4,20 @@ A Series stores exact coefficients (Fraction or cyclotomic) on an integer
 exponent lattice, plus a record of how much of the true object the stored
 data is guaranteed to represent:
 
-* ``tops``: the window, one upper bound per slot: first each variable's
-  max exponent, then each cap's bound on its weighted total grade, with
-  None where a direction is open.  Stored data is complete on the keys
-  that satisfy every finite bound jointly.
+* ``tops``: the window, one integer upper bound per slot, None where a
+  direction is open: first each variable's max as a scaled exponent, then
+  each cap's bound as a level, the grade times the cap's weight
+  denominator (``SeriesContext.level``).  Stored data is complete on the
+  keys that satisfy every finite bound jointly.
 * ``floors[v]``: no term inside the window lies below this exponent in
   variable v, so reads there return an exact zero.
 
-``maxes`` and ``cap_bounds`` are read-only views of the two parts of
-``tops``.  All arithmetic propagates windows conservatively, and reading a
-coefficient outside the window raises PrecisionError rather than return
-silently wrong data.
+``maxes`` (scaled) and ``cap_bounds`` (natural grades) are read-only
+views of the two parts of ``tops``.  Bounds enter in natural units through
+``SeriesContext.window``, which floors each to the largest level under it,
+and leave through ``natural_top``.  All arithmetic propagates windows
+conservatively, and reading a coefficient outside the window raises
+PrecisionError rather than return silently wrong data.
 
 Exponents may be rational with a fixed per-variable denominator; they are
 held internally as scaled integers.
@@ -104,6 +107,17 @@ def _coeff_inv(c):
     return Fraction(1) / c
 
 
+def _exp_coefficients(c, top: int) -> list:
+    # c^n / n! for n = 0 .. top.
+    out = []
+    p = _as_coeff(1)
+    for n in range(top + 1):
+        if n:
+            p = p * c / n
+        out.append(p)
+    return out
+
+
 def _nmin(a, b):
     # None-aware minimum where None plays the role of +infinity.
     if a is None:
@@ -187,8 +201,8 @@ class SeriesContext:
             raise ValueError("duplicate cap names")
         self.cap_index = {n: i for i, n in enumerate(cap_names)}
         # Weight per scaled exponent unit, as integers over one denominator
-        # per cap: the grade of a key under cap ci is
-        # sum(_wnum[ci][i] * key[i]) / _wden[ci].
+        # per cap: the level of a key under cap ci is
+        # sum(_wnum[ci][i] * key[i]), its grade that over _wden[ci].
         weights = [
             [cap.weights.get(v.name, Fraction(0)) / v.denominator for v in self.vars]
             for cap in self.caps
@@ -221,24 +235,28 @@ class SeriesContext:
         return int(e) if e.denominator == 1 else e
 
     def grade(self, ci: int, key) -> Fraction:
-        return Fraction(sum(w * k for w, k in zip(self._wnum[ci], key)), self._wden[ci])
+        return Fraction(self.level(self.n + ci, key), self._wden[ci])
 
-    def level(self, j: int, key):
-        """Window slot j at a scaled key: the exponent of variable j, or
-        the grade under cap j - n."""
-        return key[j] if j < self.n else self.grade(j - self.n, key)
+    def level(self, j: int, key) -> int:
+        """Window slot j at a scaled key, in the unit of ``tops``: the
+        scaled exponent of variable j, or the grade under cap j - n times
+        that cap's weight denominator."""
+        return key[j] if j < self.n else sum(map(mul, self._wnum[j - self.n], key))
 
     def natural_top(self, j: int, top):
-        """A value of window slot j in natural units."""
-        return self.natural(j, top) if j < self.n else top
+        """A level of window slot j in natural units: an exponent, or a
+        grade as a Fraction."""
+        return self.natural(j, top) if j < self.n else Fraction(top, self._wden[j - self.n])
 
     def extents(self, maxes=None, cap_bounds=None):
-        """(slot, label, extent, scaled extent) for each extent given in
-        natural units, keyed by variable or cap name."""
+        """(slot, label, extent, level) for each extent given in natural
+        units, keyed by variable or cap name; a cap bound floors to the
+        largest level under it."""
         for name, m in (maxes or {}).items():
             yield self.index[name], f"window of {name!r}", m, self.scale(name, m)
         for name, b in (cap_bounds or {}).items():
-            yield self.n + self.cap_index[name], f"cap {name!r}", b, Fraction(b)
+            ci = self.cap_index[name]
+            yield self.n + ci, f"cap {name!r}", b, math.floor(Fraction(b) * self._wden[ci])
 
     def window(self, maxes=None, cap_bounds=None) -> tuple:
         """The window tuple of the given extents; missing entries are open."""
@@ -270,8 +288,9 @@ class Series:
 
     @property
     def cap_bounds(self) -> tuple:
-        """Each cap's bound on its grade (None: open)."""
-        return self.tops[self.ctx.n :]
+        """Each cap's bound on its grade, in natural units (None: open)."""
+        n = self.ctx.n
+        return tuple(None if t is None else self.ctx.natural_top(n + ci, t) for ci, t in enumerate(self.tops[n:]))
 
     # -- constructors --------------------------------------------------
 
@@ -341,17 +360,9 @@ class Series:
                     tops[j] = None
         if not n_candidates:
             raise PrecisionError("exponential needs a finite window in some occupied direction")
-        n_max = min(n_candidates)
-        terms = {}
-        power = _as_coeff(1)
-        for n in range(n_max + 1):
-            k = tuple(n * e for e in key)
-            if not self_in_window_static(k, tops, ctx):
-                break
-            c = power / math.factorial(n)
-            if c:
-                terms[k] = c
-            power = power * coeff
+        terms = {
+            tuple(n * e for e in key): c for n, c in enumerate(_exp_coefficients(coeff, min(n_candidates))) if c
+        }
         return cls(ctx, terms, (0,) * ctx.n, tops)
 
     @classmethod
@@ -390,12 +401,7 @@ class Series:
     def _low(self, j: int):
         # The least value of window slot j over the stored terms, or at the
         # floors when none are stored.
-        keys = self.terms or (self.floors,)
-        ctx = self.ctx
-        if j < ctx.n:
-            return min(k[j] for k in keys)
-        wnum = ctx._wnum[j - ctx.n]
-        return Fraction(min(sum(w * e for w, e in zip(wnum, k)) for k in keys), ctx._wden[j - ctx.n])
+        return min(self.ctx.level(j, k) for k in self.terms or (self.floors,))
 
     def _require_same_ctx(self, other: "Series") -> SeriesContext:
         if self.ctx is other.ctx:
@@ -543,24 +549,25 @@ class Series:
         if not ctx.caps:
             raise PrecisionError(f"{op} needs a grading cap to truncate against")
         ci = ctx.cap_index[cap] if cap is not None else 0
+        j = ctx.n + ci
         terms = self.terms
         if unit:
             zero_key = (0,) * ctx.n
             for k, c in terms.items():
-                if ctx.grade(ci, k) == 0 and (k != zero_key or c != 1):
+                if ctx.level(j, k) == 0 and (k != zero_key or c != 1):
                     raise ValueError(f"{op} requires the grade-zero slice to be exactly 1")
             if terms.get(zero_key) != 1:
                 raise ValueError(f"{op} requires the grade-zero slice to be exactly 1")
             terms = [k for k in terms if k != zero_key]
         if not terms:
             return ci, None
-        bound = self.tops[ctx.n + ci]
+        bound = self.tops[j]
         if bound is None:
             raise PrecisionError(f"{op} needs a finite bound on its grading cap")
-        min_grade = min(ctx.grade(ci, k) for k in terms)
-        if min_grade <= 0:
+        min_level = min(ctx.level(j, k) for k in terms)
+        if min_level <= 0:
             raise ValueError(f"{op} requires every {what} to have positive cap grade")
-        return ci, max(int(bound / min_grade), 0)
+        return ci, max(bound // min_level, 0)
 
     def _power_window(self, k_max: int) -> tuple:
         # The window of sum_{k <= k_max} self**k, each power cut to the
@@ -576,29 +583,21 @@ class Series:
     def _by_grade(self, ci: int, k_max: int, log: bool) -> "Series":
         # exp(self), or log(1 + self) with log, grade by grade under cap ci,
         # from f' = f g' (Knuth, TAOCP vol. 2, 4.7).  With F_h the slices of
-        # self, grades as integer numerators over the cap's denominator:
+        # self, grades as cap levels:
         #   exp:  g E_g = sum_h h F_h E_(g-h),      E_0 = 1;
         #   log:  M_g = g F_g - sum_h F_h M_(g-h),  M_0 = 0,  L_g = M_g / g.
         # The result is cut at the window W of the powers.  A slice that r
         # more factors may still multiply is needed only on W moved up by r
         # times each slot's lowest negative value, so pairs are cut there.
-        # Terms are bucketed by their values in W's finite slots (as integer
-        # numerators), so each cut is one test per pair of buckets.
+        # Terms are bucketed by their levels in W's finite slots, so each cut
+        # is one test per pair of buckets.
         ctx, n = self.ctx, self.ctx.n
         window = self._power_window(k_max)
-
-        def level(j, key):
-            return key[j] if j < n else sum(map(mul, ctx._wnum[j - n], key))
-
-        def top(j):
-            t = window[j]
-            return t if j < n else t.numerator * ctx._wden[j - n] // t.denominator
-
         slots = [j for j, t in enumerate(window) if t is not None and j != n + ci]
-        limit, g_max = [top(j) for j in slots], top(n + ci)
+        limit, g_max = [window[j] for j in slots], window[n + ci]
         slices = {}
         for k, c in self.terms.items():
-            slices.setdefault(level(n + ci, k), {}).setdefault(tuple(level(j, k) for j in slots), {})[k] = c
+            slices.setdefault(ctx.level(n + ci, k), {}).setdefault(tuple(ctx.level(j, k) for j in slots), {})[k] = c
         rises = [-min(0, *col) for col in zip(*(b for s in slices.values() for b in s))]
         h_min = min(slices)
         grades = {0}
@@ -687,27 +686,23 @@ class Series:
             fixed_idx[ctx.index[name]] = ctx.scale(name, e)
         keep = [i for i in range(ctx.n) if i not in fixed_idx]
         new_vars = tuple(ctx.vars[i] for i in keep)
-        new_caps = []
-        fixed_grade = []
-        for ci, cap in enumerate(ctx.caps):
-            shaved = sum(ctx._wnum[ci][i] * e for i, e in fixed_idx.items())
-            fixed_grade.append(Fraction(shaved, ctx._wden[ci]))
-            new_caps.append(GradeCap(cap.name, {v.name: cap.weights.get(v.name, 0) for v in new_vars}))
+        new_caps = [GradeCap(cap.name, {v.name: cap.weights.get(v.name, 0) for v in new_vars}) for cap in ctx.caps]
         new_ctx = SeriesContext(new_vars, tuple(new_caps))
         for i, e in fixed_idx.items():
             if self.tops[i] is not None and e > self.tops[i]:
                 raise PrecisionError(f"slice at {ctx.names[i]} beyond the guaranteed window")
+        fixed_key = tuple(fixed_idx.get(i, 0) for i in range(ctx.n))
+        rest_floors = tuple(0 if i in fixed_idx else f for i, f in enumerate(self.floors))
+        bounds = {}
+        for j, cap in enumerate(ctx.caps, start=ctx.n):
+            if self.tops[j] is not None:
+                # The kept variables' level under the cap is at most b.
+                b = self.tops[j] - ctx.level(j, fixed_key)
+                if b < ctx.level(j, rest_floors):
+                    raise PrecisionError(f"slice lies entirely beyond cap {cap.name!r}")
+                bounds[cap.name] = ctx.natural_top(j, b)
         new_floors = tuple(self.floors[i] for i in keep)
-        new_tops = [self.tops[i] for i in keep]
-        for ci, bound in enumerate(self.cap_bounds):
-            if bound is None:
-                new_tops.append(None)
-                continue
-            b = bound - fixed_grade[ci]
-            rest_min = Fraction(sum(ctx._wnum[ci][i] * self.floors[i] for i in keep), ctx._wden[ci])
-            if b < rest_min:
-                raise PrecisionError(f"slice lies entirely beyond cap {ctx.caps[ci].name!r}")
-            new_tops.append(b)
+        new_tops = tuple(self.tops[i] for i in keep) + new_ctx.window(cap_bounds=bounds)[len(keep) :]
         out = {}
         for k, c in self.terms.items():
             if all(k[i] == e for i, e in fixed_idx.items()):
@@ -717,10 +712,10 @@ class Series:
     def embed(self, ctx: SeriesContext) -> "Series":
         """The same series in another context, matching variables and caps
         by name.  A variable the source lacks gets exponent 0, no max and
-        floor 0; floors, maxes and cap bounds carry over unchanged.  Raises
-        ValueError on a changed lattice denominator, on a dropped variable
-        with terms or a finite max, and on a finite cap bound that would be
-        dropped or reweighted."""
+        floor 0; floors, maxes and natural cap bounds carry over unchanged.
+        Raises ValueError on a changed lattice denominator, on a dropped
+        variable with terms or a finite max, and on a finite cap bound that
+        would be dropped or reweighted."""
         src = self.ctx
         for i, name in enumerate(src.names):
             if name in ctx.index:
@@ -736,8 +731,8 @@ class Series:
         picks = [src.index.get(name) for name in ctx.names]
         terms = {tuple(0 if j is None else k[j] for j in picks): c for k, c in self.terms.items()}
         floors = tuple(0 if j is None else self.floors[j] for j in picks)
-        have = dict(zip((cap.name for cap in src.caps), self.cap_bounds))
-        tops = [None if j is None else self.tops[j] for j in picks] + [have.get(cap.name) for cap in ctx.caps]
+        bounds = {c.name: b for c, b in zip(src.caps, self.cap_bounds) if b is not None and c.name in ctx.cap_index}
+        tops = tuple(None if j is None else self.tops[j] for j in picks) + ctx.window(cap_bounds=bounds)[ctx.n :]
         return Series(ctx, terms, floors, tops)
 
     def restrict(self, maxes=None, cap_bounds=None) -> "Series":
@@ -749,10 +744,10 @@ class Series:
         ctx = self.ctx
         # Cap weights are nonnegative, so no key above the floors grades
         # lower than the floors do.
-        for j, label, e, _ in ctx.extents(maxes, cap_bounds):
-            floor = ctx.natural_top(j, ctx.level(j, self.floors))
-            if e < floor:
-                raise PrecisionError(f"{label} cut at {e} lies below its floor {floor}")
+        for j, label, e, top in ctx.extents(maxes, cap_bounds):
+            floor = ctx.level(j, self.floors)
+            if top < floor:
+                raise PrecisionError(f"{label} cut at {e} lies below its floor {ctx.natural_top(j, floor)}")
         return self._clip_to(ctx.window(maxes, cap_bounds))
 
     def require_window(self, maxes=None, cap_bounds=None) -> "Series":
@@ -875,8 +870,7 @@ def self_in_window_static(key, tops, ctx: SeriesContext) -> bool:
     for k, m in zip(key, tops):
         if m is not None and k > m:
             return False
-    # grade > b, cross-multiplied: integers only.
-    for wnum, wden, b in zip(ctx._wnum, ctx._wden, tops[ctx.n :]):
-        if b is not None and sum(w * k for w, k in zip(wnum, key)) * b.denominator > b.numerator * wden:
+    for wnum, top in zip(ctx._wnum, tops[ctx.n :]):
+        if top is not None and sum(map(mul, wnum, key)) > top:
             return False
     return True

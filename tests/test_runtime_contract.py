@@ -69,3 +69,16 @@ def test_every_private_function_is_named_elsewhere_in_the_package():
         )
     ]
     assert not found, found
+
+
+def test_only_series_names_the_cap_level_unit():
+    # A window slot of a cap is a level over the cap's weight denominator;
+    # every other module reads and writes windows through series.py.
+    found = [
+        f"{name}:{node.lineno}: {node.attr if isinstance(node, ast.Attribute) else node.id}"
+        for name, node in _nodes()
+        if name != "series.py"
+        and (isinstance(node, ast.Attribute) and node.attr in ("_wnum", "_wden")
+             or isinstance(node, ast.Name) and node.id in ("_wnum", "_wden"))
+    ]
+    assert not found, found

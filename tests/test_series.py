@@ -441,6 +441,19 @@ def test_from_data_refuses_malformed_lists_and_terms():
     assert Series.from_data(zero).to_data() == data
 
 
+def test_from_data_floors_an_off_lattice_cap_bound():
+    # A cap bound between two grades of the lattice keeps the same keys as
+    # the largest grade under it, and serializes as that grade.
+    ctx = SeriesContext([VarSpec("q")], caps=[GradeCap("deg", {"q": 1})])
+    data = Series.from_terms(ctx, {(0,): 1, (3,): 2}, cap_bounds={"deg": 3}).to_data()
+    s = Series.from_data(dict(data, cap_bounds=["7/2"]))
+    assert s.to_data() == data
+    assert [self_in_window_static((k,), s.tops, ctx) for k in range(-1, 5)] == [True] * 5 + [False]
+    assert s.coefficient({"q": 3}) == 2
+    with pytest.raises(PrecisionError):
+        s.coefficient({"q": 4})
+
+
 def test_coeff_encoding_forms():
     assert coeff_to_data(Fraction(-3, 7)) == "-3/7"
     assert coeff_from_data("-3/7") == Fraction(-3, 7)

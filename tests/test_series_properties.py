@@ -1,10 +1,11 @@
 """Property tests of Series.invert (a truncated power sum), of exp and log
 (grade recurrences, also over a Laurent variable outside the cap), and of
 the closed Bernoulli inverses (Series.inverse_trig), against sympy's exact
-expansions, of the integer window check
-against Fraction grades, of the ring laws gluing rests on, of the 1/a
-lambda lattice of the local context, and of CycloNum multiplication and
-inverse against sympy's arithmetic modulo the cyclotomic polynomial.
+expansions, of the integer window check against Fraction grades, of
+extract and embed across cap lattices, of the ring laws gluing rests on,
+of the 1/a lambda lattice of the local context, and of CycloNum
+multiplication and inverse against sympy's arithmetic modulo the
+cyclotomic polynomial.
 
 Hypothesis draws small rational polynomials with a nonzero corner term.
 Every coefficient inside the window a result claims must match sympy, and
@@ -197,12 +198,48 @@ def test_integer_window_check_matches_fraction_grades(dens, weights, key, picks)
     assert [ctx.grade(ci, key) for ci in range(len(weights))] == grades
     picks = picks[: len(weights)]
     bounds = tuple(g if pick == "on" else pick for g, pick in zip(grades, picks))
+
+    def tops(bs):
+        return ctx.window(cap_bounds={f"c{ci}": b for ci, b in enumerate(bs) if b is not None})
+
     for bs in (bounds, tuple(None if b is None else b - Fraction(1, 36) for b in bounds)):
         want = all(b is None or ctx.grade(ci, key) <= b for ci, b in enumerate(bs))
-        assert self_in_window_static(key, (None,) * 3 + bs, ctx) == want, bs
+        assert self_in_window_static(key, tops(bs), ctx) == want, bs
     if all(pick is None or pick == "on" for pick in picks):
         # A key exactly on every finite bound lies inside the window.
-        assert self_in_window_static(key, (None,) * 3 + bounds, ctx)
+        assert self_in_window_static(key, tops(bounds), ctx)
+
+
+# The cap weighs u by 1/2, so its grades lie on the half-integers; with u
+# fixed, the kept variable v grades on the integers.
+HALF_CTX = SeriesContext([VarSpec("u"), VarSpec("v")], caps=[GradeCap("c", {"u": Fraction(1, 2), "v": 1})])
+
+
+@PROPERTY
+@given(
+    st.fractions(-1, 5, max_denominator=4),
+    st.integers(0, 4),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), nonzero, max_size=6),
+)
+@example(Fraction(7, 2), 1, {(1, 3): Fraction(1), (1, 2): Fraction(2)})
+@example(Fraction(9, 4), 3, {})
+def test_extract_and_embed_keep_the_window_across_cap_lattices(bound, u, terms):
+    terms = {k: c for k, c in terms.items() if Fraction(k[0], 2) + k[1] <= bound}
+    src = Series.from_terms(HALF_CTX, terms, cap_bounds={"c": bound}, floors=(0, 0))
+    assert src.cap_bounds == (Fraction(math.floor(2 * bound), 2),)
+    if Fraction(u, 2) > bound:
+        with pytest.raises(PrecisionError):
+            src.extract({"u": u})
+        return
+    sliced = src.extract({"u": u})
+    assert sliced.cap_bounds == (math.floor(bound - Fraction(u, 2)),)
+    assert sliced.terms == {(k[1],): c for k, c in terms.items() if k[0] == u}
+    back = sliced.embed(HALF_CTX)
+    assert back.cap_bounds == sliced.cap_bounds
+    for v in range(-1, 7):
+        inside = self_in_window_static((u, v), src.tops, HALF_CTX)
+        assert self_in_window_static((v,), sliced.tops, sliced.ctx) == inside, v
+        assert self_in_window_static((0, v), back.tops, HALF_CTX) == (v <= bound - Fraction(u, 2)), v
 
 
 RING_CTX = SeriesContext([VarSpec("x"), VarSpec("y")], caps=[GradeCap("tot", {"x": 1, "y": 1})])
