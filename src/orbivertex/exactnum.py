@@ -4,8 +4,9 @@ An element is stored as an integer coordinate vector over the power basis
 1, z, ..., z^(deg-1) of Q(zeta_M) together with a single positive integer
 denominator, where deg is the degree of the M-th cyclotomic polynomial.
 Reduction happens modulo the true cyclotomic polynomial, so equality of
-elements is equality of normalized coordinate vectors.  All operations are
-exact; there is no floating point anywhere.
+elements is equality of normalized coordinate vectors.  A rational factor
+scales the coordinates; only a product of two irrational elements convolves
+them.  All operations are exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -200,19 +201,25 @@ class CycloNum:
             return NotImplemented
         return o + (-self)
 
+    def _scaled(self, num: int, den: int) -> CycloNum:
+        return CycloNum(self.field, [c * num for c in self.num], self.den * den)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_rational():
+            return self._scaled(o.num[0], o.den)
         f = self.field
         deg = f.degree
-        a, b = self.num, o.num
-        conv = [0] * (2 * deg - 1) if deg > 1 else [0]
-        for i, ai in enumerate(a):
+        b = [(j, bj) for j, bj in enumerate(o.num) if bj]
+        conv = [0] * (2 * deg - 1)
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in b:
+                    conv[i + j] += ai * bj
         out = conv[:deg]
         for k in range(deg, 2 * deg - 1):
             c = conv[k]
@@ -240,10 +247,9 @@ class CycloNum:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             # A rational divisor scales numerator and denominator: no inverse.
-            q = Fraction(other)
-            if not q:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return CycloNum(self.field, [c * q.denominator for c in self.num], self.den * q.numerator)
+            return self._scaled(other.denominator, other.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -4,10 +4,11 @@ The kernel between two ramification profiles nu and mu of equal size is
 
     Phi(t) = sum over eta of chi_eta(nu) chi_eta(mu) / (z_nu z_mu) * exp(kappa_eta t / 2),
 
-stored exactly as a map from the (even) integers kappa_eta to rational
-coefficients.  At t = 0 it reduces to delta_{nu,mu}/z_nu, composing two
-kernels in t adds their arguments, and the expansion coefficients in t
-weighted by powers of kappa/2 count factorizations into transpositions.
+stored exactly as the integers W_kappa, the sum of chi_eta(nu) chi_eta(mu)
+over the eta of (even) content sum kappa, over z_nu z_mu.  At t = 0 it is
+delta_{nu,mu}/z_nu, and composing two kernels adds their arguments.  The
+moment sum of W_kappa kappa^n over 2^n z_nu z_mu counts factorizations into
+n transpositions and is n! times the coefficient of t^n.
 """
 
 from __future__ import annotations
@@ -18,12 +19,22 @@ from fractions import Fraction
 
 from .characters import chi
 from .partitions import check_partition, kappa, partitions_of, z_aut
-from .series import Series, SeriesContext
+from .series import Series, SeriesContext, _as_coeff, _exp_powers
 
 ORACLE_DEGREE_LIMIT = 4
 # Tuples the factorization oracle may enumerate: about one second at
 # roughly 9 microseconds per tuple.
 ORACLE_TUPLE_LIMIT = 10**5
+
+
+def _kernel_powers(ctx: SeriesContext, var: str, scale, maxes, degree: int):
+    """What the kernels of one degree share in ``scale * var``: the key of
+    var, the window and scale^n/n! through it.  At scale zero or below
+    degree two (where kappa = 0 is the only eigenvalue) they are constants."""
+    key = ctx.key_from({var: 1})
+    if degree < 2 or not scale:
+        return (0,) * ctx.n, ctx.window(), [Fraction(1)]
+    return (key,) + _exp_powers(ctx, key, _as_coeff(scale), ctx.window(maxes))
 
 
 class PhiKernel:
@@ -37,41 +48,44 @@ class PhiKernel:
         self.nu = nu
         self.mu = mu
         self.degree = sum(nu)
-        weight = Fraction(1, z_aut(nu) * z_aut(mu))
-        pairs = {}
+        self._z = z_aut(nu) * z_aut(mu)
+        weights = {}
         for eta in partitions_of(self.degree):
-            c = chi(eta, nu) * chi(eta, mu)
-            if c:
-                k = kappa(eta)
-                pairs[k] = pairs.get(k, Fraction(0)) + c * weight
-        self.pairs = {k: c for k, c in pairs.items() if c}
+            k = kappa(eta)
+            weights[k] = weights.get(k, 0) + chi(eta, nu) * chi(eta, mu)
+        self._weights = {k: w for k, w in weights.items() if w}
+
+    @property
+    def pairs(self) -> dict:
+        """The coefficient W_kappa/(z_nu z_mu) of each eigenvalue kappa."""
+        return {k: Fraction(w, self._z) for k, w in self._weights.items()}
 
     def at_zero(self) -> Fraction:
         """Exact value of the kernel at argument zero."""
-        return sum(self.pairs.values(), Fraction(0))
+        return self.weighted_moment(0)
 
     def weighted_moment(self, r: int) -> Fraction:
         """Sum of (kappa/2)^r against the spectral coefficients."""
         if r < 0:
             raise ValueError("moment order must be nonnegative")
-        total = Fraction(0)
-        for k, c in self.pairs.items():
-            total += Fraction(k, 2) ** r * c
-        return total
+        return Fraction(sum(w * k**r for k, w in self._weights.items()), self._z * 2**r)
 
     def series(self, ctx: SeriesContext, var: str, scale, maxes) -> Series:
-        """The kernel as a series in one variable: sum of coefficients times
-        exp(scale * kappa/2 * var), filled through the given window."""
-        total = Series.zero(ctx)
-        for k, c in self.pairs.items():
-            if k == 0:
-                total = total + Series.monomial(ctx, {}, c)
-                continue
-            coeff = scale * Fraction(k, 2)
-            total = total + c * Series.exp_monomial(ctx, {var: 1}, coeff, maxes=maxes)
+        """The kernel as a series in one variable, filled through the given
+        window: the coefficient of var^n is scale^n/n! times the n-th
+        weighted moment."""
+        return self._expand(ctx, _kernel_powers(ctx, var, scale, maxes, self.degree))
+
+    def _expand(self, ctx: SeriesContext, powers) -> Series:
+        key, tops, coefficients = powers
+        terms = {}
+        for n, p in enumerate(coefficients):
+            m = self.weighted_moment(n)
+            if m:
+                terms[tuple(n * e for e in key)] = p * m
         # Exact through the window on one axis, so nothing lies below the
         # lowest stored term (off-diagonal kernels vanish at argument zero).
-        return total._tight()
+        return Series(ctx, terms, (0,) * ctx.n, tops)._tight()
 
 
 def burnside_value(chi_euler: int, nu, mu) -> Fraction:

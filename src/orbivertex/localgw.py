@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .dt_vertex import r_bullet_zero
 from .exactnum import field_for
-from .hurwitz import PhiKernel
+from .hurwitz import PhiKernel, _kernel_powers
 from .partitions import check_partition, partitions_of, z_aut
 from .series import GradeCap, Series, SeriesContext, VarSpec, coeff_to_data, require_fields
 
@@ -124,15 +124,16 @@ def cap_family(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> LocalBlo
 def tube(ctx: SeriesContext, d: int, var: str, scale, fill: int, mu=None) -> LocalBlock:
     """Two-slot block of transport kernels {(nu, mu): Phi_{nu,mu}(scale * var)}.
 
-    Each kernel is expanded in ``var`` through ``fill``; entries that are
-    exact zeros are left out.  With ``mu`` given, only the column of that
-    profile is kept.
+    Each kernel is expanded in ``var`` through ``fill`` from its moments
+    against the powers of the scale, built once for the block; exact zeros
+    are left out.  With ``mu`` given, only that column is kept.
     """
     columns = partitions_of(d) if mu is None else (check_partition(mu),)
+    powers = _kernel_powers(ctx, var, scale, {var: fill}, d)
     data = {}
     for nu in partitions_of(d):
         for col in columns:
-            kernel = PhiKernel(nu, col).series(ctx, var, scale, maxes={var: fill})
+            kernel = PhiKernel(nu, col)._expand(ctx, powers)
             if not kernel.is_exact_zero():
                 data[(nu, col)] = kernel
     return LocalBlock(d=d, a_list=(), slots=2, data=data)

@@ -118,6 +118,17 @@ def _exp_coefficients(c, top: int) -> list:
     return out
 
 
+def _exp_powers(ctx, key, c, tops) -> tuple:
+    # The window of exp(c m), m the monomial of scaled key, and c^n/n!
+    # through it: only the slots that m occupies bound its powers.
+    steps = [ctx.level(j, key) for j in range(len(tops))]
+    tops = tuple(t if s > 0 else None for t, s in zip(tops, steps))
+    top_powers = [t // s for t, s in zip(tops, steps) if t is not None]
+    if not top_powers:
+        raise PrecisionError("exponential needs a finite window in some occupied direction")
+    return tops, _exp_coefficients(c, min(top_powers))
+
+
 def _nmin(a, b):
     # None-aware minimum where None plays the role of +infinity.
     if a is None:
@@ -348,21 +359,8 @@ class Series:
             raise ValueError("exponential of a constant is not supported")
         if not coeff:
             return cls.one(ctx)
-        # Only the slots that m occupies bound the powers of m.
-        tops = list(ctx.window(maxes, cap_bounds))
-        n_candidates = []
-        for j, top in enumerate(tops):
-            if top is not None:
-                step = ctx.level(j, key)
-                if step > 0:
-                    n_candidates.append(top // step)
-                else:
-                    tops[j] = None
-        if not n_candidates:
-            raise PrecisionError("exponential needs a finite window in some occupied direction")
-        terms = {
-            tuple(n * e for e in key): c for n, c in enumerate(_exp_coefficients(coeff, min(n_candidates))) if c
-        }
+        tops, powers = _exp_powers(ctx, key, coeff, ctx.window(maxes, cap_bounds))
+        terms = {tuple(n * e for e in key): c for n, c in enumerate(powers) if c}
         return cls(ctx, terms, (0,) * ctx.n, tops)
 
     @classmethod
@@ -444,7 +442,7 @@ class Series:
         scalar = _as_coeff(scalar)
         if not scalar:
             return Series.zero(self.ctx)
-        return Series(self.ctx, {k: scalar * c for k, c in self.terms.items()}, self.floors, self.tops)
+        return Series(self.ctx, {k: c * scalar for k, c in self.terms.items()}, self.floors, self.tops)
 
     def __mul__(self, other):
         if not isinstance(other, Series):

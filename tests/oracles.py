@@ -11,6 +11,8 @@ Jacobi-Trudi determinant.  ``change_of_vars_loop`` is the change of
 variables built one exponential factor at a time from series products, and
 ``correspondence_report_literal`` is the correspondence compared series
 against series, with the vertex side summed shape by shape and transported.
+``kernel_series_by_exponentials`` expands a transport kernel as one
+exponential per eigenvalue.
 The other oracles are exact Fraction-arithmetic expansions of classical
 closed products.
 """
@@ -25,6 +27,7 @@ from orbivertex.characters import chi
 from orbivertex.dt_vertex import _den_factor_inverse, trig_context, vertex_side_series
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import g_bullet_table
+from orbivertex.hurwitz import PhiKernel
 from orbivertex.partitions import check_partition, conjugate, partitions_of, z_aut
 from orbivertex.series import Series, SeriesContext, VarSpec
 
@@ -272,6 +275,21 @@ def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
     for (k, s), m in rf.den.items():
         total = total * _den_factor_inverse(a, k, s, lam_fill) ** m
     return total
+
+
+def kernel_series_by_exponentials(kernel: PhiKernel, ctx: SeriesContext, var: str, scale, maxes) -> Series:
+    """The kernel as the sum over its eigenvalues kappa of c_kappa times
+    ``Series.exp_monomial`` at rate scale * kappa/2, with the floors then
+    set to the lowest stored exponents; ``PhiKernel.series`` and
+    ``localgw.tube``, which read the moments instead, must reproduce it
+    exactly, windows included."""
+    total = Series.zero(ctx)
+    for k, c in kernel.pairs.items():
+        if k == 0:
+            total = total + Series.monomial(ctx, {}, c)
+            continue
+        total = total + c * Series.exp_monomial(ctx, {var: 1}, scale * Fraction(k, 2), maxes=maxes)
+    return total._tight()
 
 
 def correspondence_report_literal(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> list:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from orbivertex.dt_vertex import trig_context
-from orbivertex.exactnum import field_for
+from orbivertex.exactnum import CycloNum, field_for
 from orbivertex.gw_vertex import g_bullet_mu
+from orbivertex.hurwitz import PhiKernel
 from orbivertex.localgw import (
     LocalBlock,
     block_from_data,
@@ -23,7 +24,9 @@ from orbivertex.localgw import (
     tube,
 )
 from orbivertex.partitions import partitions_of, z_aut
-from orbivertex.series import Series
+from orbivertex.series import PrecisionError, Series, SeriesContext, VarSpec
+
+from oracles import kernel_series_by_exponentials
 
 
 def test_cap_matches_framed_series_at_a1():
@@ -184,3 +187,80 @@ def test_block_validation():
         run_glue_plan({"d": 1, "blocks": []})
     with pytest.raises(ValueError):
         run_glue_plan({"d": 1, "blocks": [{"kind": "mystery"}]})
+
+
+def _kernel_scales(a):
+    field = field_for(a)
+    i_unit = field.imaginary_unit()
+    return (0, 2, -2, Fraction(1, 3), i_unit, -2 * i_unit, field.root_of_unity(4 * a))
+
+
+def _data_and_types(series):
+    return series.to_data(), sorted((key, type(c).__name__) for key, c in series.terms.items())
+
+
+@pytest.mark.parametrize("a", (1, 2, 3, 4))
+def test_tube_entries_match_one_exponential_per_eigenvalue(a):
+    # Every kernel read from its moments, alone or against the block's
+    # shared powers of the scale, is the sum of one exponential per
+    # eigenvalue, byte for byte and coefficient type for coefficient type:
+    # the full tube, each single column, and the identity block.
+    ctx = local_context(a)
+    for d in range(1, 5):
+        for scale in _kernel_scales(a):
+            for fill in (-1, 0, 1, 5, 9):
+                want = {}
+                for nu in partitions_of(d):
+                    for mu in partitions_of(d):
+                        kernel = PhiKernel(nu, mu)
+                        series = kernel_series_by_exponentials(kernel, ctx, "lam", scale, {"lam": fill})
+                        if not series.is_exact_zero():
+                            want[(nu, mu)] = _data_and_types(series)
+                        assert _data_and_types(kernel.series(ctx, "lam", scale, {"lam": fill})) == \
+                            _data_and_types(series), (d, scale, fill, nu, mu)
+                full = tube(ctx, d, "lam", scale, fill)
+                assert {key: _data_and_types(s) for key, s in full.data.items()} == want, (d, scale, fill)
+                for mu in partitions_of(d):
+                    column = tube(ctx, d, "lam", scale, fill, mu)
+                    assert {key: _data_and_types(s) for key, s in column.data.items()} == \
+                        {key: v for key, v in want.items() if key[1] == mu}, (d, scale, fill, mu)
+        ident = identity_block(a, d)
+        assert {key: _data_and_types(s) for key, s in ident.data.items()} == {
+            (mu, mu): _data_and_types(kernel_series_by_exponentials(PhiKernel(mu, mu), ctx, "lam", 0, {"lam": 0}))
+            for mu in partitions_of(d)
+        }, d
+
+
+def test_kernel_without_a_finite_window_in_its_variable_is_refused():
+    ctx = SeriesContext([VarSpec("t"), VarSpec("u")])
+    for maxes in ({}, {"u": 3}):
+        with pytest.raises(PrecisionError) as err:
+            PhiKernel((2,), (1, 1)).series(ctx, "t", 1, maxes)
+        assert str(err.value) == "exponential needs a finite window in some occupied direction"
+        # With no eigenvalue but zero, or at scale zero, there is nothing to bound.
+        assert PhiKernel((1,), (1,)).series(ctx, "t", 1, maxes).tops == (None, None)
+        assert PhiKernel((2,), (2,)).series(ctx, "t", 0, maxes).tops == (None, None)
+
+
+def test_kernels_without_a_rate_are_exact_constants():
+    # At d = 1 and at scale zero every kernel is the constant delta/z_mu,
+    # with an open window however far the tube is filled.
+    i_unit = field_for(2).imaginary_unit()
+    ctx = local_context(2)
+    one = tube(ctx, 1, "lam", i_unit, 5)
+    assert list(one.data) == [((1,), (1,))]
+    for block in (one, tube(ctx, 3, "lam", 0, 5)):
+        for (nu, mu), series in block.data.items():
+            assert nu == mu
+            assert all(t is None for t in series.tops)
+            assert series.natural_items() == [((0, 0), Fraction(1, z_aut(mu)))]
+
+
+def test_constant_kernel_coefficient_stays_rational_at_a_cyclotomic_scale():
+    i_unit = field_for(3).imaginary_unit()
+    block = tube(local_context(3), 3, "lam", 2 * i_unit, 4)
+    zero = (0, 0, 0)
+    for mu in partitions_of(3):
+        series = block.data[(mu, mu)]
+        assert type(series.terms[zero]) is Fraction
+        assert any(type(c) is CycloNum for c in series.terms.values())

@@ -5,7 +5,8 @@ expansions, of the integer window check against Fraction grades, of
 extract and embed across cap lattices, of the ring laws gluing rests on,
 of the 1/a lambda lattice of the local context, and of CycloNum
 multiplication and inverse against sympy's arithmetic modulo the
-cyclotomic polynomial.
+cyclotomic polynomial, and of CycloNum scaling by a rational against the
+full convolution.
 
 Hypothesis draws small rational polynomials with a nonzero corner term.
 Every coefficient inside the window a result claims must match sympy, and
@@ -25,7 +26,7 @@ from sympy.polys.ring_series import rs_exp, rs_log, rs_series_inversion
 from sympy.polys.rings import ring
 
 from orbivertex.dt_vertex import _den_factor_inverse, trig_context
-from orbivertex.exactnum import CycloNum, cyclo_field, field_for
+from orbivertex.exactnum import CycloNum, cyclo_field, cyclotomic_polynomial, field_for
 from orbivertex.localgw import local_context
 from orbivertex.series import (
     GradeCap,
@@ -354,6 +355,48 @@ def test_cyclonum_inverse_matches_sympy(order, xs):
         return
     _agree(x.inverse(), px.invert(modulus))
     assert x * x.inverse() == x.field.one
+
+
+def _convolved(x: CycloNum, y: CycloNum) -> tuple:
+    # (num, den) of x * y by polynomial product and long division by the
+    # monic cyclotomic polynomial.
+    modulus = cyclotomic_polynomial(x.field.order)
+    deg = len(modulus) - 1
+    prod = [0] * (2 * deg - 1)
+    for i, xi in enumerate(x.num):
+        for j, yj in enumerate(y.num):
+            prod[i + j] += xi * yj
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        for j, m in enumerate(modulus):
+            prod[k - deg + j] -= c * m
+    z = CycloNum(x.field, prod[:deg], x.den * y.den)
+    return z.num, z.den
+
+
+rationals = st.one_of(st.integers(-6, 6), coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 4, 8, 12, 16, 32])
+@PROPERTY
+@given(st.lists(st.integers(-9, 9), min_size=16, max_size=16), st.integers(1, 6), rationals, st.booleans())
+def test_cyclonum_scaling_by_a_rational_is_the_convolution(order, xs, den, q, as_cyclo):
+    # x*q, q*x and x/q scale the coordinates; each must equal the full
+    # convolution with q as an element of the field.
+    field = cyclo_field(order)
+    x = CycloNum(field, xs[: field.degree], den)
+    operand = field.from_fraction(q) if as_cyclo else q
+    want = _convolved(x, field.from_fraction(q))
+    for got in (x * operand, operand * x):
+        assert (got.num, got.den) == want
+    if q:
+        got = x / operand
+        assert (got.num, got.den) == _convolved(x, field.from_fraction(1 / Fraction(q)))
+    # A rational of another field is still refused.
+    alien = cyclo_field(3).from_fraction(q)
+    for op in (lambda: x * alien, lambda: alien * x, lambda: x / alien):
+        with pytest.raises(ValueError, match="different cyclotomic fields"):
+            op()
 
 
 def test_bernoulli_table_matches_sympy():

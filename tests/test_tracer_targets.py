@@ -37,9 +37,11 @@ def test_every_tracer_target_resolves_to_a_callable():
 
 def test_aliases_the_tracer_relies_on():
     from orbivertex import dt_vertex, gw_vertex
+    from orbivertex.exactnum import CycloNum
 
     assert gw_vertex._r_bullet_zero_closed is dt_vertex.r_bullet_zero
     assert callable(gw_vertex.r_bullet_zero)
+    assert CycloNum.__rmul__ is CycloNum.__mul__
 
 
 def test_the_tracer_clears_the_framing_zero_memo():
