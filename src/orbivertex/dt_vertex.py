@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm
-from operator import mul
+from itertools import combinations_with_replacement
+from math import comb, factorial, lcm, prod
+from operator import add, mul
 
 from .characters import chi
 from .partitions import (
@@ -34,7 +35,6 @@ from .series import (
     _exp_coefficients,
     _frac_str,
     coeff_to_data,
-    self_in_window_static,
 )
 
 
@@ -334,38 +334,39 @@ def _den_factor_inverse(a: int, k: int, s: int, lam_fill: int) -> Series:
     return Series.inverse_trig(trig_context(a), "lam", denominator, k, lam_fill, field_for(a))
 
 
-def lam_pad(rf: RationalForm) -> int:
+class FramingZeroForm:
+    """The framing-zero form (-1)^(d - len(mu))/z_mu * prod_k p_{mu_k} at the
+    sign-flipped colored alphabet, for a nonempty partition mu, kept as its
+    factors for change_of_vars; its numerator is never multiplied out."""
+
+    __slots__ = ("a", "mu", "den")
+
+    def __init__(self, a: int, mu: tuple):
+        self.a = a
+        self.mu = mu
+        self.den = dict(Counter((k, (-1) ** k) for k in mu))
+
+
+def lam_pad(rf: RationalForm | FramingZeroForm) -> int:
     """The lam orders that the denominator inverses cost: m for m factors
     (with multiplicity) whose image vanishes at lam = 0.  Filled through
     lam^F, such an inverse 1/(1 - e^(i k lam)) starts at lam^-1 and is
-    complete through lam^F (it is a closed Bernoulli series).  A product is
-    complete as far as each factor's top plus the lowest exponents of the
-    others: the numerator (lam^0 through lam^F), the m inverses and the
-    other inverses (lam^0 through lam^F) leave lam^(F - m)."""
+    complete through lam^F (it is a closed Bernoulli series).  The lam part
+    of the separable image, exp(alpha lam) (lam^0 through lam^F) times the
+    inverses in turn, is complete as far as each factor's top plus the
+    lowest exponents of the others: lam^(F - m).  The x part, cut to
+    x-degree x_deg_max, has no lam, so the outer product keeps that top."""
     return sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
 
 
-def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
-    """Exact image of token * rf in the trigonometric variables, where the
-    composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
-    fractional exponents of both sides of the correspondence.
-
-    The substitution sends q to -exp(i lam) and each q_l to a fixed root
-    of unity times an exponential in the x variables; the image of the
-    token is pinned by the degree d.  A numerator term q^n prod_l q_l^m_l
-    of rf, times the token, maps to a scalar times
-    exp(alpha lam + sum_j c_j x_j), whose coefficient at
-    lam^k prod_j x_j^g_j is alpha^k/k! prod_j c_j^g_j/g_j!; it is written
-    out through lam^lam_fill and total x-degree x_deg_max, and the
-    denominator inverses follow.  The rate alpha = i(d/2 + n) depends only
-    on n and the c_j only on the m_l, so each x exponential is expanded
-    once per set of m_l, the scaled x parts are summed per n, and
-    exp(alpha lam) is expanded once per n.
-    """
+def _x_images(rf: RationalForm, d: int, x_deg_max: int) -> dict:
+    # {n: the x part of the image of token * (the numerator terms
+    # q^n prod_l q_l^m_l of rf)}, each an x-only series through total
+    # x-degree x_deg_max.  A term maps to a scalar times prod_j exp(c_j x_j),
+    # and its lam part exp(i(d/2 + n) lam) depends on n alone.
     a = rf.a
     ctx = trig_context(a)
     field = field_for(a)
-    i = field.imaginary_unit()
 
     def omega(power):
         return field.root_of_unity(2 * a, power)
@@ -406,49 +407,88 @@ def change_of_vars(rf: RationalForm, d: int, lam_fill: int, x_deg_max: int) -> S
             acc = group.get(x)
             group[x] = v if acc is None else acc + v
     x_used = any(used for _, used in x_parts.values())
+    tops = ctx.window(None, {"xdeg": x_deg_max} if x_used else None)
+    return {
+        n: Series(ctx, {(0,) + x: c for x, c in group.items() if c}, (0,) * ctx.n, tops)
+        for n, group in groups.items()
+    }
+
+
+@lru_cache(maxsize=None)
+def _power_sum_image(a: int, k: int, x_deg_max: int) -> Series:
+    # The x part of the image of the flipped p_k with its share k of the
+    # token, in closed form.  With one unit of the token, the letter of
+    # color l maps to z^(a+4l+2) exp(-(1/a) sum_j z^(-2j(2l+1)) x_j), with
+    # z = zeta_4a; so the sum of the k-th powers of the a letters keeps x^g
+    # only where its weight v = sum_j j g_j is k mod a, with coefficient
+    # a z^(k(a+2) - 2v) (-k/a)^|g| / prod_j g_j!.
+    ctx = trig_context(a)
+    field = field_for(a)
     terms = {}
-    lam_used = False
-    for n, group in groups.items():
-        lam_coeff = i * (Fraction(d, 2) + n)
-        if lam_coeff:
-            lam_used = True
-            lam_part = _exp_coefficients(lam_coeff, lam_fill)
-        else:
-            lam_part = [field.one]
-        for x, c in group.items():
-            if not c:
-                continue
-            for k, p in enumerate(lam_part):
-                kx = (k,) + x
-                v = c * p
-                acc = terms.get(kx)
-                terms[kx] = v if acc is None else acc + v
-    tops = ctx.window({"lam": lam_fill} if lam_used else None, {"xdeg": x_deg_max} if x_used else None)
-    # The window is the one the sum of the term series would have; a
-    # negative extent in it leaves out even the constant terms.
-    terms = {k: c for k, c in terms.items() if c and self_in_window_static(k, tops, ctx)}
-    total = Series(ctx, terms, (0,) * ctx.n, tops)
-    for (k, s), m in rf.den.items():
-        total = total * _den_factor_inverse(a, k, s, lam_fill) ** m
-    return total
+    # At a = 1 there is no x variable, so no x window cuts the constant.
+    for size in range(x_deg_max + 1 if a > 1 else 1):
+        for js in combinations_with_replacement(range(1, a), size):
+            v = sum(js)
+            if (v - k) % a == 0:
+                counts = Counter(js)
+                scale = a * Fraction(-k, a) ** size / prod(map(factorial, counts.values()))
+                key = (0,) + tuple(counts[j] for j in range(1, a))
+                terms[key] = field.root_of_unity(4 * a, k * (a + 2) - 2 * v) * scale
+    return Series(ctx, terms, (0,) * ctx.n, ctx.window(None, {"xdeg": x_deg_max} if a > 1 else None))
+
+
+def change_of_vars(rf: RationalForm | FramingZeroForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
+    """Exact image of token * rf in the trigonometric variables, where the
+    composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
+    fractional exponents of both sides of the correspondence; rf is a
+    RationalForm or a FramingZeroForm.
+
+    The substitution sends q to -exp(i lam) and each q_l to a fixed root
+    of unity times an exponential in the x variables; the image of the
+    token is pinned by the degree d.  The map is multiplicative, and a
+    numerator term q^n prod_l q_l^m_l of rf, times the token, maps to a
+    scalar times exp(alpha lam + sum_j c_j x_j) with alpha = i(d/2 + n)
+    depending on n alone.  So the image separates: for each n, an x part
+    X_n (the scaled sum of prod_j exp(c_j x_j) over the terms with that n,
+    written out through total x-degree x_deg_max) times a lam part L_n
+    (exp(alpha lam) through lam^lam_fill, times each denominator inverse in
+    turn), and one outer product X_n * L_n writes the (lam, x) terms.
+
+    A FramingZeroForm has one n = 0, and its x part is
+    (-1)^(d - len(mu))/z_mu times the product of the images of the flipped
+    p_{mu_k}, each with its share mu_k of the token, a closed character sum
+    built once per (a, k, x_deg_max).  p_1's image starts at x-degree 1, so
+    a product reaches past x-degree x_deg_max; each is cut back to it.  An
+    x part that cancels to nothing gets the window of its image and no lam
+    terms.
+    """
+    a = rf.a
+    ctx = trig_context(a)
+    i = field_for(a).imaginary_unit()
+    if isinstance(rf, FramingZeroForm):
+        images = [_power_sum_image(a, k, x_deg_max) for k in rf.mu]
+        x_part = images[0]
+        for image in images[1:]:
+            x_part = (x_part * image)._clip_to(image.tops)
+        x_parts = {0: x_part * Fraction((-1) ** (d - len(rf.mu)), z_aut(rf.mu))}
+    else:
+        # A zero form keeps the denominators' floors.
+        x_parts = _x_images(rf, d, x_deg_max) or {0: Series.zero(ctx)}
+    dens = [_den_factor_inverse(a, k, s, lam_fill) for (k, s), m in rf.den.items() for _ in range(m)]
+    pieces = []
+    for n, xs in x_parts.items():
+        lam = Series.exp_monomial(ctx, {"lam": 1}, i * (Fraction(d, 2) + n), maxes={"lam": lam_fill})
+        # An x part that cancels to nothing takes the window alone.
+        pieces.append(xs * reduce(mul, dens, lam) if xs.terms else reduce(mul, dens, xs * lam))
+    return reduce(add, pieces)
 
 
 # -- assembly of the correspondence -----------------------------------------
 
 
-def _transported(rf: RationalForm, d: int, lam_max: int, x_deg_max: int) -> Series:
+def _transported(rf: RationalForm | FramingZeroForm, d: int, lam_max: int, x_deg_max: int) -> Series:
     fill = lam_max + lam_pad(rf)
     return change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
-
-
-def _r_bullet_zero_form(a: int, mu: tuple) -> RationalForm:
-    # (-1)^(d - len(mu)) / z_mu * prod_k p_{mu_k} at the sign-flipped colored
-    # alphabet, for a nonempty checked mu; change_of_vars adds the token.
-    d = sum(mu)
-    prod = RationalForm.monomial(a, 0, (), Fraction((-1) ** (d - len(mu)), z_aut(mu)))
-    for part in mu:
-        prod = prod * powersum_rational(a, part).flip_q_sign()
-    return prod
 
 
 def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
@@ -468,7 +508,7 @@ def _r_bullet_zero_series(a: int, mu: tuple, lam_max: int, x_deg_max: int) -> Se
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))
-    return _transported(_r_bullet_zero_form(a, mu), d, lam_max, x_deg_max)
+    return _transported(FramingZeroForm(a, mu), d, lam_max, x_deg_max)
 
 
 def _shifted_vertex(a: int, nu: tuple) -> RationalForm:

@@ -7,7 +7,9 @@ colored-alphabet helpers expand power sums and Schur functions directly as
 series in q and the color variables q_1 .. q_{a-1}, at the alphabet whose
 letters are ``(prod_{j>l} q_j) * q^m`` for ``l`` in ``0..a-1`` and
 ``m >= 0``, by two routes: the character expansion and the dual
-Jacobi-Trudi determinant.  ``change_of_vars_loop`` is the change of
+Jacobi-Trudi determinant.  ``r_bullet_zero_form`` is the framing-zero
+power-sum product with its numerator multiplied out, which the package
+keeps as its factors.  ``change_of_vars_loop`` is the change of
 variables built one exponential factor at a time from series products, and
 ``correspondence_report_literal`` is the correspondence compared series
 against series, with the vertex side summed shape by shape and transported.
@@ -24,7 +26,13 @@ import math
 from fractions import Fraction
 
 from orbivertex.characters import chi
-from orbivertex.dt_vertex import _den_factor_inverse, trig_context, vertex_side_series
+from orbivertex.dt_vertex import (
+    RationalForm,
+    _den_factor_inverse,
+    powersum_rational,
+    trig_context,
+    vertex_side_series,
+)
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import g_bullet_table
 from orbivertex.hurwitz import PhiKernel
@@ -241,6 +249,17 @@ def schur_at_colored_jt(nu, a: int, q_max: int, sign: int = 1) -> Series:
     return total
 
 
+def r_bullet_zero_form(a: int, mu) -> RationalForm:
+    """The framing-zero form (-1)^(d - len(mu))/z_mu * prod_k p_{mu_k} at
+    the sign-flipped colored alphabet with its numerator multiplied out, for
+    a nonempty mu; ``change_of_vars_loop`` adds the token."""
+    mu = check_partition(mu)
+    prod = RationalForm.monomial(a, 0, (), Fraction((-1) ** (sum(mu) - len(mu)), z_aut(mu)))
+    for part in mu:
+        prod = prod * powersum_rational(a, part).flip_q_sign()
+    return prod
+
+
 def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
     """The change of variables of token * rf term by term, as a product of
     one ``Series.exp_monomial`` per exponential factor, summed piece by
@@ -317,6 +336,7 @@ __all__ = [
     "powersum_monomial_coeffs",
     "plane_partition_counts",
     "powersum_colored",
+    "r_bullet_zero_form",
     "schur_at_colored",
     "schur_at_colored_jt",
     "taylor_inverse_sin_ratio",

@@ -8,7 +8,8 @@ from orbivertex import gw_vertex
 from orbivertex.characters import chi
 from orbivertex.dt_vertex import (
     RationalForm,
-    _r_bullet_zero_form,
+    _power_sum_image,
+    _x_images,
     _vertex_side_form,
     box_counting_series,
     change_of_vars,
@@ -31,6 +32,7 @@ from oracles import (
     correspondence_report_literal,
     plane_partition_counts,
     powersum_colored,
+    r_bullet_zero_form,
     schur_at_colored,
     taylor_inverse_sin_ratio,
 )
@@ -84,7 +86,7 @@ def test_schur_rational_character_orthogonality():
                 p_mu = p_mu * powersum_rational(a, part)
             terms = [(chi(nu, mu), schur_rational(conjugate(nu), a)) for nu in partitions_of(d)]
             assert weighted_sum(terms + [(-((-1) ** (d - len(mu))), p_mu)]).num == {}, (a, mu)
-            vertex_side = weighted_sum([(1, _vertex_side_form(a, mu)), (-1, _r_bullet_zero_form(a, mu))])
+            vertex_side = weighted_sum([(1, _vertex_side_form(a, mu)), (-1, r_bullet_zero_form(a, mu))])
             assert vertex_side.num == {}, (a, mu)
 
 
@@ -252,10 +254,10 @@ def test_lam_pad_is_tight():
     for a in (1, 2, 3):
         for d in (1, 2, 3):
             for mu in partitions_of(d):
-                for rf in (_r_bullet_zero_form(a, mu), _vertex_side_form(a, mu)):
+                for rf in (r_bullet_zero_form(a, mu), _vertex_side_form(a, mu)):
                     fill = lam_max + lam_pad(rf)
                     change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
-                rf = _r_bullet_zero_form(a, mu)
+                rf = r_bullet_zero_form(a, mu)
                 assert lam_pad(rf) == len(mu), (a, mu)
                 short = change_of_vars(rf, d, lam_max + lam_pad(rf) - 1, x_deg_max)
                 with pytest.raises(PrecisionError, match=f"reaches only {lam_max - 1}, need {lam_max}"):
@@ -322,7 +324,7 @@ def test_change_of_vars_matches_term_by_term_loop():
     for a in (1, 2, 3, 4):
         for d in (1, 2, 3):
             for mu in partitions_of(d):
-                closed, loop = _closed_and_loop(_r_bullet_zero_form(a, mu), d, 3, 2)
+                closed, loop = _closed_and_loop(r_bullet_zero_form(a, mu), d, 3, 2)
                 assert closed == loop, (a, mu)
     for a, mu in ((2, (2, 1)), (3, (2,))):
         closed, loop = _closed_and_loop(_vertex_side_form(a, mu), sum(mu), 3, 2)
@@ -348,3 +350,49 @@ def test_change_of_vars_without_lam_dependence():
         closed = change_of_vars(rf, 2, 4, 2)
         assert closed.to_data() == change_of_vars_loop(rf, 2, 4, 2).to_data(), rf
         assert closed.terms and closed.maxes[0] == lam_max, rf
+
+
+def _framing_zero_loop(a, mu, lam_max, x_deg_max):
+    # The multiplied-out framing-zero form through the term-by-term loop.
+    rf = r_bullet_zero_form(a, mu)
+    return change_of_vars_loop(rf, sum(mu), lam_max + lam_pad(rf), x_deg_max).restrict(maxes={"lam": lam_max})
+
+
+def test_framing_zero_factor_images_match_the_multiplied_out_loop():
+    # r_bullet_zero multiplies the cached x images of the flipped power sums
+    # and never forms the product's numerator: floors, maxes, cap bounds and
+    # terms must still be those of the loop over the multiplied-out form.
+    # At a = 4 the loop takes about 3 s on the three wide windows alone.
+    wide, narrow = ((5, 4), (6, 3), (10, 1)), ((2, 1), (0, 0))
+    for a in (1, 2, 3, 4):
+        for d in (1, 2, 3, 4):
+            for mu in partitions_of(d):
+                for lam_max, x_deg_max in narrow if a == 4 else wide + narrow:
+                    closed = r_bullet_zero(a, mu, lam_max, x_deg_max).to_data()
+                    assert closed == _framing_zero_loop(a, mu, lam_max, x_deg_max).to_data(), (a, mu)
+                # Every series of size d starts at lam^-len(mu) >= lam^-d.
+                message = f"window of 'lam' cut at {-d - 1} lies below its floor {-len(mu)}"
+                with pytest.raises(PrecisionError, match=message):
+                    r_bullet_zero(a, mu, -d - 1, 2)
+                with pytest.raises(PrecisionError, match=message):
+                    _framing_zero_loop(a, mu, -d - 1, 2)
+
+
+def test_framing_zero_with_a_cancelled_x_part():
+    # The image of p_1 starts at x-degree 1, so at a = 2 the x part of
+    # (1, 1) is empty under x-degree 1, and that of (1^5) under x-degree 4:
+    # no terms, and the window of the loop.
+    for a, mu, lam_max, x_deg_max in ((2, (1, 1), 10, 1), (2, (1, 1, 1, 1, 1), 5, 4)):
+        closed = r_bullet_zero(a, mu, lam_max, x_deg_max).to_data()
+        assert closed["terms"] == []
+        assert closed == _framing_zero_loop(a, mu, lam_max, x_deg_max).to_data(), mu
+
+
+def test_power_sum_image_closed_form_matches_the_expansion():
+    # The closed character sum against the term-by-term x expansion of the
+    # flipped p_k with its share k of the token, windows included.
+    for a in range(1, 7):
+        for k in range(1, 7):
+            for x_deg_max in (-1, 0, 2, 4):
+                expanded = _x_images(powersum_rational(a, k).flip_q_sign(), k, x_deg_max)[0]
+                assert _power_sum_image(a, k, x_deg_max).to_data() == expanded.to_data(), (a, k, x_deg_max)

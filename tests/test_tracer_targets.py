@@ -47,11 +47,13 @@ def test_aliases_the_tracer_relies_on():
 def test_the_tracer_clears_the_framing_zero_memo():
     # The benchmark starts every in-process item from cold caches by
     # clearing each lru_cache the package binds at module level; the
-    # framing-zero memo and the Bernoulli table must be among them.
+    # framing-zero memo, the power-sum images and the Bernoulli table must
+    # be among them.
     from orbivertex import dt_vertex, series
 
     caches = _tracer().lru_caches()
     assert dt_vertex._r_bullet_zero_series in caches
+    assert dt_vertex._power_sum_image in caches
     assert series.bernoulli in caches
 
 
@@ -75,3 +77,15 @@ def test_a_repeated_framing_zero_call_transports_once(monkeypatch):
     assert again.to_data() == first.to_data()
     dt_vertex.r_bullet_zero(2, (2, 1), lam_max=4, x_deg_max=2)
     assert len(calls) == 2
+
+
+def test_a_report_builds_each_power_sum_image_once():
+    # The profiles (3), (2, 1) and (1, 1, 1) share the images of p_1, p_2
+    # and p_3: six asks, three builds.
+    from orbivertex import dt_vertex
+
+    dt_vertex._r_bullet_zero_series.cache_clear()
+    dt_vertex._power_sum_image.cache_clear()
+    assert all(ok for _, ok in dt_vertex.correspondence_report(3, 3))
+    info = dt_vertex._power_sum_image.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
