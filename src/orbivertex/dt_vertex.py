@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, lcm
 from operator import add, mul
 
 from .characters import chi
@@ -334,7 +333,7 @@ def _den_factor_inverse(a: int, k: int, s: int, lam_fill: int) -> Series:
     return Series.inverse_trig(trig_context(a), "lam", denominator, k, lam_fill, field_for(a))
 
 
-class FramingZeroForm:
+class _FramingZeroForm:
     """The framing-zero form (-1)^(d - len(mu))/z_mu * prod_k p_{mu_k} at the
     sign-flipped colored alphabet, for a nonempty partition mu, kept as its
     factors for change_of_vars; its numerator is never multiplied out."""
@@ -347,7 +346,7 @@ class FramingZeroForm:
         self.den = dict(Counter((k, (-1) ** k) for k in mu))
 
 
-def lam_pad(rf: RationalForm | FramingZeroForm) -> int:
+def lam_pad(rf: RationalForm | _FramingZeroForm) -> int:
     """The lam orders that the denominator inverses cost: m for m factors
     (with multiplicity) whose image vanishes at lam = 0.  Filled through
     lam^F, such an inverse 1/(1 - e^(i k lam)) starts at lam^-1 and is
@@ -417,31 +416,15 @@ def _x_images(rf: RationalForm, d: int, x_deg_max: int) -> dict:
 @lru_cache(maxsize=None)
 def _power_sum_image(a: int, k: int, x_deg_max: int) -> Series:
     # The x part of the image of the flipped p_k with its share k of the
-    # token, in closed form.  With one unit of the token, the letter of
-    # color l maps to z^(a+4l+2) exp(-(1/a) sum_j z^(-2j(2l+1)) x_j), with
-    # z = zeta_4a; so the sum of the k-th powers of the a letters keeps x^g
-    # only where its weight v = sum_j j g_j is k mod a, with coefficient
-    # a z^(k(a+2) - 2v) (-k/a)^|g| / prod_j g_j!.
-    ctx = trig_context(a)
-    field = field_for(a)
-    terms = {}
-    # At a = 1 there is no x variable, so no x window cuts the constant.
-    for size in range(x_deg_max + 1 if a > 1 else 1):
-        for js in combinations_with_replacement(range(1, a), size):
-            v = sum(js)
-            if (v - k) % a == 0:
-                counts = Counter(js)
-                scale = a * Fraction(-k, a) ** size / prod(map(factorial, counts.values()))
-                key = (0,) + tuple(counts[j] for j in range(1, a))
-                terms[key] = field.root_of_unity(4 * a, k * (a + 2) - 2 * v) * scale
-    return Series(ctx, terms, (0,) * ctx.n, ctx.window(None, {"xdeg": x_deg_max} if a > 1 else None))
+    # token; its numerator has the one q exponent 0.
+    return _x_images(powersum_rational(a, k).flip_q_sign(), k, x_deg_max)[0]
 
 
-def change_of_vars(rf: RationalForm | FramingZeroForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
+def change_of_vars(rf: RationalForm | _FramingZeroForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
     """Exact image of token * rf in the trigonometric variables, where the
     composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
     fractional exponents of both sides of the correspondence; rf is a
-    RationalForm or a FramingZeroForm.
+    RationalForm or a _FramingZeroForm.
 
     The substitution sends q to -exp(i lam) and each q_l to a fixed root
     of unity times an exponential in the x variables; the image of the
@@ -454,18 +437,20 @@ def change_of_vars(rf: RationalForm | FramingZeroForm, d: int, lam_fill: int, x_
     (exp(alpha lam) through lam^lam_fill, times each denominator inverse in
     turn), and one outer product X_n * L_n writes the (lam, x) terms.
 
-    A FramingZeroForm has one n = 0, and its x part is
+    A _FramingZeroForm has one n = 0, and its x part is
     (-1)^(d - len(mu))/z_mu times the product of the images of the flipped
-    p_{mu_k}, each with its share mu_k of the token, a closed character sum
-    built once per (a, k, x_deg_max).  p_1's image starts at x-degree 1, so
-    a product reaches past x-degree x_deg_max; each is cut back to it.  An
-    x part that cancels to nothing gets the window of its image and no lam
-    terms.
+    p_{mu_k}, each with its share mu_k of the token, built once per
+    (a, k, x_deg_max); so d must be |mu|.  p_1's image starts at x-degree
+    1, so a product reaches past x-degree x_deg_max; each is cut back to
+    it.  An x part that cancels to nothing gets the window of its image
+    and no lam terms.
     """
     a = rf.a
     ctx = trig_context(a)
     i = field_for(a).imaginary_unit()
-    if isinstance(rf, FramingZeroForm):
+    if isinstance(rf, _FramingZeroForm):
+        if d != sum(rf.mu):
+            raise ValueError("the degree of a framing-zero form is the size of its profile")
         images = [_power_sum_image(a, k, x_deg_max) for k in rf.mu]
         x_part = images[0]
         for image in images[1:]:
@@ -486,7 +471,7 @@ def change_of_vars(rf: RationalForm | FramingZeroForm, d: int, lam_fill: int, x_
 # -- assembly of the correspondence -----------------------------------------
 
 
-def _transported(rf: RationalForm | FramingZeroForm, d: int, lam_max: int, x_deg_max: int) -> Series:
+def _transported(rf: RationalForm | _FramingZeroForm, d: int, lam_max: int, x_deg_max: int) -> Series:
     fill = lam_max + lam_pad(rf)
     return change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
 
@@ -508,7 +493,7 @@ def _r_bullet_zero_series(a: int, mu: tuple, lam_max: int, x_deg_max: int) -> Se
     d = sum(mu)
     if d == 0:
         return Series.one(trig_context(a))
-    return _transported(FramingZeroForm(a, mu), d, lam_max, x_deg_max)
+    return _transported(_FramingZeroForm(a, mu), d, lam_max, x_deg_max)
 
 
 def _shifted_vertex(a: int, nu: tuple) -> RationalForm:

@@ -8,8 +8,7 @@ from orbivertex import gw_vertex
 from orbivertex.characters import chi
 from orbivertex.dt_vertex import (
     RationalForm,
-    _power_sum_image,
-    _x_images,
+    _FramingZeroForm,
     _vertex_side_form,
     box_counting_series,
     change_of_vars,
@@ -388,11 +387,8 @@ def test_framing_zero_with_a_cancelled_x_part():
         assert closed == _framing_zero_loop(a, mu, lam_max, x_deg_max).to_data(), mu
 
 
-def test_power_sum_image_closed_form_matches_the_expansion():
-    # The closed character sum against the term-by-term x expansion of the
-    # flipped p_k with its share k of the token, windows included.
-    for a in range(1, 7):
-        for k in range(1, 7):
-            for x_deg_max in (-1, 0, 2, 4):
-                expanded = _x_images(powersum_rational(a, k).flip_q_sign(), k, x_deg_max)[0]
-                assert _power_sum_image(a, k, x_deg_max).to_data() == expanded.to_data(), (a, k, x_deg_max)
+def test_a_framing_zero_form_takes_the_degree_of_its_profile():
+    # Its x part carries the token share |mu|, so no other degree is served.
+    with pytest.raises(ValueError):
+        change_of_vars(_FramingZeroForm(2, (2, 1)), 4, 3, 2)
+    assert change_of_vars(_FramingZeroForm(2, (2, 1)), 3, 3, 2).terms
