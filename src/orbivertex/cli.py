@@ -38,10 +38,11 @@ from .verify import DEFAULT_DT_VERTEX_MODULI, SUITES
 CHAR_DEGREE_LIMIT = 8
 BOX_LIMIT = 10
 # gw, local-gw --mu/--d and verify --suite correspondence --a/--d refuse a
-# transport_cost over this budget.  At the default windows (a, d) = (12, 1)
-# costs 1.5e5 (under 2 s cold) and (20, 1) costs 2.0e6 (about 21 s).  dt
-# and verify --suite dt-vertex refuse a vertex_cost over it: dt --a 1000
-# --nu 1 costs 1.0e6 (about 3 s cold).
+# transport_cost over this budget.  At the default windows (a, d) = (1, 27)
+# costs 8.1e5, (1, 28) costs 1.0e6 (verify --suite correspondence about
+# 7 s cold), (16, 1) costs 5.7e5 (about 4 s) and (20, 1) costs 1.3e6 (about
+# 14 s).  dt and verify --suite dt-vertex refuse a vertex_cost over it:
+# dt --a 1000 --nu 1 costs 1.0e6 (about 3 s cold).
 COST_BUDGET = 10**6
 
 EXIT_OK = 0
@@ -140,17 +141,22 @@ def _binomials(n: int, k: int):
 
 
 def transport_cost(a: int, d: int, lam: int, x: int) -> int:
-    """Estimated work of a profile table: the field degree phi(4a) times
-    the C(a - 1 + x, x) monomials in the x variables, the lam + d + 1
-    orders of a lam window that starts at lam^-d, and the p(d) profiles.
+    """Estimated work, in units of about 10 microseconds, of the profile
+    table and the framing-zero transports of the p(d) profiles of size d.
+    Each profile costs 8 units for each of the lam + d + 1 orders of a lam
+    window that starts at lam^-d (its sine product, the joins and the
+    comparison), and 1/12 of a unit per order for each of the phi(4a)
+    C(a - 1 + x, x) field coordinates of its x part; the x images of
+    p_1 .. p_d cost 4 units per coordinate each (d = 0 is priced as d = 1).
     Exact up to COST_BUDGET, and past it a lower bound over the budget:
     each factor is read off a nondecreasing sequence (p(n); C(n, j) for
     j <= n/2; the running count of odd j < 4a prime to a) that stops once
     the product passes the budget, so a huge flag is priced at once."""
+    rows = _priced(lam + d + 1, partition_counts(), d)
     k = min(a - 1, x)
-    cost = _priced(lam + d + 1, partition_counts(), d)
-    cost = _priced(cost, _binomials(a - 1 + x, k), k)
-    return _priced(cost, accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2)), 2 * a - 1)
+    coords = _priced(1, _binomials(a - 1 + x, k), k)
+    coords = _priced(coords, accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2)), 2 * a - 1)
+    return 8 * rows + coords * (rows + 48 * max(d, 1)) // 12
 
 
 def vertex_cost(a: int, n: int, volume: int = 0) -> int:

@@ -347,14 +347,19 @@ class _FramingZeroForm:
 
 
 def lam_pad(rf: RationalForm | _FramingZeroForm) -> int:
-    """The lam orders that the denominator inverses cost: m for m factors
-    (with multiplicity) whose image vanishes at lam = 0.  Filled through
-    lam^F, such an inverse 1/(1 - e^(i k lam)) starts at lam^-1 and is
-    complete through lam^F (it is a closed Bernoulli series).  The lam part
-    of the separable image, exp(alpha lam) (lam^0 through lam^F) times the
-    inverses in turn, is complete as far as each factor's top plus the
-    lowest exponents of the others: lam^(F - m).  The x part, cut to
-    x-degree x_deg_max, has no lam, so the outer product keeps that top."""
+    """The lam orders that the lam part of the image costs.  For a
+    RationalForm it is m for m denominator factors (with multiplicity) whose
+    image vanishes at lam = 0: filled through lam^F, such an inverse
+    1/(1 - e^(i k lam)) starts at lam^-1 and is complete through lam^F (it
+    is a closed Bernoulli series), and exp(alpha lam) (lam^0 through lam^F)
+    times the inverses in turn is complete as far as each factor's top plus
+    the lowest exponents of the others: lam^(F - m).  A _FramingZeroForm's
+    lam part is the sine product of its len(mu) parts, the same closed
+    series with no exponential in front, so it costs len(mu) - 1.  The x
+    part, cut to x-degree x_deg_max, has no lam, so the outer product keeps
+    that top."""
+    if isinstance(rf, _FramingZeroForm):
+        return len(rf.mu) - 1
     return sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
 
 
@@ -420,6 +425,30 @@ def _power_sum_image(a: int, k: int, x_deg_max: int) -> Series:
     return _x_images(powersum_rational(a, k).flip_q_sign(), k, x_deg_max)[0]
 
 
+def _x_product(factors) -> Series:
+    # The product of x-only series, each partial product cut to the x window
+    # of its last factor: a factor that starts above x-degree 0 pushes the
+    # product's top past it.
+    out = factors[0]
+    for factor in factors[1:]:
+        out = (out * factor)._clip_to(factor.tops)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sine_product(a: int, mu: tuple, fill: int) -> Series:
+    # prod_k 1/(e^(i k lam/2) - e^(-i k lam/2)) over the parts k of a
+    # nonempty mu, each factor a closed Bernoulli series filled through
+    # lam^fill: it starts at lam^-len(mu) and is complete through
+    # lam^(fill - len(mu) + 1).  Both sides of the correspondence read it.
+    # It splits off the largest part, so the profiles of one length (one
+    # fill) share their factors and the products of their tails of small
+    # parts.
+    if len(mu) > 1:
+        return _sine_product(a, mu[:1], fill) * _sine_product(a, mu[1:], fill)
+    return Series.inverse_trig(trig_context(a), "lam", "e^(t/2) - e^(-t/2)", mu[0], fill, field_for(a))
+
+
 def change_of_vars(rf: RationalForm | _FramingZeroForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
     """Exact image of token * rf in the trigonometric variables, where the
     composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
@@ -442,23 +471,24 @@ def change_of_vars(rf: RationalForm | _FramingZeroForm, d: int, lam_fill: int, x
     p_{mu_k}, each with its share mu_k of the token, built once per
     (a, k, x_deg_max); so d must be |mu|.  p_1's image starts at x-degree
     1, so a product reaches past x-degree x_deg_max; each is cut back to
-    it.  An x part that cancels to nothing gets the window of its image
-    and no lam terms.
+    it.  Its lam part is e^(i d lam/2) prod_k 1/(1 - e^(i mu_k lam)), and
+    since d is the sum of the parts that is
+    (-1)^len(mu) prod_k 1/(e^(i mu_k lam/2) - e^(-i mu_k lam/2)), the sine
+    product the wave-function side also reads, with each factor filled
+    through lam^lam_fill.  An x part that cancels to nothing gets the
+    window of its image and no lam terms.
     """
     a = rf.a
-    ctx = trig_context(a)
-    i = field_for(a).imaginary_unit()
     if isinstance(rf, _FramingZeroForm):
         if d != sum(rf.mu):
             raise ValueError("the degree of a framing-zero form is the size of its profile")
-        images = [_power_sum_image(a, k, x_deg_max) for k in rf.mu]
-        x_part = images[0]
-        for image in images[1:]:
-            x_part = (x_part * image)._clip_to(image.tops)
-        x_parts = {0: x_part * Fraction((-1) ** (d - len(rf.mu)), z_aut(rf.mu))}
-    else:
-        # A zero form keeps the denominators' floors.
-        x_parts = _x_images(rf, d, x_deg_max) or {0: Series.zero(ctx)}
+        x_part = _x_product([_power_sum_image(a, k, x_deg_max) for k in rf.mu])
+        # (-1)^(d - len(mu)) of the form times the (-1)^len(mu) of its lam part.
+        return x_part * Fraction((-1) ** d, z_aut(rf.mu)) * _sine_product(a, rf.mu, lam_fill)
+    ctx = trig_context(a)
+    # A zero form keeps the denominators' floors.
+    x_parts = _x_images(rf, d, x_deg_max) or {0: Series.zero(ctx)}
+    i = field_for(a).imaginary_unit()
     dens = [_den_factor_inverse(a, k, s, lam_fill) for (k, s), m in rf.den.items() for _ in range(m)]
     pieces = []
     for n, xs in x_parts.items():
@@ -532,11 +562,15 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
     every profile mu of size d, on the window lam <= lam_max.  Returns a
     list of (mu, agree) pairs.
 
-    The wave-function side is the exponential table g_bullet_table(a, d),
-    and the box-counting side is r_bullet_zero(a, mu), the transported
-    power-sum form.  That form is the character-weighted sum of the
-    shifted reduced vertices, which vertex_side_series transports
-    literally: the two agree by character orthogonality,
+    The wave-function side is the product table g_bullet_table(a, d), and
+    the box-counting side is r_bullet_zero(a, mu), the transported
+    power-sum form.  Both are an x part times the sine product of mu, built
+    once for the two (filled through lam_max + len(mu) - 1); no exponential
+    is formed, and the x parts come from the cap scalars on one side and
+    from the power-sum images on the other.  The power-sum form is the
+    character-weighted sum of the shifted reduced vertices, which
+    vertex_side_series transports literally: the two agree by character
+    orthogonality,
     sum_nu chi^nu(mu) s_{nu'} = (-1)^(d - len(mu)) p_mu, which holds by
     how schur_rational is built and is checked as a unit test.  The box
     counting behind the reduced vertex is the dt-vertex verify suite.

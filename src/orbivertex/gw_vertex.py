@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .dt_vertex import r_bullet_zero as _r_bullet_zero_closed, trig_context
+from .dt_vertex import _sine_product, _x_product, r_bullet_zero as _r_bullet_zero_closed, trig_context
 from .exactnum import field_for
 from .localgw import LocalBlock, glue, tube
 from .partitions import (
@@ -57,12 +57,13 @@ def _inv_two_sin(ctx: SeriesContext, d: int, lam_fill: int, field) -> Series:
     return inverse * field.imaginary_unit()
 
 
-def _cap_series(a: int, d: int, gamma: tuple, inv_sin: Series) -> Series:
-    # The cap scalar times inv_sin = 1/(2 sin(d lam/2)), zero unless d is
-    # congruent to the total color mod a.
+def _cap_scalar(a: int, d: int, gamma: tuple):
+    # The degree-d cap with color insertions gamma is this scalar times
+    # 1/(2 sin(d lam/2)); it is 0 unless d is congruent to the total color
+    # mod a.
     total = sum(gamma)
     if (d - total) % a:
-        return Series.zero(inv_sin.ctx)
+        return 0
     field = field_for(a)
     n = len(gamma)
     i_exp = 1 - d + 2 * ((d - total) // a)
@@ -72,8 +73,7 @@ def _cap_series(a: int, d: int, gamma: tuple, inv_sin: Series) -> Series:
         / Fraction(a) ** (n - 1)
         / aut_gamma(gamma)
     )
-    scalar = field.root_of_unity(4, i_exp) * field.from_fraction(frac)
-    return inv_sin * scalar
+    return field.root_of_unity(4, i_exp) * field.from_fraction(frac)
 
 
 def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> Series:
@@ -87,7 +87,7 @@ def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> Series:
     ctx = trig_context(a)
     if (d - sum(gamma)) % a:
         return Series.zero(ctx)
-    series = _cap_series(a, d, gamma, _inv_two_sin(ctx, d, lam_trunc, field_for(a)))
+    series = _inv_two_sin(ctx, d, lam_trunc, field_for(a)) * _cap_scalar(a, d, gamma)
     return series.restrict(maxes={"lam": lam_trunc})
 
 
@@ -101,7 +101,7 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
     for d in range(1, d_max + 1):
         inv_sin = _inv_two_sin(ctx, d, lam_fill, field)
         for gamma in gamma_vectors(a, x_deg_max):
-            cap = _cap_series(a, d, gamma, inv_sin)
+            cap = inv_sin * _cap_scalar(a, d, gamma)
             if cap.is_exact_zero():
                 continue
             exps = {f"p{d}": 1}
@@ -111,30 +111,45 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
     return total.restrict(cap_bounds={"xdeg": x_deg_max, "pweight": d_max})
 
 
+@lru_cache(maxsize=None)
+def _cap_polynomial(a: int, k: int, x_deg_max: int) -> Series:
+    # C_k(x): the x-only series of the degree-k caps through x-degree
+    # x_deg_max, each scalar times i, so that a cap is its term of C_k times
+    # 1/(e^(i k lam/2) - e^(-i k lam/2)).
+    ctx = trig_context(a)
+    i = field_for(a).imaginary_unit()
+    terms = {}
+    for gamma in gamma_vectors(a, x_deg_max):
+        scalar = _cap_scalar(a, k, gamma)
+        if scalar:
+            terms[ctx.key_from({f"x{g}": gamma.count(g) for g in set(gamma)})] = scalar * i
+    return Series(ctx, terms, (0,) * ctx.n, ctx.window(cap_bounds={"xdeg": x_deg_max}))
+
+
 def g_bullet_table(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> dict:
-    """{mu: g_bullet_mu(a, mu, ...)} for every profile mu of size d, read
-    off one exponential of the connected generating function."""
-    if d == 0:
-        return {(): Series.one(trig_context(a))}
-    bullet = assemble_G0(a, d, x_deg_max, lam_max + d - 1).exp(cap="pweight")
-    return {
-        mu: bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
-        .embed(trig_context(a))
-        .restrict(maxes={"lam": lam_max})
-        for mu in partitions_of(d)
-    }
+    """{mu: g_bullet_mu(a, mu, ...)} for every profile mu of size d: the
+    cap polynomials C_k are built once per k <= d, and no exponential is
+    formed."""
+    return {mu: g_bullet_mu(a, mu, lam_max, x_deg_max) for mu in partitions_of(d)}
 
 
 def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     """Coefficient of p_mu in the exponential of the connected generating
-    function at framing zero.  Each 1/(2 sin), filled through lam^F,
-    starts at lam^-1 and is complete through lam^F (a closed Bernoulli
-    series), so a product of k caps is complete through lam^(F - k + 1);
-    the exponential multiplies at most d caps (each of profile weight at
-    least 1), hence F = lam_max + d - 1.
-    """
+    function at framing zero.  Every degree-k cap is a scalar times
+    1/(2 sin(k lam/2)), so the caps of the parts multiply, and a part
+    repeated m times comes with 1/m!: the coefficient is the x part
+    prod_k C_(mu_k)(x) / aut(mu) (C_k the polynomial of the degree-k cap
+    scalars, times i) times the sine product of mu that r_bullet_zero also
+    reads.  Each of its len(mu) factors, filled through lam^F, starts at
+    lam^-1 and is complete through lam^F (a closed Bernoulli series), so
+    the product is complete through lam^(F - len(mu) + 1); hence
+    F = lam_max + len(mu) - 1.  Like r_bullet_zero, it refuses a lam_max
+    below -len(mu)."""
     mu = check_partition(mu)
-    return g_bullet_table(a, sum(mu), lam_max, x_deg_max)[mu]
+    if not mu:
+        return Series.one(trig_context(a))
+    x_part = _x_product([_cap_polynomial(a, k, x_deg_max) for k in mu]) / aut_gamma(mu)
+    return (x_part * _sine_product(a, mu, lam_max + len(mu) - 1)).restrict(maxes={"lam": lam_max})
 
 
 def lambda_g_psi_series(lam_trunc: int = 10) -> Series:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import chi
 from .partitions import check_partition, kappa, partitions_of, z_aut
@@ -88,6 +89,13 @@ class PhiKernel:
         return Series(ctx, terms, (0,) * ctx.n, tops)._tight()
 
 
+@lru_cache(maxsize=None)
+def _phi_kernel(nu: tuple, mu: tuple) -> PhiKernel:
+    # One kernel per checked profile pair: a tube reads every pair of its
+    # degree, and each framing transport builds a tube column.
+    return PhiKernel(nu, mu)
+
+
 def burnside_value(chi_euler: int, nu, mu) -> Fraction:
     """Weighted count of transitive-or-not factorizations: the coefficient
     extracted from the kernel for a cover of Euler characteristic chi_euler
@@ -95,7 +103,7 @@ def burnside_value(chi_euler: int, nu, mu) -> Fraction:
     r = simple_branch_count(chi_euler, nu, mu)
     if r < 0:
         raise ValueError("no simple branch points for this Euler characteristic")
-    return PhiKernel(nu, mu).weighted_moment(r)
+    return _phi_kernel(check_partition(nu), check_partition(mu)).weighted_moment(r)
 
 
 def simple_branch_count(chi_euler: int, nu, mu) -> int:

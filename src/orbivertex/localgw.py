@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .dt_vertex import r_bullet_zero
 from .exactnum import field_for
-from .hurwitz import PhiKernel, _kernel_powers
+from .hurwitz import _kernel_powers, _phi_kernel
 from .partitions import check_partition, partitions_of, z_aut
 from .series import GradeCap, Series, SeriesContext, VarSpec, coeff_to_data, require_fields
 
@@ -125,15 +125,16 @@ def tube(ctx: SeriesContext, d: int, var: str, scale, fill: int, mu=None) -> Loc
     """Two-slot block of transport kernels {(nu, mu): Phi_{nu,mu}(scale * var)}.
 
     Each kernel is expanded in ``var`` through ``fill`` from its moments
-    against the powers of the scale, built once for the block; exact zeros
-    are left out.  With ``mu`` given, only that column is kept.
+    against the powers of the scale, built once for the block; the kernel
+    of each profile pair is built once and then read from a memo.  Exact
+    zeros are left out.  With ``mu`` given, only that column is kept.
     """
     columns = partitions_of(d) if mu is None else (check_partition(mu),)
     powers = _kernel_powers(ctx, var, scale, {var: fill}, d)
     data = {}
     for nu in partitions_of(d):
         for col in columns:
-            kernel = PhiKernel(nu, col)._expand(ctx, powers)
+            kernel = _phi_kernel(nu, col)._expand(ctx, powers)
             if not kernel.is_exact_zero():
                 data[(nu, col)] = kernel
     return LocalBlock(d=d, a_list=(), slots=2, data=data)

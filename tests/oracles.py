@@ -11,8 +11,10 @@ Jacobi-Trudi determinant.  ``r_bullet_zero_form`` is the framing-zero
 power-sum product with its numerator multiplied out, which the package
 keeps as its factors.  ``change_of_vars_loop`` is the change of
 variables built one exponential factor at a time from series products, and
-``correspondence_report_literal`` is the correspondence compared series
-against series, with the vertex side summed shape by shape and transported.
+``g_bullet_table_by_exponential`` reads the wave-function side off one
+exponential of G0, and ``correspondence_report_literal`` is the
+correspondence compared series against series, with that side against the
+vertex side summed shape by shape and transported.
 ``kernel_series_by_exponentials`` expands a transport kernel as one
 exponential per eigenvalue.
 The other oracles are exact Fraction-arithmetic expansions of classical
@@ -34,7 +36,7 @@ from orbivertex.dt_vertex import (
     vertex_side_series,
 )
 from orbivertex.exactnum import field_for
-from orbivertex.gw_vertex import g_bullet_table
+from orbivertex.gw_vertex import assemble_G0
 from orbivertex.hurwitz import PhiKernel
 from orbivertex.partitions import check_partition, conjugate, partitions_of, z_aut
 from orbivertex.series import Series, SeriesContext, VarSpec
@@ -311,10 +313,27 @@ def kernel_series_by_exponentials(kernel: PhiKernel, ctx: SeriesContext, var: st
     return total._tight()
 
 
+def g_bullet_table_by_exponential(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> dict:
+    """{mu: the coefficient of p_mu in exp(G0)} for every profile of size d,
+    read off one ``Series.exp`` of ``assemble_G0`` filled through
+    lam_max + d - 1 and cut to lam <= lam_max: the path the package's
+    product table replaced, which shares no lam factor with the
+    transports."""
+    if d == 0:
+        return {(): Series.one(trig_context(a))}
+    bullet = assemble_G0(a, d, x_deg_max, lam_max + d - 1).exp(cap="pweight")
+    return {
+        mu: bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
+        .embed(trig_context(a))
+        .restrict(maxes={"lam": lam_max})
+        for mu in partitions_of(d)
+    }
+
+
 def correspondence_report_literal(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> list:
-    """(mu, agree) for every profile of size d: the exponential table of the
-    wave-function side against the literal vertex side (the character sum
-    of shifted reduced vertices, folded into one rational form and then
+    """(mu, agree) for every profile of size d: the wave-function side read
+    off the G0 exponential against the literal vertex side (the character
+    sum of shifted reduced vertices, folded into one rational form and then
     transported), both cut to the window lam <= lam_max."""
     window = {"lam": lam_max}
     return [
@@ -323,7 +342,7 @@ def correspondence_report_literal(a: int, d: int, lam_max: int = 5, x_deg_max: i
             lhs.restrict(maxes=window)
             == vertex_side_series(a, mu, lam_max=lam_max, x_deg_max=x_deg_max).restrict(maxes=window),
         )
-        for mu, lhs in g_bullet_table(a, d, lam_max=lam_max, x_deg_max=x_deg_max).items()
+        for mu, lhs in g_bullet_table_by_exponential(a, d, lam_max=lam_max, x_deg_max=x_deg_max).items()
     ]
 
 
@@ -331,6 +350,7 @@ __all__ = [
     "change_of_vars_loop",
     "chi_oracle",
     "correspondence_report_literal",
+    "g_bullet_table_by_exponential",
     "colored_context",
     "kostka_number",
     "powersum_monomial_coeffs",

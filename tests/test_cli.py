@@ -253,17 +253,31 @@ def test_cost_guards_exit_three(capsys):
 
 
 def test_transport_cost_estimate():
-    # phi(4a) * C(a - 1 + x, x) * (lam + d + 1) * p(d), as the library would
-    # run it at the default windows.
-    assert cli.transport_cost(12, 1, 5, 4) == 16 * 1365 * 7 == 152880
-    assert cli.transport_cost(4, 4, 5, 4) == 8 * 35 * 10 * 5 == 14000
-    assert cli.transport_cost(2, 9, 5, 4) == 4 * 5 * 15 * 30
-    assert cli.transport_cost(1, 0, 0, 10**9) == 2
+    # 8 rows + coords * (rows + 48 max(d, 1)) // 12, with rows the
+    # (lam + d + 1) p(d) lam orders of the profiles and coords the
+    # phi(4a) * C(a - 1 + x, x) field coordinates of an x part, as the
+    # library would run it at the default windows.
+    assert cli.transport_cost(12, 1, 5, 4) == 8 * 7 + 16 * 1365 * (7 + 48) // 12 == 100156
+    assert cli.transport_cost(4, 4, 5, 4) == 8 * 50 + 8 * 35 * (50 + 192) // 12
+    assert cli.transport_cost(2, 9, 5, 4) == 8 * 450 + 4 * 5 * (450 + 432) // 12
+    assert cli.transport_cost(1, 0, 0, 10**9) == 8 + 2 * 49 // 12 == 16
     # Past the budget the estimate is a lower bound over it, and huge flags
     # are priced without computing their large factors.
-    assert cli.COST_BUDGET < cli.transport_cost(20, 1, 5, 4) <= 32 * 8855 * 7
+    assert cli.COST_BUDGET < cli.transport_cost(20, 1, 5, 4) <= 8 * 7 + 32 * 8855 * 55 // 12
     for huge in ((10**9, 1, 5, 4), (10**6, 0, 0, 10**6), (2, 10**5, 0, 0), (1, 1, 10**12, 0)):
         assert cli.transport_cost(*huge) > cli.COST_BUDGET, huge
+
+
+def test_transport_cost_admits_the_reach_points_and_refuses_large_sizes(capsys):
+    # The correspondence reach points are under the budget at the default
+    # windows; (1, 34), whose table alone takes minutes, exits 3 at once.
+    for a, d in ((3, 3), (4, 2), (2, 5), (2, 12), (4, 8), (8, 5), (12, 3), (10, 4)):
+        assert cli.transport_cost(a, d, 5, 4) <= cli.COST_BUDGET, (a, d)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *"verify --suite correspondence --a 1 --d 34".split())
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_GUARD and not out
+    assert err.startswith("cost guard: a=1, d=34 at lambda order 5 and x order 4 is estimated at")
 
 
 def test_vertex_cost_estimate():
@@ -326,9 +340,9 @@ def test_box_enumeration_at_a1_is_refused_at_once(capsys):
 
 
 def test_transport_cost_guard_exits_three(monkeypatch, capsys):
-    # gw --a 2 --mu 2 at lam 5, x 4 costs 4 * 5 * 8 * 2 = 320; verify at
-    # (a, d) = (2, 2) and the caps too.
-    monkeypatch.setattr(cli, "COST_BUDGET", 319)
+    # gw --a 2 --mu 2 at lam 5, x 4 costs 8 * 16 + 4 * 5 * (16 + 96) // 12
+    # = 314; verify at (a, d) = (2, 2) and the caps too.
+    monkeypatch.setattr(cli, "COST_BUDGET", 313)
     for argv in (
         "gw --a 2 --mu 2",
         "local-gw --a 2 --mu 2",
@@ -337,12 +351,12 @@ def test_transport_cost_guard_exits_three(monkeypatch, capsys):
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == EXIT_GUARD, argv
-        assert err.startswith("cost guard: a=2, d=2 at lambda order 5 and x order 4 is estimated at 320")
+        assert err.startswith("cost guard: a=2, d=2 at lambda order 5 and x order 4 is estimated at 314")
         assert not out
     # The flags move the estimate: one lam order less is under the budget.
     code, _, _ = run_cli(capsys, "gw", "--a", "2", "--mu", "2", "--lambda-order", "4")
     assert code == EXIT_OK
-    monkeypatch.setattr(cli, "COST_BUDGET", 320)
+    monkeypatch.setattr(cli, "COST_BUDGET", 314)
     code, _, _ = run_cli(capsys, "verify", "--suite", "correspondence", "--a", "2", "--d", "2")
     assert code == EXIT_OK
 

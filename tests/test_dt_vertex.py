@@ -1,14 +1,17 @@
 """Box-counting vertex: closed rational forms against brute enumeration."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from orbivertex import gw_vertex
+from orbivertex import dt_vertex, gw_vertex
 from orbivertex.characters import chi
 from orbivertex.dt_vertex import (
     RationalForm,
     _FramingZeroForm,
+    _den_factor_inverse,
     _vertex_side_form,
     box_counting_series,
     change_of_vars,
@@ -18,10 +21,12 @@ from orbivertex.dt_vertex import (
     r_bullet_zero,
     reduced_vertex_closed,
     schur_rational,
+    trig_context,
     vertex_side_series,
     volume_counts,
     weighted_sum,
 )
+from orbivertex.exactnum import field_for
 from orbivertex.partitions import conjugate, partitions_of
 from orbivertex.series import PrecisionError, Series
 
@@ -303,18 +308,45 @@ def test_correspondence_gw_half_fails_on_a_wrong_table_entry(monkeypatch):
     assert report == [(mu, mu != perturbed) for mu in partitions_of(3)]
 
 
-def test_correspondence_builds_one_exponential(monkeypatch):
-    # The GW side of every profile of size d is read off one G0 exponential.
-    calls = []
-    real = gw_vertex.assemble_G0
+def test_correspondence_builds_no_exponential_and_shares_the_sine_products(monkeypatch):
+    # Neither side forms the G0 exponential, and the two sides read one sine
+    # product per profile.  At (2, 3) the table builds the products of (3),
+    # (2, 1) and (1, 1, 1), filled through lam_max + len(mu) - 1, with the
+    # parts (2,), (1,) at fill 3 and (1,), (1, 1) at fill 4 on the way:
+    # seven builds, and (1,) at fill 4 is found twice.  Every transport then
+    # finds its profile's product in the memo: three more hits.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the correspondence formed an exponential")
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(gw_vertex, "assemble_G0", counted)
+    monkeypatch.setattr(gw_vertex, "assemble_G0", refuse)
+    monkeypatch.setattr(Series, "exp", refuse)
+    dt_vertex._r_bullet_zero_series.cache_clear()
+    dt_vertex._sine_product.cache_clear()
     assert all(ok for _, ok in correspondence_report(2, 3, lam_max=2, x_deg_max=1))
-    assert len(calls) == 1
+    info = dt_vertex._sine_product.cache_info()
+    assert (info.misses, info.hits) == (7, 5)
+
+
+def test_sine_product_is_the_framing_zero_lam_part():
+    # (-1)^len(mu) prod_k 1/(e^(ik lam/2) - e^(-ik lam/2)) against the lam
+    # part the transport built before, e^(i d lam/2) prod_k 1/(1 - e^(ik lam)),
+    # on a common cut: filled through F, the second reaches F - len(mu), and
+    # the sine product reaches it filled one order less, through F - 1.  Two
+    # orders less and it no longer reaches the cut.
+    for a in (1, 2, 3):
+        ctx = trig_context(a)
+        i = field_for(a).imaginary_unit()
+        for d in range(1, 5):
+            for mu in partitions_of(d):
+                for fill in (len(mu) - 1, len(mu) + 2, 7):
+                    cut = {"lam": fill - len(mu)}
+                    exp = Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(d, 2), maxes={"lam": fill})
+                    old = reduce(mul, [_den_factor_inverse(a, k, (-1) ** k, fill) for k in mu], exp)
+                    new = dt_vertex._sine_product(a, mu, fill - 1) * (-1) ** len(mu)
+                    assert new.restrict(maxes=cut).to_data() == old.restrict(maxes=cut).to_data(), (a, mu, fill)
+                    short = dt_vertex._sine_product(a, mu, fill - 2)
+                    with pytest.raises(PrecisionError, match=f"reaches only {cut['lam'] - 1}, need {cut['lam']}"):
+                        short.restrict(maxes=cut)
 
 
 def test_change_of_vars_matches_term_by_term_loop():

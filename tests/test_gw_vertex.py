@@ -28,7 +28,7 @@ from orbivertex.partitions import partitions_of
 from orbivertex.series import PrecisionError, Series
 from orbivertex.verify import mv_a1_check
 
-from oracles import taylor_inverse_sin_ratio
+from oracles import g_bullet_table_by_exponential, taylor_inverse_sin_ratio
 
 
 def test_cap_leading_coefficients():
@@ -100,19 +100,36 @@ def test_g_bullet_fill_is_tight():
 
 
 def test_g_bullet_table_matches_the_per_profile_path():
-    # One exponential per (a, d) gives, for every profile, the series that
-    # one exponential per profile gave.
-    lam_max, x_deg_max = 3, 2
-    for a in (1, 2, 3):
-        for d in (1, 2, 3):
-            table = g_bullet_table(a, d, lam_max, x_deg_max)
-            assert list(table) == list(partitions_of(d))
-            for mu, series in table.items():
-                bullet = assemble_G0(a, d, x_deg_max, lam_max + d - 1).exp(cap="pweight")
-                one = bullet.extract({f"p{k}": mu.count(k) for k in range(1, d + 1)})
-                one = one.embed(trig_context(a)).restrict(maxes={"lam": lam_max})
-                assert series.to_data() == one.to_data(), (a, mu)
-                assert g_bullet_mu(a, mu, lam_max, x_deg_max).to_data() == one.to_data(), (a, mu)
+    # The product table stores, for every profile, the terms and the tops
+    # of the coefficient of p_mu in the G0 exponential; its floors are
+    # r_bullet_zero's, (-len(mu), 0, ...).  (2,5) at (5,4) has an entry,
+    # (1^5), whose x part cancels and which stores nothing.
+    cases = [(a, d, w) for a in (1, 2, 3, 4) for d in (1, 2, 3, 4) for w in ((3, 2), (5, 4), (2, 1), (0, 0))]
+    for a, d, (lam_max, x_deg_max) in cases + [(2, 5, (5, 4))]:
+        table = g_bullet_table(a, d, lam_max, x_deg_max)
+        by_exp = g_bullet_table_by_exponential(a, d, lam_max, x_deg_max)
+        assert list(table) == list(by_exp) == list(partitions_of(d))
+        for mu, series in table.items():
+            got = series.to_data()
+            want = by_exp[mu].to_data()
+            floors = got.pop("floors")
+            want.pop("floors")
+            assert got == want, (a, mu, lam_max, x_deg_max)
+            assert floors == r_bullet_zero(a, mu, lam_max, x_deg_max).to_data()["floors"], (a, mu)
+            assert floors == [f"{-len(mu)}/1"] + ["0/1"] * (a - 1), (a, mu)
+            assert g_bullet_mu(a, mu, lam_max, x_deg_max).to_data() == series.to_data(), (a, mu)
+    assert not g_bullet_table(2, 5)[(1, 1, 1, 1, 1)].terms
+
+
+def test_g_bullet_mu_refuses_a_window_below_its_floor():
+    # Between -d and -len(mu) the entry is refused as r_bullet_zero refuses it.
+    for a, mu in ((1, (2, 1)), (2, (2, 1, 1)), (3, (3,))):
+        for lam_max in range(-sum(mu), -len(mu)):
+            message = f"window of 'lam' cut at {lam_max} lies below its floor {-len(mu)}"
+            for build in (g_bullet_mu, r_bullet_zero):
+                with pytest.raises(PrecisionError, match=message):
+                    build(a, mu, lam_max, 2)
+        assert g_bullet_mu(a, mu, -len(mu), 2) == r_bullet_zero(a, mu, -len(mu), 2)
 
 
 QUANTUM_SHAPES = ((1,), (2,), (2, 1), (3, 1), (2, 2, 1))

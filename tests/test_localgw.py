@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbivertex import hurwitz
 from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import CycloNum, field_for
-from orbivertex.gw_vertex import g_bullet_mu
+from orbivertex.gw_vertex import g_bullet_mu, transport_back
 from orbivertex.hurwitz import PhiKernel
 from orbivertex.localgw import (
     LocalBlock,
@@ -229,6 +230,24 @@ def test_tube_entries_match_one_exponential_per_eigenvalue(a):
             (mu, mu): _data_and_types(kernel_series_by_exponentials(PhiKernel(mu, mu), ctx, "lam", 0, {"lam": 0}))
             for mu in partitions_of(d)
         }, d
+
+
+def test_a_framing_transport_builds_each_kernel_once(monkeypatch):
+    # transport_back at d = 3 glues the columns of r_bullet_tau for the three
+    # profiles and one column of its own: 12 kernels asked for, over the 9
+    # profile pairs of size 3, each built once.
+    built = []
+    real = PhiKernel.__init__
+
+    def counted(self, nu, mu):
+        built.append((nu, mu))
+        real(self, nu, mu)
+
+    monkeypatch.setattr(PhiKernel, "__init__", counted)
+    hurwitz._phi_kernel.cache_clear()
+    transport_back(2, (2, 1), 1, lam_max=2, x_deg_max=1)
+    assert sorted(built) == sorted((nu, mu) for nu in partitions_of(3) for mu in partitions_of(3))
+    assert hurwitz._phi_kernel.cache_info().hits == 3
 
 
 def test_kernel_without_a_finite_window_in_its_variable_is_refused():

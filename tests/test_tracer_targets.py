@@ -47,13 +47,15 @@ def test_aliases_the_tracer_relies_on():
 def test_the_tracer_clears_the_framing_zero_memo():
     # The benchmark starts every in-process item from cold caches by
     # clearing each lru_cache the package binds at module level; the
-    # framing-zero memo, the power-sum images and the Bernoulli table must
-    # be among them.
-    from orbivertex import dt_vertex, series
+    # framing-zero memo, the power-sum images, the sine products, the
+    # kernel memo and the Bernoulli table must be among them.
+    from orbivertex import dt_vertex, hurwitz, series
 
     caches = _tracer().lru_caches()
     assert dt_vertex._r_bullet_zero_series in caches
     assert dt_vertex._power_sum_image in caches
+    assert dt_vertex._sine_product in caches
+    assert hurwitz._phi_kernel in caches
     assert series.bernoulli in caches
 
 
