@@ -10,7 +10,6 @@ declared root-of-unity order).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from itertools import accumulate, count
@@ -203,12 +202,21 @@ def enumeration_cost(d: int, volume: int) -> int:
     return _priced(1, _leg_configurations(volume), d)
 
 
+def _defaults(fn) -> dict:
+    # {name: default} for every parameter of the plain function fn that has
+    # a default, positional or keyword-only.
+    code = fn.__code__
+    positional = code.co_varnames[: code.co_argcount]
+    values = fn.__defaults__ or ()
+    return dict(zip(positional[len(positional) - len(values) :], values)) | (fn.__kwdefaults__ or {})
+
+
 def _require_budget(args, a: int, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"):
     # Refuse a run whose transport_cost, at the window flags or else at the
     # defaults of the library call fn, is over COST_BUDGET.
-    params = inspect.signature(fn).parameters
-    lam_max = params[lam].default if args.lambda_order is None else args.lambda_order
-    x_deg_max = params[x].default if args.x_order is None else args.x_order
+    defaults = _defaults(fn)
+    lam_max = defaults[lam] if args.lambda_order is None else args.lambda_order
+    x_deg_max = defaults[x] if args.x_order is None else args.x_order
     cost = transport_cost(a, d, lam_max, x_deg_max)
     if cost > COST_BUDGET:
         raise GuardError(
@@ -334,7 +342,8 @@ def cmd_local_gw(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    takes = inspect.signature(suite).parameters
+    # Every suite parameter is keyword-only with a default.
+    takes = suite.__kwdefaults__
     own = {"subcommand", "func", "suite", "out"}
     flags = {k: v for k, v in vars(args).items() if k not in own and v is not None}
     refused = [name for name in flags if name not in takes]
@@ -350,7 +359,7 @@ def cmd_verify(args) -> int:
     if args.suite == "correspondence" and "a" in flags:
         _require_budget(args, args.a, args.d, suite, "lambda_order", "x_order")
     if args.suite == "dt-vertex":
-        grid = {name: p.default for name, p in takes.items()} | flags
+        grid = takes | flags
         _require_vertex_budget(grid["a"] or max(DEFAULT_DT_VERTEX_MODULI), grid["d"], grid["enumerate"], legs=True)
     checks = suite(**flags)
     passed = all(c["passed"] for c in checks)
@@ -404,7 +413,7 @@ def _flag(name: str) -> str:
 
 def _suite_flags() -> list:
     # The flags of verify: every parameter of some suite, in _FLAGS order.
-    names = {name for suite in SUITES.values() for name in inspect.signature(suite).parameters}
+    names = {name for suite in SUITES.values() for name in suite.__kwdefaults__}
     return [name for name in _FLAGS if name in names]
 
 

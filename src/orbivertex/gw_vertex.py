@@ -6,7 +6,6 @@ groups through a character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -21,17 +20,16 @@ from .partitions import (
     hooks,
     partitions_of,
 )
-from .series import GradeCap, Series, SeriesContext, VarSpec
+from .series import GradeCap, Series, SeriesContext, VarSpec, _FrozenRecord
 
 
-@dataclass(frozen=True)
-class FramedVertex:
+class FramedVertex(_FrozenRecord):
     """Disconnected per-profile generating series at integer framing."""
 
-    a: int
-    mu: tuple
-    tau: int
-    series: Series
+    _fields = ("a", "mu", "tau", "series")
+
+    def __init__(self, a: int, mu: tuple, tau: int, series: Series):
+        self._freeze(a, mu, tau, series)
 
 
 @lru_cache(maxsize=None)
@@ -279,6 +277,10 @@ def character_image_order(group_orders, phi) -> int:
 
 def project_element(group_orders, phi, g, a: int) -> int:
     """Image of a group element in Z_a under the character."""
+    if len(group_orders) != len(phi):
+        raise ValueError("character tuple must match the group factors")
+    if len(group_orders) != len(g):
+        raise ValueError("group element must match the group factors")
     val = Fraction(0)
     for n, c, gi in zip(group_orders, phi, g):
         val += Fraction(c * gi, n)
@@ -290,7 +292,19 @@ def project_element(group_orders, phi, g, a: int) -> int:
 
 def connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_max: int = 5) -> Series:
     """Coefficient of the color monomial prod x_{colors} in the logarithm
-    of the disconnected generating function, as a series in (lam, p)."""
+    of the disconnected generating function, as a series in (lam, p).
+    Every color must lie in 1..a-1.  The series is built once per
+    (a, sorted colors, tau, d_max, lam_max) and then read from a memo, so
+    every abelian lift with the same image shares one build."""
+    colors = tuple(sorted(colors))
+    for c in colors:
+        if not 1 <= c < a:
+            raise ValueError(f"color {c} does not lie in 1..a-1 for a={a}")
+    return _connected_profile_series(a, colors, tau, d_max, lam_max)
+
+
+@lru_cache(maxsize=None)
+def _connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_max: int) -> Series:
     n_colors = len(colors)
     ctx = gw_context(a, d_max)
     # Every profile series starts at lam^-d_max or above, and the log
@@ -313,7 +327,9 @@ def connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_ma
 def abelian_lift(group_orders, phi, gamma_g, tau: int, d_max: int, lam_max: int = 5) -> Series:
     """Generating series for a finite abelian group with a character,
     produced from the cyclic series by the kernel-size substitution:
-    |K| times the substitution lam -> |K| lam, p -> p/|K|."""
+    |K| times the substitution lam -> |K| lam, p -> p/|K|.  The cyclic
+    series depends only on the image (a, colors), so every presentation
+    with that image reads one memoized build."""
     group_orders = tuple(int(n) for n in group_orders)
     phi = tuple(int(c) for c in phi)
     a = character_image_order(group_orders, phi)
@@ -327,7 +343,7 @@ def abelian_lift(group_orders, phi, gamma_g, tau: int, d_max: int, lam_max: int 
         if v == 0:
             raise ValueError("insertions must project to nontrivial elements")
         colors.append(v)
-    base = connected_profile_series(a, tuple(sorted(colors)), tau, d_max, lam_max)
+    base = connected_profile_series(a, colors, tau, d_max, lam_max)
     scalars = {"lam": K}
     for d in range(1, d_max + 1):
         scalars[f"p{d}"] = Fraction(1, K)

@@ -20,14 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .dt_vertex import r_bullet_zero
 from .exactnum import field_for
 from .hurwitz import _kernel_powers, _phi_kernel
 from .partitions import check_partition, partitions_of, z_aut
-from .series import GradeCap, Series, SeriesContext, VarSpec, coeff_to_data, require_fields
+from .series import GradeCap, Series, SeriesContext, VarSpec, _Record, coeff_to_data, require_fields
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +73,7 @@ def cap_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     return Series(ctx, terms, floors, (lam_top,) + base.tops[1:]).restrict()
 
 
-@dataclass
-class LocalBlock:
+class LocalBlock(_Record):
     """A z_mu-contractible family of series with ``slots`` boundary indices.
 
     ``data`` maps tuples of ``slots`` partitions (each of total size ``d``)
@@ -86,12 +84,13 @@ class LocalBlock:
     ``Series.restrict`` before comparing them.
     """
 
-    d: int
-    a_list: tuple = ()
-    slots: int = 1
-    data: dict = field(default_factory=dict)
+    _fields = ("d", "a_list", "slots", "data")
 
-    def __post_init__(self):
+    def __init__(self, d: int, a_list: tuple = (), slots: int = 1, data: dict | None = None):
+        self.d = d
+        self.a_list = a_list
+        self.slots = slots
+        self.data = {} if data is None else data
         for key, series in self.data.items():
             if len(key) != self.slots:
                 raise ValueError("boundary key length does not match slot count")

@@ -34,7 +34,6 @@ pessimistic floor but never a wrong one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, mul
@@ -165,16 +164,54 @@ _TRIG_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class VarSpec:
+class _Record:
+    """Field-wise ``==`` and ``repr`` over the names in ``_fields``, as a
+    dataclass gives them: only records of one class compare equal, and a
+    record is unhashable unless it is frozen."""
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _FrozenRecord(_Record):
+    """A hashable record whose fields are set once, by ``_freeze``."""
+
+    def _freeze(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class VarSpec(_FrozenRecord):
     """A series variable with the denominator of its exponent lattice."""
 
-    name: str
-    denominator: int = 1
+    _fields = ("name", "denominator")
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, name: str, denominator: int = 1):
+        if denominator < 1:
             raise ValueError("exponent denominator must be a positive integer")
+        self._freeze(name, denominator)
 
 
 class GradeCap:

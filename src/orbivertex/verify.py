@@ -12,7 +12,6 @@ coded once.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from . import dt_vertex as dtv
@@ -200,7 +199,8 @@ def quantum_dim(*, d=5, lambda_order=10) -> list:
 
 
 def _cut(block: LocalBlock, lam: Fraction) -> LocalBlock:
-    return replace(block, data={key: s.restrict(maxes={"lam": lam}) for key, s in block.data.items()})
+    data = {key: s.restrict(maxes={"lam": lam}) for key, s in block.data.items()}
+    return LocalBlock(block.d, block.a_list, block.slots, data)
 
 
 def gluing(*, d=3, lambda_order=4) -> list:

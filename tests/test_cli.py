@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -387,3 +388,17 @@ def test_output_file_and_determinism(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["config"]["out"] == str(out_path)
     assert len(payload["result"]["table"]) == 5
+
+
+def test_every_suite_takes_only_keywords_with_defaults():
+    # verify reads each suite's flags and defaults from __kwdefaults__.
+    for name, suite in verify.SUITES.items():
+        params = inspect.signature(suite).parameters.values()
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in params), name
+
+
+def test_defaults_reads_positional_and_keyword_only_parameters():
+    from orbivertex.gw_vertex import r_bullet_tau
+
+    assert cli._defaults(r_bullet_tau) == {"lam_max": 5, "x_deg_max": 4}
+    assert cli._defaults(verify.abelian) == {"d": 3, "lambda_order": 4, "tau": 0}

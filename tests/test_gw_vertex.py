@@ -1,6 +1,7 @@
 """Framed generating series: caps, transport, quantum dimensions, lifts."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from orbivertex import gw_vertex, verify
 from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import (
+    FramedVertex,
     abelian_lift,
     assemble_G0,
     cap_closed_form,
@@ -254,6 +256,16 @@ def test_framed_vertex_at_zero_framing():
         r_bullet_tau(1, (2,), Fraction(1, 2), lam_max=4)
 
 
+def test_framed_vertex_is_a_frozen_record():
+    fv = r_bullet_tau(1, (1,), 1, lam_max=2, x_deg_max=0)
+    assert fv == FramedVertex(1, (1,), 1, fv.series) != FramedVertex(1, (1,), 2, fv.series)
+    assert repr(fv) == f"FramedVertex(a=1, mu=(1,), tau=1, series={fv.series!r})"
+    with pytest.raises(AttributeError):
+        fv.tau = 2
+    with pytest.raises(TypeError):
+        hash(fv)  # a Series is unhashable
+
+
 def test_framed_lam_floor_is_lowest_stored_term():
     # The off-diagonal kernels vanish at lam = 0, so the transported floor
     # is the lowest stored lam exponent, not -|mu|.
@@ -310,6 +322,17 @@ def test_character_image_order_and_projection():
     assert project_element((4,), (2,), (2,), 2) == 0
 
 
+def test_project_element_refuses_a_wrong_length_element():
+    with pytest.raises(ValueError, match="group element must match"):
+        project_element((2, 2), (1, 0), (1,), 2)
+    with pytest.raises(ValueError, match="group element must match"):
+        project_element((4,), (2,), (1, 7), 2)
+    with pytest.raises(ValueError, match="character tuple must match"):
+        project_element((4,), (2, 1), (1,), 2)
+    with pytest.raises(ValueError, match="group element must match"):
+        abelian_lift((2, 2), (1, 0), ((1,),), 0, 1, lam_max=3)
+
+
 def test_abelian_lift_term_scaling():
     d_max = 2
     base = connected_profile_series(2, (1,), 0, d_max, lam_max=4)
@@ -334,3 +357,64 @@ def test_abelian_lift_presentation_independent():
 def test_abelian_lift_rejects_kernel_insertions():
     with pytest.raises(ValueError):
         abelian_lift((4,), (2,), ((2,),), 0, 1, lam_max=3)
+
+
+def test_connected_profile_series_refuses_colors_outside_the_range():
+    # A color outside 1..a-1 used to be dropped, giving the color-free
+    # series; it is refused before the memo is read.
+    memo = gw_vertex._connected_profile_series
+    memo.cache_clear()
+    for a, colors in ((2, (5,)), (2, (0,)), (3, (1, 3)), (1, (1,)), (3, (-1,))):
+        bad = next(c for c in colors if not 1 <= c < a)
+        with pytest.raises(ValueError, match=f"color {bad} does not lie in 1..a-1 for a={a}"):
+            connected_profile_series(a, colors, 0, 2, lam_max=2)
+    assert memo.cache_info().currsize == 0
+    # No colors at all is valid.
+    connected_profile_series(2, (), 0, 2, lam_max=2)
+    assert memo.cache_info().currsize == 1
+
+
+def test_the_abelian_suite_builds_its_cyclic_series_once():
+    # The base series (by keyword) and the cyclic-4 and Klein-4 lifts (by
+    # position) all have the image a = 2, colors (1,): one build, two reads.
+    memo = gw_vertex._connected_profile_series
+    memo.cache_clear()
+    assert all(check["passed"] for check in verify.abelian(d=3, lambda_order=4, tau=1))
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_keyword_positional_and_unsorted_colors_share_one_entry():
+    memo = gw_vertex._connected_profile_series
+    memo.cache_clear()
+    first = connected_profile_series(3, (2, 1), 1, 2, lam_max=3)
+    again = connected_profile_series(3, [1, 2], 1, 2, 3)
+    info = memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert again.to_data() == first.to_data()
+
+
+LIFTS = {
+    "cyclic4": ((4,), (2,), ((1,),)),
+    "klein4": ((2, 2), (1, 0), ((1, 0),)),
+    # A character of Z_6 of order 3: both insertions are nontrivial in Z_3.
+    "z6-order3": ((6,), (2,), ((1,), (5,))),
+}
+
+
+@pytest.mark.parametrize("tau", (0, 1, -1))
+def test_memoized_connected_series_and_lifts_equal_a_fresh_build(tau):
+    d_max, lam = 3, 4
+    gw_vertex._connected_profile_series.cache_clear()
+    for label, (orders, phi, gamma) in LIFTS.items():
+        a = character_image_order(orders, phi)
+        K = prod(orders) // a
+        colors = tuple(sorted(project_element(orders, phi, g, a) for g in gamma))
+        fresh = gw_vertex._connected_profile_series.__wrapped__(a, colors, tau, d_max, lam)
+        # The first read fills the memo and the second is served from it.
+        for _ in range(2):
+            lift = abelian_lift(orders, phi, gamma, tau, d_max, lam_max=lam)
+            base = connected_profile_series(a, colors[::-1], tau, d_max, lam_max=lam)
+            assert base.to_data() == fresh.to_data(), label
+            scalars = {"lam": K} | {f"p{d}": Fraction(1, K) for d in range(1, d_max + 1)}
+            assert lift.to_data() == (fresh.substitute(scalars) * Fraction(K)).to_data(), label

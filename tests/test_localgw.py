@@ -181,6 +181,17 @@ def test_glue_degree_mismatch_rejected():
         glue(cap1, cap1, 2)
 
 
+def test_blocks_compare_field_by_field():
+    series = cap_series(1, (1,), lam_max=2)
+    block = LocalBlock(d=1, a_list=(1,), data={((1,),): series})
+    assert block == LocalBlock(1, (1,), 1, {((1,),): series})
+    assert block != LocalBlock(d=1, a_list=(2,), data={((1,),): series})
+    assert LocalBlock(d=1).data == {} and LocalBlock(d=1).slots == 1
+    assert repr(LocalBlock(d=2, slots=0)) == "LocalBlock(d=2, a_list=(), slots=0, data={})"
+    with pytest.raises(TypeError):
+        hash(block)
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         LocalBlock(d=2, a_list=(1,), slots=1, data={((1,),): None})

@@ -5,6 +5,8 @@ code on every branch, including branches no test runs.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +84,13 @@ def test_only_series_names_the_cap_level_unit():
              or isinstance(node, ast.Name) and node.id in ("_wnum", "_wden"))
     ]
     assert not found, found
+
+
+def test_the_cli_import_loads_neither_inspect_nor_dataclasses():
+    # Both cost import time on every launch; pytest loads them itself, so
+    # the import runs in a fresh interpreter.
+    code = "import orbivertex.cli, sys; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

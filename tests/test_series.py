@@ -25,6 +25,19 @@ def one_var_ctx():
     return SeriesContext([VarSpec("q")])
 
 
+def test_var_spec_is_a_frozen_value():
+    spec = VarSpec("lam", 2)
+    assert spec == VarSpec(name="lam", denominator=2) != VarSpec("lam")
+    assert VarSpec("q").denominator == 1
+    assert hash(spec) == hash(VarSpec("lam", 2))
+    assert repr(spec) == "VarSpec(name='lam', denominator=2)"
+    assert spec != ("lam", 2)
+    with pytest.raises(AttributeError):
+        spec.denominator = 3
+    with pytest.raises(ValueError, match="positive integer"):
+        VarSpec("lam", 0)
+
+
 def test_monomial_and_coefficient_reads():
     ctx = one_var_ctx()
     s = Series.monomial(ctx, {"q": 3}, Fraction(5, 2))
