@@ -204,7 +204,10 @@ def enumeration_cost(d: int, volume: int) -> int:
 
 def _defaults(fn) -> dict:
     # {name: default} for every parameter of the plain function fn that has
-    # a default, positional or keyword-only.
+    # a default, positional or keyword-only; a wrapper that names what it
+    # wraps in __wrapped__ (functools.wraps) is read through to it.
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
     code = fn.__code__
     positional = code.co_varnames[: code.co_argcount]
     values = fn.__defaults__ or ()
@@ -343,7 +346,7 @@ def cmd_local_gw(args) -> int:
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     # Every suite parameter is keyword-only with a default.
-    takes = suite.__kwdefaults__
+    takes = _defaults(suite)
     own = {"subcommand", "func", "suite", "out"}
     flags = {k: v for k, v in vars(args).items() if k not in own and v is not None}
     refused = [name for name in flags if name not in takes]
@@ -413,7 +416,7 @@ def _flag(name: str) -> str:
 
 def _suite_flags() -> list:
     # The flags of verify: every parameter of some suite, in _FLAGS order.
-    names = {name for suite in SUITES.values() for name in suite.__kwdefaults__}
+    names = {name for suite in SUITES.values() for name in _defaults(suite)}
     return [name for name in _FLAGS if name in names]
 
 

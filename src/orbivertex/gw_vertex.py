@@ -264,10 +264,14 @@ def transport_back(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -
 # -- abelian lift -------------------------------------------------------------
 
 
-def character_image_order(group_orders, phi) -> int:
-    """Order of the image of the character g -> sum phi_i g_i / n_i."""
+def _check_factors(group_orders, phi) -> None:
     if len(group_orders) != len(phi):
         raise ValueError("character tuple must match the group factors")
+
+
+def character_image_order(group_orders, phi) -> int:
+    """Order of the image of the character g -> sum phi_i g_i / n_i."""
+    _check_factors(group_orders, phi)
     a = 1
     for n, c in zip(group_orders, phi):
         order = n // gcd(n, c)
@@ -277,8 +281,7 @@ def character_image_order(group_orders, phi) -> int:
 
 def project_element(group_orders, phi, g, a: int) -> int:
     """Image of a group element in Z_a under the character."""
-    if len(group_orders) != len(phi):
-        raise ValueError("character tuple must match the group factors")
+    _check_factors(group_orders, phi)
     if len(group_orders) != len(g):
         raise ValueError("group element must match the group factors")
     val = Fraction(0)

@@ -391,7 +391,8 @@ def test_output_file_and_determinism(tmp_path, capsys):
 
 
 def test_every_suite_takes_only_keywords_with_defaults():
-    # verify reads each suite's flags and defaults from __kwdefaults__.
+    # verify reads each suite's flags and defaults from __kwdefaults__,
+    # through cli._defaults.
     for name, suite in verify.SUITES.items():
         params = inspect.signature(suite).parameters.values()
         assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in params), name

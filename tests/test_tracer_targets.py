@@ -93,3 +93,25 @@ def test_a_report_builds_each_power_sum_image_once():
     assert all(ok for _, ok in dt_vertex.correspondence_report(3, 3))
     info = dt_vertex._power_sum_image.cache_info()
     assert (info.misses, info.hits) == (3, 3)
+
+
+def test_cli_commands_run_under_the_tracer(capsys):
+    # The tracer rebinds r_bullet_tau in orbivertex.cli to a wrapper that
+    # names the original in __wrapped__; the CLI reads its budget defaults
+    # and suite keywords through such wrappers.
+    from orbivertex import cli
+
+    commands = (
+        ["gw", "--a", "1", "--mu", "2"],
+        ["gw", "--a", "1", "--mu", "1", "--lambda-order", "5"],
+        ["gw", "--a", "2", "--mu", "1", "--tau", "1"],
+        ["local-gw", "--a", "1", "--mu", "2"],
+        ["verify", "--suite", "correspondence", "--a", "2", "--d", "2"],
+        ["verify", "--suite", "phi", "--d", "3"],
+    )
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        plain = capsys.readouterr().out
+        with _tracer().Tracer():
+            assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == plain, argv
