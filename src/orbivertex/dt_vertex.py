@@ -338,12 +338,11 @@ class _FramingZeroForm:
     sign-flipped colored alphabet, for a nonempty partition mu, kept as its
     factors for change_of_vars; its numerator is never multiplied out."""
 
-    __slots__ = ("a", "mu", "den")
+    __slots__ = ("a", "mu")
 
     def __init__(self, a: int, mu: tuple):
         self.a = a
         self.mu = mu
-        self.den = dict(Counter((k, (-1) ** k) for k in mu))
 
 
 def lam_pad(rf: RationalForm | _FramingZeroForm) -> int:
@@ -381,36 +380,30 @@ def _x_images(rf: RationalForm, d: int, x_deg_max: int) -> dict:
     # c_j = x_base[j] - sum_l (m_l / a) x_step[j][l], over j, l = 1 .. a-1.
     x_base = [-Fraction(d, a) * omega(j) for j in range(1, a)]
     x_step = [[omega(-2 * j * l) * (omega(j) - omega(-j)) for l in range(1, a)] for j in range(1, a)]
-    x_parts = {}  # ms -> (prod_j exp(c_j x_j) through x_deg_max, whether some c_j is nonzero)
     groups = {}  # n -> the x parts of its terms, scaled and summed
+    x_used = False  # whether some c_j of some term is nonzero
     for key, coeff in rf.num.items():
         n, ms = key[0], key[1:]
         scalar = lead * coeff * field.root_of_unity(a, -sum(ms))
-        if n % 2:
-            scalar = -scalar
-        if ms not in x_parts:
-            xs = {(0,) * (a - 1): field.one}
-            used = False
-            for j in range(a - 1):
-                cj = x_base[j]
-                for l, m in enumerate(ms):
-                    if m:
-                        cj = cj - Fraction(m, a) * x_step[j][l]
-                if cj:
-                    used = True
-                    pows = _exp_coefficients(cj, x_deg_max)
-                    xs = {
-                        x[:j] + (g,) + x[j + 1 :]: c * p
-                        for x, c in xs.items()
-                        for g, p in enumerate(pows[: x_deg_max - sum(x) + 1])
-                    }
-            x_parts[ms] = (xs, used)
+        # The term's scalar times prod_j exp(c_j x_j) through x_deg_max.
+        xs = {(0,) * (a - 1): -scalar if n % 2 else scalar}
+        for j in range(a - 1):
+            cj = x_base[j]
+            for l, m in enumerate(ms):
+                if m:
+                    cj = cj - Fraction(m, a) * x_step[j][l]
+            if cj:
+                x_used = True
+                pows = _exp_coefficients(cj, x_deg_max)
+                xs = {
+                    x[:j] + (g,) + x[j + 1 :]: c * p
+                    for x, c in xs.items()
+                    for g, p in enumerate(pows[: x_deg_max - sum(x) + 1])
+                }
         group = groups.setdefault(n, {})
-        for x, c in x_parts[ms][0].items():
-            v = scalar * c
+        for x, c in xs.items():
             acc = group.get(x)
-            group[x] = v if acc is None else acc + v
-    x_used = any(used for _, used in x_parts.values())
+            group[x] = c if acc is None else acc + c
     tops = ctx.window(None, {"xdeg": x_deg_max} if x_used else None)
     return {
         n: Series(ctx, {(0,) + x: c for x, c in group.items() if c}, (0,) * ctx.n, tops)
@@ -487,11 +480,11 @@ def change_of_vars(rf: RationalForm | _FramingZeroForm, d: int, lam_fill: int, x
         return x_part * Fraction((-1) ** d, z_aut(rf.mu)) * _sine_product(a, rf.mu, lam_fill)
     ctx = trig_context(a)
     # A zero form keeps the denominators' floors.
-    x_parts = _x_images(rf, d, x_deg_max) or {0: Series.zero(ctx)}
+    images = _x_images(rf, d, x_deg_max) or {0: Series.zero(ctx)}
     i = field_for(a).imaginary_unit()
     dens = [_den_factor_inverse(a, k, s, lam_fill) for (k, s), m in rf.den.items() for _ in range(m)]
     pieces = []
-    for n, xs in x_parts.items():
+    for n, xs in images.items():
         lam = Series.exp_monomial(ctx, {"lam": 1}, i * (Fraction(d, 2) + n), maxes={"lam": lam_fill})
         # An x part that cancels to nothing takes the window alone.
         pieces.append(xs * reduce(mul, dens, lam) if xs.terms else reduce(mul, dens, xs * lam))

@@ -48,13 +48,6 @@ def gw_context(a: int, d_max: int) -> SeriesContext:
     return SeriesContext(var_specs, caps=[GradeCap("xdeg", xw), GradeCap("pweight", pw)])
 
 
-def _inv_two_sin(ctx: SeriesContext, d: int, lam_fill: int, field) -> Series:
-    # 1/(2 sin(d lam/2)) = i/(e^{i d lam/2} - e^{-i d lam/2}): from lam^-1,
-    # complete through lam^lam_fill.
-    inverse = Series.inverse_trig(ctx, "lam", "e^(t/2) - e^(-t/2)", d, lam_fill, field)
-    return inverse * field.imaginary_unit()
-
-
 def _cap_scalar(a: int, d: int, gamma: tuple):
     # The degree-d cap with color insertions gamma is this scalar times
     # 1/(2 sin(d lam/2)); it is 0 unless d is congruent to the total color
@@ -85,7 +78,8 @@ def cap_closed_form(a: int, d: int, gamma, lam_trunc: int = 9) -> Series:
     ctx = trig_context(a)
     if (d - sum(gamma)) % a:
         return Series.zero(ctx)
-    series = _inv_two_sin(ctx, d, lam_trunc, field_for(a)) * _cap_scalar(a, d, gamma)
+    # 1/(2 sin(d lam/2)) = i/(e^{i d lam/2} - e^{-i d lam/2}).
+    series = _sine_product(a, (d,), lam_trunc) * (field_for(a).imaginary_unit() * _cap_scalar(a, d, gamma))
     return series.restrict(maxes={"lam": lam_trunc})
 
 
@@ -94,10 +88,10 @@ def assemble_G0(a: int, d_max: int, x_deg_max: int, lam_fill: int) -> Series:
     weighted by p_d and the color monomials, complete through the
     declared profile weight and x degree."""
     ctx = gw_context(a, d_max)
-    field = field_for(a)
+    i = field_for(a).imaginary_unit()
     total = Series.zero(ctx)
     for d in range(1, d_max + 1):
-        inv_sin = _inv_two_sin(ctx, d, lam_fill, field)
+        inv_sin = (_sine_product(a, (d,), lam_fill) * i).embed(ctx)
         for gamma in gamma_vectors(a, x_deg_max):
             cap = inv_sin * _cap_scalar(a, d, gamma)
             if cap.is_exact_zero():
@@ -155,9 +149,8 @@ def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
     cap 1/(2 sin(lam/2)).  Its closed Bernoulli series, complete through
     lam^F, makes the product complete through lam^(F + 1); hence
     F = lam_trunc - 1."""
-    ctx = trig_context(1)
-    cap = _inv_two_sin(ctx, 1, lam_trunc - 1, field_for(1))
-    return (cap * Series.monomial(ctx, {"lam": 1}, 1)).restrict(maxes={"lam": lam_trunc})
+    cap = _sine_product(1, (1,), lam_trunc - 1) * field_for(1).imaginary_unit()
+    return (cap * Series.monomial(trig_context(1), {"lam": 1}, 1)).restrict(maxes={"lam": lam_trunc})
 
 
 # -- quantum dimensions ------------------------------------------------------
@@ -180,14 +173,13 @@ def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
     shape.  Each factor, a closed Bernoulli series filled through lam^F,
     starts at lam^-1 and is complete through lam^F; a product of |nu|
     factors (one per box) is complete through lam^(F - |nu| + 1), hence
-    F = lam_trunc + |nu| - 1."""
+    F = lam_trunc + |nu| - 1.  The factors are i times those of the sine
+    product of the hook lengths, so conjugate shapes share one product."""
     nu = check_partition(nu)
-    ctx = trig_context(1)
-    fill = lam_trunc + sum(nu) - 1
-    out = Series.one(ctx)
-    for h in hooks(nu):
-        out = out * _inv_two_sin(ctx, h, fill, field_for(1))
-    return out.restrict(maxes={"lam": lam_trunc})
+    if not nu:
+        return Series.one(trig_context(1)).restrict(maxes={"lam": lam_trunc})
+    hook_product = _sine_product(1, tuple(sorted(hooks(nu), reverse=True)), lam_trunc + sum(nu) - 1)
+    return (hook_product * field_for(1).root_of_unity(4, sum(nu))).restrict(maxes={"lam": lam_trunc})
 
 
 def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
@@ -203,6 +195,7 @@ def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
     nu = check_partition(nu)
     ctx = trig_context(1)
     field = field_for(1)
+    i = field.imaginary_unit()
     l = len(nu)
     sine_fill = lam_trunc + sum(nu) + 1
     inverse_fill = lam_trunc + sum(nu) - 1
@@ -210,10 +203,10 @@ def quantum_dim_sine(nu, lam_trunc: int = 10) -> Series:
     for A in range(1, l + 1):
         for B in range(A + 1, l + 1):
             out = out * _sin_half(ctx, nu[A - 1] - nu[B - 1] + B - A, sine_fill, field)
-            out = out * (_inv_two_sin(ctx, B - A, inverse_fill, field) * 2)
+            out = out * (_sine_product(1, (B - A,), inverse_fill) * (i * 2))
     for i_row in range(1, l + 1):
         for v in range(1, nu[i_row - 1] + 1):
-            out = out * _inv_two_sin(ctx, v - i_row + l, inverse_fill, field)
+            out = out * (_sine_product(1, (v - i_row + l,), inverse_fill) * i)
     return out.restrict(maxes={"lam": lam_trunc})
 
 

@@ -25,7 +25,7 @@ from .gw_vertex import (
     quantum_dim_hook,
     quantum_dim_sine,
 )
-from .hurwitz import PhiKernel, burnside_value, factorization_counts, require_oracle_budget
+from .hurwitz import _phi_kernel, burnside_value, factorization_counts, require_oracle_budget
 from .localgw import LocalBlock, _partition_label, cap_family, cap_series, glue, identity_block, tube
 from .partitions import check_partition, kappa, partitions_of, z_aut
 from .series import PrecisionError, Series, SeriesContext, VarSpec, _frac_str
@@ -43,7 +43,7 @@ def phi_composition_check(nu, mu, order: int = 6) -> bool:
     ctx = SeriesContext([VarSpec("t1"), VarSpec("t2")])
     maxes = {"t1": order, "t2": order}
     lhs = Series.zero(ctx)
-    for k, c in PhiKernel(nu, mu).pairs.items():
+    for k, c in _phi_kernel(nu, mu).pairs.items():
         piece = Series.exp_monomial(ctx, {"t1": 1}, Fraction(k, 2), maxes=maxes)
         piece = piece * Series.exp_monomial(ctx, {"t2": 1}, Fraction(k, 2), maxes=maxes)
         lhs = lhs + c * piece
@@ -85,7 +85,7 @@ def phi(*, d=6, lambda_order=6) -> list:
     checks = []
     for size in range(1, d + 1):
         ok = all(
-            PhiKernel(nu, mu).at_zero() == (Fraction(1, z_aut(nu)) if nu == mu else 0)
+            _phi_kernel(nu, mu).at_zero() == (Fraction(1, z_aut(nu)) if nu == mu else 0)
             for nu in partitions_of(size)
             for mu in partitions_of(size)
         )

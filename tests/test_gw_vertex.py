@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from orbivertex import gw_vertex, verify
+from orbivertex import dt_vertex, gw_vertex, verify
 from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import (
@@ -162,13 +162,17 @@ def test_quantum_dim_fill_is_tight(monkeypatch):
             quantum_dim_sine(nu, lam_trunc)
     with monkeypatch.context() as patch:
         # Series.inverse_trig, seen through the class, takes (ctx, var,
-        # denominator, k, fill, field).
+        # denominator, k, fill, field).  The sine product memo is cleared
+        # inside the patch, so no full-length factor is served, and after
+        # it, so no short one leaks.
         _shortened(patch, Series, "inverse_trig", 4)
+        dt_vertex._sine_product.cache_clear()
         for nu in QUANTUM_SHAPES:
             for lam_trunc in (0, 4):
                 for form in (quantum_dim_hook, quantum_dim_sine):
                     with pytest.raises(PrecisionError, match=refusal.format(lam_trunc - 1, lam_trunc)):
                         form(nu, lam_trunc)
+    dt_vertex._sine_product.cache_clear()
     with monkeypatch.context() as patch:
         _shortened(patch, gw_vertex, "_sin_half", 2)
         for nu in QUANTUM_SHAPES:
@@ -178,6 +182,17 @@ def test_quantum_dim_fill_is_tight(monkeypatch):
                     continue
                 with pytest.raises(PrecisionError, match=refusal.format(lam_trunc - 1, lam_trunc)):
                     quantum_dim_sine(nu, lam_trunc)
+
+
+def test_conjugate_shapes_share_one_hook_product():
+    # (2,) and (1, 1) have the hook lengths {2, 1}: the first builds the
+    # sine product, and the second reads it from the memo.
+    dt_vertex._sine_product.cache_clear()
+    quantum_dim_hook((2,), 4)
+    misses = dt_vertex._sine_product.cache_info().misses
+    assert misses
+    quantum_dim_hook((1, 1), 4)
+    assert dt_vertex._sine_product.cache_info().misses == misses
 
 
 def test_quantum_dim_floor_is_lowest_stored_term():

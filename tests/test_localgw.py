@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbivertex import hurwitz
+from orbivertex import hurwitz, verify
 from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import CycloNum, field_for
 from orbivertex.gw_vertex import g_bullet_mu, transport_back
@@ -259,6 +259,25 @@ def test_a_framing_transport_builds_each_kernel_once(monkeypatch):
     transport_back(2, (2, 1), 1, lam_max=2, x_deg_max=1)
     assert sorted(built) == sorted((nu, mu) for nu in partitions_of(3) for mu in partitions_of(3))
     assert hurwitz._phi_kernel.cache_info().hits == 3
+
+
+def test_the_phi_suite_builds_each_kernel_once(monkeypatch):
+    # The suite reads every profile pair of sizes 1..3 at zero and again in
+    # the composition check, whose tubes read them once more: 14 pairs,
+    # each built once.
+    built = []
+    real = PhiKernel.__init__
+
+    def counted(self, nu, mu):
+        built.append((nu, mu))
+        real(self, nu, mu)
+
+    monkeypatch.setattr(PhiKernel, "__init__", counted)
+    hurwitz._phi_kernel.cache_clear()
+    assert all(check["passed"] for check in verify.phi(d=3, lambda_order=2))
+    pairs = [(nu, mu) for size in (1, 2, 3) for nu in partitions_of(size) for mu in partitions_of(size)]
+    assert len(pairs) == 14
+    assert sorted(built) == sorted(pairs)
 
 
 def test_kernel_without_a_finite_window_in_its_variable_is_refused():

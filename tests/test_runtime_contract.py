@@ -86,6 +86,22 @@ def test_only_series_names_the_cap_level_unit():
     assert not found, found
 
 
+def test_each_kernel_has_one_builder():
+    # The inverse sines are read from dt_vertex's sine product memo and the
+    # transport kernels from hurwitz's kernel memo; no other module builds
+    # either.
+    owner = {"inverse_trig": "dt_vertex.py", "PhiKernel": "hurwitz.py"}
+    found = []
+    for name, node in _nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if called in owner and name != owner[called]:
+            found.append(f"{name}:{node.lineno}: {called}(...)")
+    assert not found, found
+
+
 def test_the_cli_import_loads_neither_inspect_nor_dataclasses():
     # Both cost import time on every launch; pytest loads them itself, so
     # the import runs in a fresh interpreter.
