@@ -8,19 +8,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, lcm
 
 from .dt_vertex import _sine_product, _x_product, r_bullet_zero as _r_bullet_zero_closed, trig_context
-from .exactnum import field_for
-from .localgw import LocalBlock, glue, tube
+from .exactnum import CycloNum, field_for
+from .hurwitz import _phi_kernel
 from .partitions import (
     aut_gamma,
     check_partition,
     gamma_vectors,
     hooks,
     partitions_of,
+    z_aut,
 )
-from .series import GradeCap, Series, SeriesContext, VarSpec, _FrozenRecord
+from .series import GradeCap, Series, SeriesContext, VarSpec, _FrozenRecord, _nmin, self_in_window_static
 
 
 class FramedVertex(_FrozenRecord):
@@ -219,15 +220,86 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
 
 
 def _transport(a: int, mu: tuple, tau: int, lam_max: int, series_of) -> Series:
-    # The family {nu: series_of(nu)} glued against column mu of the tube at
-    # argument i tau lam.  Every series_of(nu) starts at lam^(-d) or above,
-    # so the kernels are filled d orders further for the product window to
-    # reach lam_max.
+    # Column mu of the tube at argument i tau lam applied to the family
+    # F_nu = series_of(nu, lam): the sum over nu of z_nu F_nu Phi_{nu,mu}.
+    # A member has no terms below lam^-len(nu), so it is read at
+    # max(lam_max, -len(nu)).  The coefficient of lam^n in z_nu Phi_{nu,mu}
+    # is (i tau)^n S_n/(n! 2^n z_mu), S_n the kernel's integer moment sum, so
+    # every output coefficient is an integer combination of member
+    # coefficients over one denominator: each parity of n is summed as an
+    # integer vector per key, and the odd part is turned by i.  Floors and
+    # window are those of gluing the family against the tube column, as
+    # Series.__mul__ and __add__ set them: per member, the floors are F_nu's
+    # plus the kernel's lowest power, and the lam top is the lesser of F_nu's
+    # top plus that power and the kernel's top (lam_max + d, the kernels
+    # filled d orders further; open for a constant kernel) plus F_nu's
+    # lowest stored exponent.  No cap of trig_context weighs lam, so the
+    # other slots keep F_nu's window.
     d = sum(mu)
-    family = LocalBlock(d=d, data={(nu,): series_of(nu) for nu in partitions_of(d)})
-    scale = field_for(a).imaginary_unit() * tau
-    column = tube(trig_context(a), d, "lam", scale, lam_max + d, mu)
-    return glue(family, column, d).data[(mu,)].restrict(maxes={"lam": lam_max})
+    if not d:
+        # The one kernel of the empty profile is 1.
+        return series_of(mu, max(lam_max, 0)).restrict(maxes={"lam": lam_max})
+    ctx = trig_context(a)
+    # Kernels of degree below two (kappa = 0 the only eigenvalue) and at
+    # argument zero are constants with an open window.
+    rate = tau if d > 1 else 0
+    top_power = lam_max + d if rate else 0
+    members = []
+    floors = tops = None
+    for nu in partitions_of(d):
+        member = series_of(nu, max(lam_max, -len(nu)))
+        kernel = _phi_kernel(nu, mu)
+        moments = kernel._moment_sums(top_power + 1)
+        powers = [n for n, s in enumerate(moments) if s]
+        if not powers and not rate:
+            continue  # an exact zero: off the diagonal at argument zero
+        low = powers[0] if powers else 0
+        member_floors = (member.floors[0] + low,) + member.floors[1:]
+        # Every member is cut at a finite lam window, so none is an exact zero.
+        lam_low = min(k[0] for k in member.terms) if member.terms else member.floors[0]
+        lam_top = member.tops[0] + low
+        member_tops = (_nmin(lam_top, top_power + lam_low if rate else None),) + member.tops[1:]
+        floors = member_floors if floors is None else tuple(map(min, floors, member_floors))
+        tops = member_tops if tops is None else tuple(map(_nmin, tops, member_tops))
+        members.append((member, [(n, moments[n]) for n in powers]))
+    # The checks of the cut come first; they refuse a window the glued sum
+    # would not reach or that lies below its floors.
+    shell = Series(ctx, {}, floors, tops).restrict(maxes={"lam": lam_max})
+    field = field_for(a)
+    deg = field.degree
+    fact = factorial(top_power)
+    den = lcm(*(c.den for member, _ in members for c in member.terms.values()))
+    rest = (None,) + shell.tops[1:]
+    acc = {}
+    for member, sums in members:
+        # (i rate)^n S_n/(n! 2^n) times fact 2^top_power: i^(n mod 2) times
+        # an integer.
+        weights = [(n, (-1) ** (n // 2) * rate**n * s * (fact // factorial(n)) << (top_power - n)) for n, s in sums]
+        for key, c in member.terms.items():
+            if not self_in_window_static(key, rest, ctx):
+                continue
+            room = lam_max - key[0]
+            scale = den // c.den
+            for n, w in weights:
+                if n > room:
+                    break
+                out = (key[0] + n,) + key[1:]
+                parts = acc.get(out)
+                if parts is None:
+                    parts = acc[out] = [[0] * deg, [0] * deg]
+                w *= scale
+                parts[n & 1] = [v + w * x for v, x in zip(parts[n & 1], c.num)]
+    # i zeta^j = zeta^(a + j) for zeta = zeta_4a.
+    turned = [field.root_of_unity(4 * a, a + j).num for j in range(deg)]
+    total_den = den * fact * 2**top_power * z_aut(mu)
+    terms = {}
+    for key, (even, odd) in acc.items():
+        for o, row in zip(odd, turned):
+            if o:
+                even = [v + o * r for v, r in zip(even, row)]
+        if any(even):
+            terms[key] = CycloNum(field, even, total_den)
+    return Series(ctx, terms, shell.floors, shell.tops)
 
 
 def r_bullet_tau(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -> FramedVertex:
@@ -240,7 +312,7 @@ def r_bullet_tau(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -> 
         # The tube at argument 0 is the diagonal 1/z_mu, which the gluing
         # weight z_mu cancels.
         return FramedVertex(a, mu, tau, r_bullet_zero(a, mu, lam_max, x_deg_max))
-    series = _transport(a, mu, tau, lam_max, lambda nu: r_bullet_zero(a, nu, lam_max, x_deg_max))
+    series = _transport(a, mu, tau, lam_max, lambda nu, lam: r_bullet_zero(a, nu, lam, x_deg_max))
     return FramedVertex(a, mu, tau, series)
 
 
@@ -250,7 +322,7 @@ def transport_back(a: int, mu, tau: int, lam_max: int = 5, x_deg_max: int = 4) -
     recovers the framing-zero series of mu."""
     mu = check_partition(mu)
     return _transport(
-        a, mu, -tau, lam_max, lambda nu: r_bullet_tau(a, nu, tau, lam_max, x_deg_max).series
+        a, mu, -tau, lam_max, lambda nu, lam: r_bullet_tau(a, nu, tau, lam, x_deg_max).series
     )
 
 
@@ -305,7 +377,8 @@ def _connected_profile_series(a: int, colors: tuple, tau: int, d_max: int, lam_m
     ctx = gw_context(a, d_max)
     # Every profile series starts at lam^-d_max or above, and the log
     # multiplies at most d_max of them: each product costs d_max orders.
-    lam_inner = lam_max + d_max * (d_max - 1)
+    # The fill stays at lam^0 or above, so the sum keeps its constant 1.
+    lam_inner = max(lam_max + d_max * (d_max - 1), 0)
     total = Series.one(ctx)
     for d in range(1, d_max + 1):
         for mu in partitions_of(d):

@@ -69,7 +69,17 @@ class PhiKernel:
         """Sum of (kappa/2)^r against the spectral coefficients."""
         if r < 0:
             raise ValueError("moment order must be nonnegative")
-        return Fraction(sum(w * k**r for k, w in self._weights.items()), self._z * 2**r)
+        return Fraction(self._moment_sums(r + 1)[r], self._z * 2**r)
+
+    def _moment_sums(self, count: int) -> list:
+        # The integer sums S_n of W_kappa kappa^n for n < count: S_n is
+        # n! 2^n z_nu z_mu times the coefficient of t^n.
+        sums = [0] * count
+        for k, w in self._weights.items():
+            for n in range(count):
+                sums[n] += w
+                w *= k
+        return sums
 
     def series(self, ctx: SeriesContext, var: str, scale, maxes) -> Series:
         """The kernel as a series in one variable, filled through the given
@@ -80,10 +90,9 @@ class PhiKernel:
     def _expand(self, ctx: SeriesContext, powers) -> Series:
         key, tops, coefficients = powers
         terms = {}
-        for n, p in enumerate(coefficients):
-            m = self.weighted_moment(n)
-            if m:
-                terms[tuple(n * e for e in key)] = p * m
+        for n, (p, s) in enumerate(zip(coefficients, self._moment_sums(len(coefficients)))):
+            if s:
+                terms[tuple(n * e for e in key)] = p * Fraction(s, self._z * 2**n)
         # Exact through the window on one axis, so nothing lies below the
         # lowest stored term (off-diagonal kernels vanish at argument zero).
         return Series(ctx, terms, (0,) * ctx.n, tops)._tight()

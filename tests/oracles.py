@@ -16,7 +16,8 @@ exponential of G0, and ``correspondence_report_literal`` is the
 correspondence compared series against series, with that side against the
 vertex side summed shape by shape and transported.
 ``kernel_series_by_exponentials`` expands a transport kernel as one
-exponential per eigenvalue.
+exponential per eigenvalue, and ``transport_by_gluing`` is framing transport
+as a family glued against a tube column.
 The other oracles are exact Fraction-arithmetic expansions of classical
 closed products.
 """
@@ -32,12 +33,14 @@ from orbivertex.dt_vertex import (
     RationalForm,
     _den_factor_inverse,
     powersum_rational,
+    r_bullet_zero,
     trig_context,
     vertex_side_series,
 )
 from orbivertex.exactnum import field_for
 from orbivertex.gw_vertex import assemble_G0
 from orbivertex.hurwitz import PhiKernel
+from orbivertex.localgw import LocalBlock, glue, tube
 from orbivertex.partitions import check_partition, conjugate, partitions_of, z_aut
 from orbivertex.series import Series, SeriesContext, VarSpec
 
@@ -311,6 +314,30 @@ def kernel_series_by_exponentials(kernel: PhiKernel, ctx: SeriesContext, var: st
             continue
         total = total + c * Series.exp_monomial(ctx, {var: 1}, scale * Fraction(k, 2), maxes=maxes)
     return total._tight()
+
+
+def transport_by_gluing(a: int, mu, tau: int, lam_max: int, x_deg_max: int, back: bool = False) -> Series:
+    """Framing transport as the local-curve TQFT composes it: the family
+    {nu: F_nu} glued (``localgw.glue``) against column mu of the tube
+    (``localgw.tube``) at argument i tau lam, filled |mu| orders past
+    lam_max, then cut at lam_max.  F_nu is ``r_bullet_zero``, read at
+    max(lam_max, -len(nu)); with ``back`` it is this oracle's own transport
+    of nu at tau, glued against the tube at -tau instead, as
+    ``transport_back`` is.  ``r_bullet_tau`` and ``transport_back``, which
+    apply the column through the kernels' integer moments, must reproduce
+    it exactly, windows and coefficient types included."""
+    mu = check_partition(mu)
+    d = sum(mu)
+    data = {}
+    for nu in partitions_of(d):
+        lam = max(lam_max, -len(nu))
+        if back:
+            data[(nu,)] = transport_by_gluing(a, nu, tau, lam, x_deg_max)
+        else:
+            data[(nu,)] = r_bullet_zero(a, nu, lam, x_deg_max)
+    rate = -tau if back else tau
+    column = tube(trig_context(a), d, "lam", field_for(a).imaginary_unit() * rate, lam_max + d, mu)
+    return glue(LocalBlock(d=d, data=data), column, d).data[(mu,)].restrict(maxes={"lam": lam_max})
 
 
 def g_bullet_table_by_exponential(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4) -> dict:

@@ -1,6 +1,7 @@
 """Framed generating series: caps, transport, quantum dimensions, lifts."""
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from orbivertex import dt_vertex, gw_vertex, verify
 from orbivertex.dt_vertex import trig_context
 from orbivertex.exactnum import field_for
+from orbivertex.hurwitz import PhiKernel
 from orbivertex.gw_vertex import (
     FramedVertex,
     abelian_lift,
@@ -30,7 +32,7 @@ from orbivertex.partitions import partitions_of
 from orbivertex.series import PrecisionError, Series
 from orbivertex.verify import mv_a1_check
 
-from oracles import g_bullet_table_by_exponential, taylor_inverse_sin_ratio
+from oracles import g_bullet_table_by_exponential, taylor_inverse_sin_ratio, transport_by_gluing
 
 
 def test_cap_leading_coefficients():
@@ -255,6 +257,48 @@ def test_framing_transport_round_trip():
         base = r_bullet_zero(a, mu, lam_max=4, x_deg_max=3)
         window = {"lam": 4}
         assert recovered.restrict(maxes=window) == base.restrict(maxes=window), (a, mu, tau)
+
+
+def _outcome(build):
+    # The bytes and coefficient types of a series, or the text of its
+    # refusal.
+    try:
+        series = build()
+    except PrecisionError as err:
+        return "refused", str(err)
+    return series.to_data(), [type(series.terms[k]) for k in sorted(series.terms)]
+
+
+def _kernel_case(nu, mu, rate, fill):
+    kernel = PhiKernel(nu, mu).series(trig_context(1), "lam", field_for(1).imaginary_unit() * rate, {"lam": fill})
+    if kernel.is_exact_zero():
+        return "exact zero"
+    if all(t is None for t in kernel.tops):
+        return "constant"
+    return "with terms" if kernel.terms else "no term in its window"
+
+
+def test_transport_matches_gluing_the_family_against_the_tube():
+    # The transport applies each tube column through the kernels' integer
+    # moments; the oracle glues the family against the column of kernel
+    # series.  The sweep must meet, in transports that succeed, kernels with
+    # terms, constants (degree one or framing zero), exact zeros (off the
+    # diagonal at framing zero) and, below lam^-1, kernels that hold no term
+    # inside their window and still bound it.
+    columns = set()
+    profiles = [mu for d in range(5) for mu in partitions_of(d)]
+    for a, mu, tau, lam, x in product((1, 2, 3), profiles, (-2, -1, 0, 1, 3), (-3, -2, -1, 0, 2, 5), (0, 3)):
+        builds = [(True, -tau, lambda: transport_back(a, mu, tau, lam, x))]
+        if mu:
+            builds.append((False, tau, lambda: r_bullet_tau(a, mu, tau, lam, x).series))
+        for back, rate, build in builds:
+            got = _outcome(build)
+            assert got == _outcome(lambda: transport_by_gluing(a, mu, tau, lam, x, back)), (a, mu, tau, lam, x, back)
+            # r_bullet_tau at framing zero transports nothing.
+            if got[0] != "refused" and (back or tau):
+                columns.add((mu, rate, lam + sum(mu)))
+    cases = {_kernel_case(nu, mu, rate, fill) for mu, rate, fill in columns for nu in partitions_of(sum(mu))}
+    assert cases == {"exact zero", "constant", "with terms", "no term in its window"}
 
 
 def test_framed_vertex_at_zero_framing():

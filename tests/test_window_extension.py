@@ -2,6 +2,8 @@
 same producer at a wider window W', cut back to W.  A producer whose
 window claim outruns its fill disagrees with its wider self inside W."""
 
+import pytest
+
 from orbivertex.dt_vertex import r_bullet_zero
 from orbivertex.gw_vertex import (
     assemble_G0,
@@ -16,6 +18,7 @@ from orbivertex.gw_vertex import (
 )
 from orbivertex.localgw import cap_series
 from orbivertex.partitions import partitions_of
+from orbivertex.series import PrecisionError
 
 MODULI = (1, 2, 3)
 PROFILES = tuple(mu for d in (1, 2, 3) for mu in partitions_of(d))
@@ -43,9 +46,9 @@ def test_profile_series_extend_their_windows():
                 _extends(lambda l, xd: r_bullet_zero(a, mu, l, xd), lam, x)
                 _extends(lambda l, xd: g_bullet_mu(a, mu, l, xd), lam, x)
                 _extends(lambda l, xd: cap_series(a, mu, l, xd), lam, x)
-                # A transport reads the profiles of every length, so its
-                # window starts at lam^-1.
-                for tau in (1, -2) if lam >= -1 else ():
+                # A transport reads each profile at no less than its own
+                # lowest exponent, so it reaches down to lam^-len(mu) too.
+                for tau in (1, -2):
                     _extends(lambda l, xd: r_bullet_tau(a, mu, tau, l, xd).series, lam, x)
                     _extends(lambda l, xd: transport_back(a, mu, tau, l, xd), lam, x)
 
@@ -77,5 +80,20 @@ def test_connected_series_extend_their_windows():
     for a, colors in ((1, ()), (2, ()), (2, (1,)), (3, (1, 2))):
         for tau in (0, 1):
             for d_max in (1, 2, 3):
-                for lam in (0, 2):
+                for lam in (-1, 0, 2):
+                    if (a, colors, d_max, lam) == (2, (), 1, -1):
+                        continue  # an empty window, refused below
                     _extends(lambda l, xd: connected_profile_series(a, colors, tau, d_max, l), lam)
+
+
+def test_connected_series_refuse_a_cut_below_their_floor():
+    # The disconnected sum keeps its constant 1 at every window, so a cut
+    # below the connected series' floor is refused by name, not by the log.
+    with pytest.raises(PrecisionError, match="window of 'lam' cut at -3 lies below its floor -1"):
+        connected_profile_series(2, (1,), 1, 2, -3)
+    # At a = 2 no degree-one cap has color total 0, so the uncolored series
+    # through p_1 is zero, with floor lam^0.
+    for tau in (0, 1):
+        assert not connected_profile_series(2, (), tau, 1, 0).terms
+        with pytest.raises(PrecisionError, match="window of 'lam' cut at -1 lies below its floor 0"):
+            connected_profile_series(2, (), tau, 1, -1)
