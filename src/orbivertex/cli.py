@@ -37,11 +37,12 @@ from .verify import DEFAULT_DT_VERTEX_MODULI, SUITES
 CHAR_DEGREE_LIMIT = 8
 BOX_LIMIT = 10
 # gw, local-gw --mu/--d and verify --suite correspondence --a/--d refuse a
-# transport_cost over this budget.  At the default windows (a, d) = (1, 27)
-# costs 8.1e5, (1, 28) costs 1.0e6 (verify --suite correspondence about
-# 7 s cold), (16, 1) costs 5.7e5 (about 4 s) and (20, 1) costs 1.3e6 (about
-# 14 s).  dt and verify --suite dt-vertex refuse a vertex_cost over it:
-# dt --a 1000 --nu 1 costs 1.0e6 (about 3 s cold).
+# transport_cost over this budget.  At the default windows, against cold
+# correspondence reports on a 2-core VM: (1, 27) costs 8.1e5 (3.9 s), (1, 28)
+# 1.03e6 (4.8 s), (24, 3) 9.1e5 (9.6 s), (28, 2) 1.07e6 (10.3 s), (24, 4)
+# 1.8e6 (17.6 s), (32, 2) 2.3e6 (22.5 s), (20, 2) 1.7e5 (1.45 s) and (48, 1)
+# 1.9e5 (1.8 s).  dt and verify --suite dt-vertex refuse a vertex_cost over
+# it: dt --a 1000 --nu 1 costs 1.0e6 (about 3 s cold).
 COST_BUDGET = 10**6
 
 EXIT_OK = 0
@@ -128,10 +129,11 @@ def _windows(args) -> dict:
     return {key: value for key, value in named.items() if value is not None}
 
 
-def _priced(cost: int, values, last: int) -> int:
+def _priced(cost: int, values, last: int, scale: int = 1) -> int:
     # cost times the value at index last of the nondecreasing sequence
-    # values, read no further than the product passing COST_BUDGET.
-    return cost * next(v for i, v in enumerate(values) if i == last or cost * v > COST_BUDGET)
+    # values, read no further than the product passing scale * COST_BUDGET.
+    limit = scale * COST_BUDGET
+    return cost * next(v for i, v in enumerate(values) if i == last or cost * v > limit)
 
 
 def _binomials(n: int, k: int):
@@ -144,18 +146,30 @@ def transport_cost(a: int, d: int, lam: int, x: int) -> int:
     table and the framing-zero transports of the p(d) profiles of size d.
     Each profile costs 8 units for each of the lam + d + 1 orders of a lam
     window that starts at lam^-d (its sine product, the joins and the
-    comparison), and 1/12 of a unit per order for each of the phi(4a)
-    C(a - 1 + x, x) field coordinates of its x part; the x images of
-    p_1 .. p_d cost 4 units per coordinate each (d = 0 is priced as d = 1).
-    Exact up to COST_BUDGET, and past it a lower bound over the budget:
-    each factor is read off a nondecreasing sequence (p(n); C(n, j) for
-    j <= n/2; the running count of odd j < 4a prime to a) that stops once
-    the product passes the budget, so a huge flag is priced at once."""
+    comparison).  The caps and the closed power-sum images of the parts
+    walk the M = C(a - 1 + x, x) color multisets of x-degree <= x, (x + 1)/16
+    of a unit per multiset for each of the d part sizes, and keep only the
+    T = ceil(M/a) of one total color mod a.  So an x part holds about T
+    monomials: multiplying it by the sine product costs 1/20 of a unit per
+    order for each of its phi(4a) T field coordinates, and the product of
+    two x parts costs 4/5 of a unit per pair of monomials for each of the
+    p(d) - 1 profiles with two or more parts (both sides).  Q(zeta_4a) and
+    its table of 4a powers of zeta cost a phi(4a)/80 units.  Exact up to
+    COST_BUDGET (each term rounded up), and past it a lower bound over the
+    budget: each factor is read off a nondecreasing sequence (p(n) and
+    p(n) - 1; C(n, j) for j <= n/2; the running count of odd j < 4a prime
+    to a) that stops once the product passes the budget times the term's
+    divisor, so a huge flag is priced at once."""
     rows = _priced(lam + d + 1, partition_counts(), d)
     k = min(a - 1, x)
-    coords = _priced(1, _binomials(a - 1 + x, k), k)
-    coords = _priced(coords, accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2)), 2 * a - 1)
-    return 8 * rows + coords * (rows + 48 * max(d, 1)) // 12
+    monomials = _priced(1, _binomials(a - 1 + x, k), k, 16)
+    # The x part of the empty profile is the constant 1.
+    per_class = -(-monomials // a) if d else 1
+    walk = -(-d * monomials * (x + 1) // 16)
+    phi = accumulate(gcd(j, a) == 1 for j in range(1, 4 * a, 2))
+    coords = -(-_priced(4 * per_class * rows + a, phi, 2 * a - 1, 80) // 80)
+    pairs = -(-_priced(4 * per_class**2, (p - 1 for p in partition_counts()), d, 5) // 5)
+    return 8 * rows + walk + coords + pairs
 
 
 def vertex_cost(a: int, n: int, volume: int = 0) -> int:

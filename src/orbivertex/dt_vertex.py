@@ -18,9 +18,11 @@ from operator import add, mul
 
 from .characters import chi
 from .partitions import (
+    aut_gamma,
     check_partition,
     colored_box_count,
     conjugate,
+    gamma_vectors,
     partitions_of,
     z_aut,
 )
@@ -366,7 +368,8 @@ def _x_images(rf: RationalForm, d: int, x_deg_max: int) -> dict:
     # {n: the x part of the image of token * (the numerator terms
     # q^n prod_l q_l^m_l of rf)}, each an x-only series through total
     # x-degree x_deg_max.  A term maps to a scalar times prod_j exp(c_j x_j),
-    # and its lam part exp(i(d/2 + n) lam) depends on n alone.
+    # and its lam part exp(i(d/2 + n) lam) depends on n alone.  It serves
+    # only the RationalForm branch of change_of_vars.
     a = rf.a
     ctx = trig_context(a)
     field = field_for(a)
@@ -414,8 +417,33 @@ def _x_images(rf: RationalForm, d: int, x_deg_max: int) -> dict:
 @lru_cache(maxsize=None)
 def _power_sum_image(a: int, k: int, x_deg_max: int) -> Series:
     # The x part of the image of the flipped p_k with its share k of the
-    # token; its numerator has the one q exponent 0.
-    return _x_images(powersum_rational(a, k).flip_q_sign(), k, x_deg_max)[0]
+    # token, in closed form.  Its a letters have the one q exponent 0, and
+    # letter l (its q_j with j > l raised to k) maps to
+    # lead * zeta_a^(k(l+1)) * prod_j exp(c_j(l) x_j), with
+    # lead = (-zeta_4a^-(a-2) zeta_a^-1)^k = zeta_4a^(k(a-2)) and rate
+    # c_j(l) = zeta_a^(-j(l+1)) c*_j, c*_j = -(k/a) zeta_2a^j.  So the
+    # coefficient of x^gamma (gamma a color multiset, each color j counted
+    # g_j times) sums zeta_a^((l+1)(k - sum(gamma))) over the letters: a
+    # roots-of-unity filter, a * lead * (-k/a)^|gamma| * zeta_2a^sum(gamma)
+    # / prod_j g_j! when sum(gamma) = k mod a, and 0 otherwise.  The window
+    # is that of the literal expansion: x-degree <= x_deg_max, open at
+    # a = 1, where the image is the constant a * lead; below x-degree 0 an
+    # a > 1 window holds no term.
+    ctx = trig_context(a)
+    field = field_for(a)
+    terms = {}
+    if a == 1 or x_deg_max >= 0:
+        for gamma in gamma_vectors(a, x_deg_max):
+            total = sum(gamma)
+            if (total - k) % a:
+                continue
+            key = [0] * a
+            for g in gamma:
+                key[g] += 1
+            scale = a * Fraction(-k, a) ** len(gamma) / aut_gamma(gamma)
+            terms[tuple(key)] = field.root_of_unity(4 * a, k * (a - 2) + 2 * total) * scale
+    tops = ctx.window(cap_bounds={"xdeg": x_deg_max}) if a > 1 else ctx.window()
+    return Series(ctx, terms, (0,) * ctx.n, tops)
 
 
 def _x_product(factors) -> Series:
@@ -462,9 +490,16 @@ def change_of_vars(rf: RationalForm | _FramingZeroForm, d: int, lam_fill: int, x
     A _FramingZeroForm has one n = 0, and its x part is
     (-1)^(d - len(mu))/z_mu times the product of the images of the flipped
     p_{mu_k}, each with its share mu_k of the token, built once per
-    (a, k, x_deg_max); so d must be |mu|.  p_1's image starts at x-degree
-    1, so a product reaches past x-degree x_deg_max; each is cut back to
-    it.  Its lam part is e^(i d lam/2) prod_k 1/(1 - e^(i mu_k lam)), and
+    (a, k, x_deg_max); so d must be |mu|.  Each image is written in closed
+    form: over the a letters of p_k the scalars and rates run through the
+    a-th roots of unity, so their sum is a roots-of-unity filter, and the
+    coefficient of x^gamma (gamma a color multiset of size <= x_deg_max)
+    is a * zeta_4a^(k(a-2)) * (-k/a)^|gamma| * zeta_2a^sum(gamma)
+    / aut(gamma) when sum(gamma) = k mod a, and 0 otherwise.  Only the
+    RationalForm branch expands its numerator letter by letter (_x_images).
+    p_1's image starts at x-degree 1, so a product reaches past x-degree
+    x_deg_max; each is cut back to it.  Its lam part is
+    e^(i d lam/2) prod_k 1/(1 - e^(i mu_k lam)), and
     since d is the sum of the parts that is
     (-1)^len(mu) prod_k 1/(e^(i mu_k lam/2) - e^(-i mu_k lam/2)), the sine
     product the wave-function side also reads, with each factor filled

@@ -57,8 +57,12 @@ class CycloField:
         # Integer vectors representing z^k mod Phi for k = degree .. 2*degree-2.
         deg = self.degree
         self._reduction = tuple(self._zeta_powers[k % order] for k in range(deg, 2 * deg - 1))
-        self.zero = CycloNum(self, (0,) * self.degree, 1)
-        self.one = self.from_fraction(Fraction(1))
+
+    @property
+    def one(self) -> CycloNum:
+        # Built on each read: a stored element would point back at the
+        # field, and a dropped field would then wait for the cycle collector.
+        return self.from_fraction(1)
 
     def _build_zeta_powers(self):
         # z^k mod Phi for k = 0 .. order-1; Phi is monic, so z^deg is

@@ -26,18 +26,20 @@ def partitions_of(d: int) -> tuple:
         raise ValueError("cannot partition a negative integer")
     if d == 0:
         return ((),)
-    out = []
-
-    def descend(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            prefix.append(part)
-            descend(remaining - part, part, prefix)
-            prefix.pop()
-
-    descend(d, d, [])
+    # The next partition drops the trailing 1s and the last part above 1,
+    # then refills their total greedily with parts one below that part.
+    parts = [d]
+    out = [(d,)]
+    while parts[0] > 1:
+        rest = 0
+        while parts[-1] == 1:
+            rest += parts.pop()
+        top = parts.pop()
+        rest += top
+        while rest:
+            parts.append(min(top - 1, rest))
+            rest -= parts[-1]
+        out.append(tuple(parts))
     return tuple(out)
 
 

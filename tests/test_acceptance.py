@@ -85,6 +85,13 @@ def test_correspondence_reach_targets():
     run_suite("correspondence", 15, a=2, d=7)
 
 
+def test_correspondence_reach_at_large_moduli():
+    # (16, 1) and (20, 1) in Q(zeta_64) and Q(zeta_80): the closed
+    # power-sum images make each a fraction of a second cold.
+    run_suite("correspondence", 1, a=16, d=1)
+    run_suite("correspondence", 1, a=20, d=1)
+
+
 def test_criterion_05_character_sum_initial_formula():
     # Every profile of size 1..4, through order 8.
     run_suite("mv-a1", 11, d=4, lambda_order=8)

@@ -179,16 +179,16 @@ def test_tampered_plan_exits_three(tmp_path, capsys):
 
 def test_plan_cost_guard_exits_three(tmp_path, capsys):
     # Every cap and cap-family block is priced before any block is built:
-    # the family at a = 20 would take about 20 s.
-    plan = {"d": 1, "blocks": [{"kind": "cap", "a": 1, "mu": [1]}, {"kind": "cap-family", "a": 20, "d": 1}]}
+    # the family at a = 32 would take about 13 s.
+    plan = {"d": 2, "blocks": [{"kind": "cap", "a": 1, "mu": [1, 1]}, {"kind": "cap-family", "a": 32, "d": 2}]}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "local-gw", "--glue", str(plan_path))
     assert time.perf_counter() - start < 1
     assert code == EXIT_GUARD and not out
-    assert err.startswith("cost guard: a=20, d=1 at lambda order 5 and x order 4 is estimated at")
-    plan["blocks"][1] = {"kind": "cap", "a": 20, "mu": [1]}
+    assert err.startswith("cost guard: a=32, d=2 at lambda order 5 and x order 4 is estimated at")
+    plan["blocks"][1] = {"kind": "cap", "a": 32, "mu": [1, 1]}
     plan_path.write_text(json.dumps(plan))
     assert run_cli(capsys, "local-gw", "--glue", str(plan_path))[0] == EXIT_GUARD
     # The benchmark's one-box plan is under the budget and runs.
@@ -247,38 +247,56 @@ def test_cost_guards_exit_three(capsys):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == EXIT_GUARD and not out, argv
         assert err.startswith("cost guard: the closed vertex at a="), argv
-    # Refused before any work: it would run for about 20 s.
-    code, out, err = run_cli(capsys, "gw", "--a", "20", "--mu", "1")
+    # Refused before any work: it would run for about 13 s.
+    code, out, err = run_cli(capsys, "gw", "--a", "32", "--mu", "1,1")
     assert code == EXIT_GUARD and not out
-    assert err.startswith("cost guard: a=20, d=1")
+    assert err.startswith("cost guard: a=32, d=2")
 
 
 def test_transport_cost_estimate():
-    # 8 rows + coords * (rows + 48 max(d, 1)) // 12, with rows the
-    # (lam + d + 1) p(d) lam orders of the profiles and coords the
-    # phi(4a) * C(a - 1 + x, x) field coordinates of an x part, as the
-    # library would run it at the default windows.
-    assert cli.transport_cost(12, 1, 5, 4) == 8 * 7 + 16 * 1365 * (7 + 48) // 12 == 100156
-    assert cli.transport_cost(4, 4, 5, 4) == 8 * 50 + 8 * 35 * (50 + 192) // 12
-    assert cli.transport_cost(2, 9, 5, 4) == 8 * 450 + 4 * 5 * (450 + 432) // 12
-    assert cli.transport_cost(1, 0, 0, 10**9) == 8 + 2 * 49 // 12 == 16
+    # 8 rows + d M (x + 1)/16 + phi(4a) (4 T rows + a)/80 + 4 (p(d) - 1) T^2/5,
+    # each term rounded up, with rows the (lam + d + 1) p(d) lam orders of
+    # the profiles, M = C(a - 1 + x, x) the color multisets the images and
+    # caps walk and T = ceil(M/a) the monomials of an x part, as the library
+    # would run it at the default windows.
+    def up(n, k):
+        return -(-n // k)
+
+    assert cli.transport_cost(12, 1, 5, 4) == 8 * 7 + up(1365 * 5, 16) + up(16 * (4 * 114 * 7 + 12), 80) == 1124
+    assert cli.transport_cost(4, 4, 5, 4) == (
+        8 * 50 + up(4 * 35 * 5, 16) + up(8 * (4 * 9 * 50 + 4), 80) + up(4 * 81 * 4, 5)
+    )
+    assert cli.transport_cost(2, 9, 5, 4) == (
+        8 * 450 + up(9 * 5 * 5, 16) + up(4 * (4 * 3 * 450 + 2), 80) + up(4 * 9 * 29, 5)
+    )
+    # The empty profile walks no multiset: its x part is the constant 1.
+    assert cli.transport_cost(1, 0, 0, 10**9) == 8 + up(2 * 5, 80) == 9
     # Past the budget the estimate is a lower bound over it, and huge flags
     # are priced without computing their large factors.
-    assert cli.COST_BUDGET < cli.transport_cost(20, 1, 5, 4) <= 8 * 7 + 32 * 8855 * 55 // 12
-    for huge in ((10**9, 1, 5, 4), (10**6, 0, 0, 10**6), (2, 10**5, 0, 0), (1, 1, 10**12, 0)):
+    assert cli.COST_BUDGET < cli.transport_cost(24, 4, 5, 4) <= (
+        8 * 50 + up(4 * 17550 * 5, 16) + up(32 * (4 * 732 * 50 + 24), 80) + up(4 * 732**2 * 4, 5)
+    )
+    huge_flags = (
+        (10**9, 1, 5, 4), (10**9, 1, 5, 0), (10**6, 0, 0, 10**6), (2, 10**5, 0, 0), (1, 1, 10**12, 0), (1, 1, 5, 10**12)
+    )
+    for huge in huge_flags:
         assert cli.transport_cost(*huge) > cli.COST_BUDGET, huge
 
 
 def test_transport_cost_admits_the_reach_points_and_refuses_large_sizes(capsys):
     # The correspondence reach points are under the budget at the default
-    # windows; (1, 34), whose table alone takes minutes, exits 3 at once.
-    for a, d in ((3, 3), (4, 2), (2, 5), (2, 12), (4, 8), (8, 5), (12, 3), (10, 4)):
+    # windows, up to (32, 1) and (20, 2), which take under 2 s cold; (24, 4)
+    # takes about 18 s and (1, 34), whose table alone takes minutes, and
+    # both exit 3 at once.
+    reach = ((3, 3), (4, 2), (2, 5), (2, 12), (4, 8), (8, 5), (12, 3), (10, 4))
+    for a, d in reach + ((16, 2), (20, 1), (24, 1), (20, 2), (32, 1)):
         assert cli.transport_cost(a, d, 5, 4) <= cli.COST_BUDGET, (a, d)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, *"verify --suite correspondence --a 1 --d 34".split())
-    assert time.perf_counter() - start < 1
-    assert code == EXIT_GUARD and not out
-    assert err.startswith("cost guard: a=1, d=34 at lambda order 5 and x order 4 is estimated at")
+    for a, d in ((24, 4), (1, 34)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *f"verify --suite correspondence --a {a} --d {d}".split())
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD and not out
+        assert err.startswith(f"cost guard: a={a}, d={d} at lambda order 5 and x order 4 is estimated at")
 
 
 def test_vertex_cost_estimate():
@@ -341,9 +359,9 @@ def test_box_enumeration_at_a1_is_refused_at_once(capsys):
 
 
 def test_transport_cost_guard_exits_three(monkeypatch, capsys):
-    # gw --a 2 --mu 2 at lam 5, x 4 costs 8 * 16 + 4 * 5 * (16 + 96) // 12
-    # = 314; verify at (a, d) = (2, 2) and the caps too.
-    monkeypatch.setattr(cli, "COST_BUDGET", 313)
+    # gw --a 2 --mu 2 at lam 5, x 4 costs 8 * 16 + 4 + 10 + 8 = 150; verify
+    # at (a, d) = (2, 2) and the caps too.
+    monkeypatch.setattr(cli, "COST_BUDGET", 149)
     for argv in (
         "gw --a 2 --mu 2",
         "local-gw --a 2 --mu 2",
@@ -352,12 +370,12 @@ def test_transport_cost_guard_exits_three(monkeypatch, capsys):
     ):
         code, out, err = run_cli(capsys, *argv.split())
         assert code == EXIT_GUARD, argv
-        assert err.startswith("cost guard: a=2, d=2 at lambda order 5 and x order 4 is estimated at 314")
+        assert err.startswith("cost guard: a=2, d=2 at lambda order 5 and x order 4 is estimated at 150")
         assert not out
     # The flags move the estimate: one lam order less is under the budget.
     code, _, _ = run_cli(capsys, "gw", "--a", "2", "--mu", "2", "--lambda-order", "4")
     assert code == EXIT_OK
-    monkeypatch.setattr(cli, "COST_BUDGET", 314)
+    monkeypatch.setattr(cli, "COST_BUDGET", 150)
     code, _, _ = run_cli(capsys, "verify", "--suite", "correspondence", "--a", "2", "--d", "2")
     assert code == EXIT_OK
 

@@ -409,6 +409,19 @@ def test_framing_zero_factor_images_match_the_multiplied_out_loop():
                     _framing_zero_loop(a, mu, -d - 1, 2)
 
 
+@pytest.mark.parametrize("a", range(1, 9))
+def test_power_sum_image_matches_the_literal_expansion(a):
+    # The closed roots-of-unity filter against the letter-by-letter
+    # expansion of the flipped p_k: same terms, coefficients, floors and
+    # window, down to x-degree -1, where an a > 1 window holds no term.
+    for k in range(1, 7):
+        for x_deg_max in (-1, 0, 1, 2, 4):
+            closed = dt_vertex._power_sum_image(a, k, x_deg_max)
+            literal = dt_vertex._x_images(powersum_rational(a, k).flip_q_sign(), k, x_deg_max)[0]
+            assert closed.to_data() == literal.to_data(), (k, x_deg_max)
+            assert closed.floors == literal.floors, (k, x_deg_max)
+
+
 def test_framing_zero_with_a_cancelled_x_part():
     # The image of p_1 starts at x-degree 1, so at a = 2 the x part of
     # (1, 1) is empty under x-degree 1, and that of (1^5) under x-degree 4:

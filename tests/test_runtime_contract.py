@@ -5,6 +5,7 @@ code on every branch, including branches no test runs.
 """
 
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -100,6 +101,51 @@ def test_each_kernel_has_one_builder():
         if called in owner and name != owner[called]:
             found.append(f"{name}:{node.lineno}: {called}(...)")
     assert not found, found
+
+
+def test_the_power_sum_image_does_not_expand_letters():
+    # The framing-zero path has one route to each image: the closed
+    # roots-of-unity filter, not the letter-by-letter expansion that the
+    # RationalForm branch of change_of_vars keeps.
+    found = []
+    for name, node in _nodes():
+        if name == "dt_vertex.py" and isinstance(node, ast.FunctionDef) and node.name == "_power_sum_image":
+            found = [
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Name) and inner.id == "_x_images"
+                or isinstance(inner, ast.Attribute) and inner.attr == "_x_images"
+            ]
+            break
+    else:
+        raise AssertionError("dt_vertex defines no _power_sum_image")
+    assert not found, found
+
+
+def test_a_cold_pass_is_freed_by_reference_counting():
+    # Each pass of the benchmark drops every package cache; nothing it
+    # built may then wait for the cycle collector (a field that points at
+    # its own elements, a self-recursive closure).
+    from orbivertex import dt_vertex, gw_vertex
+
+    def clear_caches():
+        for name, module in sorted(sys.modules.items()):
+            if name == "orbivertex" or name.startswith("orbivertex."):
+                for obj in vars(module).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+
+    clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(ok for _, ok in dt_vertex.correspondence_report(3, 3))
+        gw_vertex.transport_back(2, (2, 1), 1)
+        gw_vertex.abelian_lift((4,), (2,), ((1,),), 1, 3)
+        clear_caches()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_the_cli_import_loads_neither_inspect_nor_dataclasses():

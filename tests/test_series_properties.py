@@ -444,7 +444,7 @@ def test_inverse_trig_matches_sympy(denominator, k, sign, fill):
     for e in range(floor - 2, fill + 1):
         got = inv.coefficient({"lam": e})
         expect = want.coeff(TRIG_T, e) * (I * sign * k) ** e if e >= floor else 0
-        assert _gaussian(field_for(1).zero + got) == expect, e
+        assert _gaussian(field_for(1).from_fraction(0) + got) == expect, e
     if fill + 1 >= floor:
         with pytest.raises(PrecisionError):
             inv.coefficient({"lam": fill + 1})
