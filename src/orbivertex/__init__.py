@@ -81,7 +81,6 @@ from .localgw import (
     run_glue_plan,
     tube,
 )
-from .verify import mv_a1_check, phi_composition_check
 
 # Every public name imported above, and the version.
 __all__ = sorted(

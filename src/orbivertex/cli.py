@@ -44,6 +44,13 @@ BOX_LIMIT = 10
 # 1.9e5 (1.8 s).  dt and verify --suite dt-vertex refuse a vertex_cost over
 # it: dt --a 1000 --nu 1 costs 1.0e6 (about 3 s cold).
 COST_BUDGET = 10**6
+# They also refuse a modulus a whose field Q(zeta_4a) would keep more than
+# this many coordinates (4a powers of zeta, phi(4a) each): memory, which
+# transport_cost, a price in time, does not see.  Building the field alone
+# grows peak RSS by 47 MB at a = 1000 (6.4e6 coordinates, 0.3 s) and 75 MB
+# at a = 1250 (1.0e7); every a <= 1000 is admitted (a = 998 holds the most,
+# 8.0e6) and a = 6000 (1.5e8, about 1.2 GB) is refused.
+FIELD_TABLE_BUDGET = 10**7
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,7 +237,8 @@ def _defaults(fn) -> dict:
 
 def _require_budget(args, a: int, d: int, fn, lam: str = "lam_max", x: str = "x_deg_max"):
     # Refuse a run whose transport_cost, at the window flags or else at the
-    # defaults of the library call fn, is over COST_BUDGET.
+    # defaults of the library call fn, is over COST_BUDGET, then one whose
+    # field table is over FIELD_TABLE_BUDGET, before any field is built.
     defaults = _defaults(fn)
     lam_max = defaults[lam] if args.lambda_order is None else args.lambda_order
     x_deg_max = defaults[x] if args.x_order is None else args.x_order
@@ -239,6 +247,14 @@ def _require_budget(args, a: int, d: int, fn, lam: str = "lam_max", x: str = "x_
         raise GuardError(
             f"a={a}, d={d} at lambda order {lam_max} and x order {x_deg_max} is "
             f"estimated at {cost} or more, over the budget of {COST_BUDGET}"
+        )
+    # transport_cost prices a phi(4a)/80 units, so an admitted a is small
+    # enough to count phi(4a) here.
+    table = 4 * a * sum(gcd(j, a) == 1 for j in range(1, 4 * a, 2))
+    if table > FIELD_TABLE_BUDGET:
+        raise GuardError(
+            f"a={a} needs a table of {table} coordinates for the field Q(zeta_{4 * a}), "
+            f"over the budget of {FIELD_TABLE_BUDGET}"
         )
 
 

@@ -335,32 +335,15 @@ def _den_factor_inverse(a: int, k: int, s: int, lam_fill: int) -> Series:
     return Series.inverse_trig(trig_context(a), "lam", denominator, k, lam_fill, field_for(a))
 
 
-class _FramingZeroForm:
-    """The framing-zero form (-1)^(d - len(mu))/z_mu * prod_k p_{mu_k} at the
-    sign-flipped colored alphabet, for a nonempty partition mu, kept as its
-    factors for change_of_vars; its numerator is never multiplied out."""
-
-    __slots__ = ("a", "mu")
-
-    def __init__(self, a: int, mu: tuple):
-        self.a = a
-        self.mu = mu
-
-
-def lam_pad(rf: RationalForm | _FramingZeroForm) -> int:
-    """The lam orders that the lam part of the image costs.  For a
-    RationalForm it is m for m denominator factors (with multiplicity) whose
-    image vanishes at lam = 0: filled through lam^F, such an inverse
-    1/(1 - e^(i k lam)) starts at lam^-1 and is complete through lam^F (it
-    is a closed Bernoulli series), and exp(alpha lam) (lam^0 through lam^F)
-    times the inverses in turn is complete as far as each factor's top plus
-    the lowest exponents of the others: lam^(F - m).  A _FramingZeroForm's
-    lam part is the sine product of its len(mu) parts, the same closed
-    series with no exponential in front, so it costs len(mu) - 1.  The x
-    part, cut to x-degree x_deg_max, has no lam, so the outer product keeps
-    that top."""
-    if isinstance(rf, _FramingZeroForm):
-        return len(rf.mu) - 1
+def lam_pad(rf: RationalForm) -> int:
+    """The lam orders that the lam part of the image of rf costs: m for m
+    denominator factors (with multiplicity) whose image vanishes at
+    lam = 0.  Filled through lam^F, such an inverse 1/(1 - e^(i k lam))
+    starts at lam^-1 and is complete through lam^F (it is a closed
+    Bernoulli series), and exp(alpha lam) (lam^0 through lam^F) times the
+    inverses in turn is complete as far as each factor's top plus the
+    lowest exponents of the others: lam^(F - m).  The x part, cut to
+    x-degree x_deg_max, has no lam, so the outer product keeps that top."""
     return sum(mult for (k, s), mult in rf.den.items() if s * (-1) ** k == 1)
 
 
@@ -369,7 +352,7 @@ def _x_images(rf: RationalForm, d: int, x_deg_max: int) -> dict:
     # q^n prod_l q_l^m_l of rf)}, each an x-only series through total
     # x-degree x_deg_max.  A term maps to a scalar times prod_j exp(c_j x_j),
     # and its lam part exp(i(d/2 + n) lam) depends on n alone.  It serves
-    # only the RationalForm branch of change_of_vars.
+    # only the literal route, _rational_form_image.
     a = rf.a
     ctx = trig_context(a)
     field = field_for(a)
@@ -457,81 +440,79 @@ def _x_product(factors) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _sine_product(a: int, mu: tuple, fill: int) -> Series:
+def _sine_product(a: int, mu: tuple, lam_max: int) -> Series:
     # prod_k 1/(e^(i k lam/2) - e^(-i k lam/2)) over the parts k of a
-    # nonempty mu, each factor a closed Bernoulli series filled through
-    # lam^fill: it starts at lam^-len(mu) and is complete through
-    # lam^(fill - len(mu) + 1).  Both sides of the correspondence read it.
-    # It splits off the largest part, so the profiles of one length (one
-    # fill) share their factors and the products of their tails of small
-    # parts.
+    # nonempty mu: it starts at lam^-len(mu) and is complete through
+    # lam^lam_max.  Each factor is a closed Bernoulli series that, filled
+    # through lam^F, starts at lam^-1 and is complete through lam^F, so a
+    # product of len(mu) of them is complete through lam^(F - len(mu) + 1):
+    # every factor is filled through lam_max + len(mu) - 1.  Both sides of
+    # the correspondence read it.  It splits off the largest part, whose
+    # tail of small parts then reaches one order further, so the profiles
+    # of one length and window share their factors and the products of
+    # their tails.
     if len(mu) > 1:
-        return _sine_product(a, mu[:1], fill) * _sine_product(a, mu[1:], fill)
-    return Series.inverse_trig(trig_context(a), "lam", "e^(t/2) - e^(-t/2)", mu[0], fill, field_for(a))
+        return _sine_product(a, mu[:1], lam_max + len(mu) - 1) * _sine_product(a, mu[1:], lam_max + 1)
+    return Series.inverse_trig(trig_context(a), "lam", "e^(t/2) - e^(-t/2)", mu[0], lam_max, field_for(a))
 
 
-def change_of_vars(rf: RationalForm | _FramingZeroForm, d: int, lam_fill: int, x_deg_max: int) -> Series:
-    """Exact image of token * rf in the trigonometric variables, where the
+def change_of_vars(a: int, mu: tuple, lam_max: int, x_deg_max: int) -> Series:
+    """Exact image of token * (-1)^(d - len(mu))/z_mu * prod_k p_{mu_k},
+    the framing-zero form of a nonempty checked profile mu of size d at the
+    sign-flipped colored alphabet, complete through lam^lam_max; the
     composite degree token q^(d/2) prod_l q_l^(-dl/a) carries the
-    fractional exponents of both sides of the correspondence; rf is a
-    RationalForm or a _FramingZeroForm.
+    fractional exponents of both sides of the correspondence.
 
     The substitution sends q to -exp(i lam) and each q_l to a fixed root
-    of unity times an exponential in the x variables; the image of the
-    token is pinned by the degree d.  The map is multiplicative, and a
-    numerator term q^n prod_l q_l^m_l of rf, times the token, maps to a
-    scalar times exp(alpha lam + sum_j c_j x_j) with alpha = i(d/2 + n)
-    depending on n alone.  So the image separates: for each n, an x part
-    X_n (the scaled sum of prod_j exp(c_j x_j) over the terms with that n,
-    written out through total x-degree x_deg_max) times a lam part L_n
-    (exp(alpha lam) through lam^lam_fill, times each denominator inverse in
-    turn), and one outer product X_n * L_n writes the (lam, x) terms.
-
-    A _FramingZeroForm has one n = 0, and its x part is
-    (-1)^(d - len(mu))/z_mu times the product of the images of the flipped
-    p_{mu_k}, each with its share mu_k of the token, built once per
-    (a, k, x_deg_max); so d must be |mu|.  Each image is written in closed
-    form: over the a letters of p_k the scalars and rates run through the
-    a-th roots of unity, so their sum is a roots-of-unity filter, and the
-    coefficient of x^gamma (gamma a color multiset of size <= x_deg_max)
-    is a * zeta_4a^(k(a-2)) * (-k/a)^|gamma| * zeta_2a^sum(gamma)
-    / aut(gamma) when sum(gamma) = k mod a, and 0 otherwise.  Only the
-    RationalForm branch expands its numerator letter by letter (_x_images).
-    p_1's image starts at x-degree 1, so a product reaches past x-degree
-    x_deg_max; each is cut back to it.  Its lam part is
-    e^(i d lam/2) prod_k 1/(1 - e^(i mu_k lam)), and
-    since d is the sum of the parts that is
+    of unity times an exponential in the x variables.  The map is
+    multiplicative, so the image is an x part times a lam part.  The x part
+    is (-1)^(d - len(mu))/z_mu times the product of the images of the
+    flipped p_{mu_k}, each with its share mu_k of the token, built once per
+    (a, k, x_deg_max).  Each image is written in closed form: over the a
+    letters of p_k the scalars and rates run through the a-th roots of
+    unity, so their sum is a roots-of-unity filter, and the coefficient of
+    x^gamma (gamma a color multiset of size <= x_deg_max) is
+    a * zeta_4a^(k(a-2)) * (-k/a)^|gamma| * zeta_2a^sum(gamma) / aut(gamma)
+    when sum(gamma) = k mod a, and 0 otherwise.  p_1's image starts at
+    x-degree 1, so a product reaches past x-degree x_deg_max; each is cut
+    back to it.  The lam part is e^(i d lam/2) prod_k 1/(1 - e^(i mu_k lam)),
+    and since d is the sum of the parts that is
     (-1)^len(mu) prod_k 1/(e^(i mu_k lam/2) - e^(-i mu_k lam/2)), the sine
-    product the wave-function side also reads, with each factor filled
-    through lam^lam_fill.  An x part that cancels to nothing gets the
-    window of its image and no lam terms.
+    product the wave-function side also reads.  An x part that cancels to
+    nothing gets the window of its image and no lam terms.
     """
+    x_part = _x_product([_power_sum_image(a, k, x_deg_max) for k in mu])
+    # (-1)^(d - len(mu)) of the form times the (-1)^len(mu) of its lam part.
+    return x_part * Fraction((-1) ** sum(mu), z_aut(mu)) * _sine_product(a, mu, lam_max)
+
+
+def _rational_form_image(rf: RationalForm, d: int, lam_max: int, x_deg_max: int) -> Series:
+    # The image of token * rf for any rational form of degree d, complete
+    # through lam^lam_max, with its numerator expanded letter by letter:
+    # the literal route of vertex_side_series.  A numerator term
+    # q^n prod_l q_l^m_l, times the token, maps to a scalar times
+    # exp(alpha lam + sum_j c_j x_j) with alpha = i(d/2 + n) depending on n
+    # alone.  So the image separates: for each n, an x part X_n (the scaled
+    # sum of prod_j exp(c_j x_j) over the terms with that n, through
+    # x-degree x_deg_max) times a lam part L_n (exp(alpha lam) times each
+    # denominator inverse in turn, all filled lam_pad(rf) orders past
+    # lam_max), and one outer product X_n * L_n writes the (lam, x) terms.
     a = rf.a
-    if isinstance(rf, _FramingZeroForm):
-        if d != sum(rf.mu):
-            raise ValueError("the degree of a framing-zero form is the size of its profile")
-        x_part = _x_product([_power_sum_image(a, k, x_deg_max) for k in rf.mu])
-        # (-1)^(d - len(mu)) of the form times the (-1)^len(mu) of its lam part.
-        return x_part * Fraction((-1) ** d, z_aut(rf.mu)) * _sine_product(a, rf.mu, lam_fill)
     ctx = trig_context(a)
+    fill = lam_max + lam_pad(rf)
     # A zero form keeps the denominators' floors.
     images = _x_images(rf, d, x_deg_max) or {0: Series.zero(ctx)}
     i = field_for(a).imaginary_unit()
-    dens = [_den_factor_inverse(a, k, s, lam_fill) for (k, s), m in rf.den.items() for _ in range(m)]
+    dens = [_den_factor_inverse(a, k, s, fill) for (k, s), m in rf.den.items() for _ in range(m)]
     pieces = []
     for n, xs in images.items():
-        lam = Series.exp_monomial(ctx, {"lam": 1}, i * (Fraction(d, 2) + n), maxes={"lam": lam_fill})
+        lam = Series.exp_monomial(ctx, {"lam": 1}, i * (Fraction(d, 2) + n), maxes={"lam": fill})
         # An x part that cancels to nothing takes the window alone.
         pieces.append(xs * reduce(mul, dens, lam) if xs.terms else reduce(mul, dens, xs * lam))
     return reduce(add, pieces)
 
 
 # -- assembly of the correspondence -----------------------------------------
-
-
-def _transported(rf: RationalForm | _FramingZeroForm, d: int, lam_max: int, x_deg_max: int) -> Series:
-    fill = lam_max + lam_pad(rf)
-    return change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
 
 
 def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
@@ -548,10 +529,9 @@ def r_bullet_zero(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
 def _r_bullet_zero_series(a: int, mu: tuple, lam_max: int, x_deg_max: int) -> Series:
     # One transport per distinct checked input: framing transport asks for
     # the same framing-zero series once per profile it glues.
-    d = sum(mu)
-    if d == 0:
+    if not mu:
         return Series.one(trig_context(a))
-    return _transported(_FramingZeroForm(a, mu), d, lam_max, x_deg_max)
+    return change_of_vars(a, mu, lam_max, x_deg_max).restrict(maxes={"lam": lam_max})
 
 
 def _shifted_vertex(a: int, nu: tuple) -> RationalForm:
@@ -579,10 +559,10 @@ def vertex_side_series(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Seri
     correspondence_report compares with the table instead; the function
     stays because the benchmark tracer wraps it by name."""
     mu = check_partition(mu)
-    d = sum(mu)
-    if d == 0:
+    if not mu:
         return Series.one(trig_context(a))
-    return _transported(_vertex_side_form(a, mu), d, lam_max, x_deg_max)
+    image = _rational_form_image(_vertex_side_form(a, mu), sum(mu), lam_max, x_deg_max)
+    return image.restrict(maxes={"lam": lam_max})
 
 
 def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
@@ -592,8 +572,8 @@ def correspondence_report(a: int, d: int, lam_max: int = 5, x_deg_max: int = 4):
 
     The wave-function side is the product table g_bullet_table(a, d), and
     the box-counting side is r_bullet_zero(a, mu), the transported
-    power-sum form.  Both are an x part times the sine product of mu, built
-    once for the two (filled through lam_max + len(mu) - 1); no exponential
+    power-sum form.  Both are an x part times the sine product of mu,
+    asked for through lam_max and built once for the two; no exponential
     is formed, and the x parts come from the cap scalars on one side and
     from the power-sum images on the other.  The power-sum form is the
     character-weighted sum of the shifted reduced vertices, which

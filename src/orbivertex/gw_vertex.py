@@ -133,16 +133,13 @@ def g_bullet_mu(a: int, mu, lam_max: int = 5, x_deg_max: int = 4) -> Series:
     repeated m times comes with 1/m!: the coefficient is the x part
     prod_k C_(mu_k)(x) / aut(mu) (C_k the polynomial of the degree-k cap
     scalars, times i) times the sine product of mu that r_bullet_zero also
-    reads.  Each of its len(mu) factors, filled through lam^F, starts at
-    lam^-1 and is complete through lam^F (a closed Bernoulli series), so
-    the product is complete through lam^(F - len(mu) + 1); hence
-    F = lam_max + len(mu) - 1.  Like r_bullet_zero, it refuses a lam_max
-    below -len(mu)."""
+    reads, asked for through lam_max.  Like r_bullet_zero, it refuses a
+    lam_max below -len(mu)."""
     mu = check_partition(mu)
     if not mu:
         return Series.one(trig_context(a))
     x_part = _x_product([_cap_polynomial(a, k, x_deg_max) for k in mu]) / aut_gamma(mu)
-    return (x_part * _sine_product(a, mu, lam_max + len(mu) - 1)).restrict(maxes={"lam": lam_max})
+    return (x_part * _sine_product(a, mu, lam_max)).restrict(maxes={"lam": lam_max})
 
 
 def lambda_g_psi_series(lam_trunc: int = 10) -> Series:
@@ -171,15 +168,13 @@ def _sin_half(ctx: SeriesContext, k: int, lam_fill: int, field) -> Series:
 
 def quantum_dim_hook(nu, lam_trunc: int = 10) -> Series:
     """The product of 1/(2 sin(h lam/2)) across the hook lengths h of the
-    shape.  Each factor, a closed Bernoulli series filled through lam^F,
-    starts at lam^-1 and is complete through lam^F; a product of |nu|
-    factors (one per box) is complete through lam^(F - |nu| + 1), hence
-    F = lam_trunc + |nu| - 1.  The factors are i times those of the sine
-    product of the hook lengths, so conjugate shapes share one product."""
+    shape.  The factors are i times those of the sine product of the hook
+    lengths, asked for through lam_trunc, so conjugate shapes share one
+    product."""
     nu = check_partition(nu)
     if not nu:
         return Series.one(trig_context(1)).restrict(maxes={"lam": lam_trunc})
-    hook_product = _sine_product(1, tuple(sorted(hooks(nu), reverse=True)), lam_trunc + sum(nu) - 1)
+    hook_product = _sine_product(1, tuple(sorted(hooks(nu), reverse=True)), lam_trunc)
     return (hook_product * field_for(1).root_of_unity(4, sum(nu))).restrict(maxes={"lam": lam_trunc})
 
 

@@ -268,8 +268,11 @@ def r_bullet_zero_form(a: int, mu) -> RationalForm:
 def change_of_vars_loop(rf, d: int, lam_fill: int, x_deg_max: int) -> Series:
     """The change of variables of token * rf term by term, as a product of
     one ``Series.exp_monomial`` per exponential factor, summed piece by
-    piece; the closed coefficient formula of ``dt_vertex.change_of_vars``
-    must reproduce it exactly, windows included."""
+    piece, with every lam factor filled through lam^lam_fill.  The
+    package's literal route, ``dt_vertex._rational_form_image`` asked for
+    through lam_fill - lam_pad(rf), must reproduce it exactly, windows
+    included; ``dt_vertex.change_of_vars`` must reproduce it on the
+    multiplied-out framing-zero form once both are cut to the lam window."""
     a = rf.a
     ctx = trig_context(a)
     field = field_for(a)

@@ -299,6 +299,27 @@ def test_transport_cost_admits_the_reach_points_and_refuses_large_sizes(capsys):
         assert err.startswith(f"cost guard: a={a}, d={d} at lambda order 5 and x order 4 is estimated at")
 
 
+def test_field_table_guard_exits_three(capsys):
+    # gw --a 6000 costs 4.8e5, under COST_BUDGET, but Q(zeta_24000) would
+    # keep 24000 * 6400 coordinates, about 1.2 GB: refused before the field
+    # is built.  Every a <= 1000 stays under the field-table budget.
+    from orbivertex.gw_vertex import r_bullet_tau
+
+    assert cli.transport_cost(6000, 1, 5, 0) <= cli.COST_BUDGET
+    for argv in ("gw --a 6000 --mu 1 --x-order 0", "verify --suite correspondence --a 6000 --d 1 --x-order 0"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 1, argv
+        assert code == EXIT_GUARD and not out, argv
+        assert err == (
+            "cost guard: a=6000 needs a table of 153600000 coordinates for the field Q(zeta_24000), "
+            "over the budget of 10000000\n"
+        ), argv
+    args = cli.build_parser().parse_args("gw --a 1 --mu 1 --x-order 0".split())
+    for a in (998, 1000):
+        cli._require_budget(args, a, 1, r_bullet_tau)
+
+
 def test_vertex_cost_estimate():
     # a * (volume + 1)^2 * p(n)^2 * C(a - 1 + n, n).
     assert cli.vertex_cost(1000, 1) == 1000 * 1000 == cli.COST_BUDGET

@@ -10,11 +10,10 @@ from orbivertex import dt_vertex, gw_vertex
 from orbivertex.characters import chi
 from orbivertex.dt_vertex import (
     RationalForm,
-    _FramingZeroForm,
     _den_factor_inverse,
+    _rational_form_image,
     _vertex_side_form,
     box_counting_series,
-    change_of_vars,
     correspondence_report,
     lam_pad,
     powersum_rational,
@@ -241,29 +240,29 @@ def test_bad_leg_rejected():
 
 
 def _closed_and_loop(rf, d, lam_max, x_deg_max):
-    fill = lam_max + lam_pad(rf)
+    # The literal route fills lam_pad(rf) orders past lam_max itself.
     return (
-        change_of_vars(rf, d, fill, x_deg_max).to_data(),
-        change_of_vars_loop(rf, d, fill, x_deg_max).to_data(),
+        _rational_form_image(rf, d, lam_max, x_deg_max).to_data(),
+        change_of_vars_loop(rf, d, lam_max + lam_pad(rf), x_deg_max).to_data(),
     )
 
 
 def test_lam_pad_is_tight():
-    # Filled through lam_max + lam_pad the change of variables reaches
-    # lam_max.  For the framing-zero forms, whose len(mu) denominator
-    # factors all vanish at lam = 0, one order less makes the cut to
-    # lam_max refuse, so the pad carries no spare margin; the vertex-side
-    # numerators of some shapes vanish at lam = 0, which only adds reach.
+    # Filled through lam_max + lam_pad the literal image reaches lam_max.
+    # For the framing-zero forms, whose len(mu) denominator factors all
+    # vanish at lam = 0, one order less (the image asked for through
+    # lam_max - 1) makes the cut to lam_max refuse, so the pad carries no
+    # spare margin; the vertex-side numerators of some shapes vanish at
+    # lam = 0, which only adds reach.
     lam_max, x_deg_max = 2, 1
     for a in (1, 2, 3):
         for d in (1, 2, 3):
             for mu in partitions_of(d):
                 for rf in (r_bullet_zero_form(a, mu), _vertex_side_form(a, mu)):
-                    fill = lam_max + lam_pad(rf)
-                    change_of_vars(rf, d, fill, x_deg_max).restrict(maxes={"lam": lam_max})
+                    _rational_form_image(rf, d, lam_max, x_deg_max).restrict(maxes={"lam": lam_max})
                 rf = r_bullet_zero_form(a, mu)
                 assert lam_pad(rf) == len(mu), (a, mu)
-                short = change_of_vars(rf, d, lam_max + lam_pad(rf) - 1, x_deg_max)
+                short = _rational_form_image(rf, d, lam_max - 1, x_deg_max)
                 with pytest.raises(PrecisionError, match=f"reaches only {lam_max - 1}, need {lam_max}"):
                     short.restrict(maxes={"lam": lam_max})
 
@@ -331,8 +330,9 @@ def test_sine_product_is_the_framing_zero_lam_part():
     # (-1)^len(mu) prod_k 1/(e^(ik lam/2) - e^(-ik lam/2)) against the lam
     # part the transport built before, e^(i d lam/2) prod_k 1/(1 - e^(ik lam)),
     # on a common cut: filled through F, the second reaches F - len(mu), and
-    # the sine product reaches it filled one order less, through F - 1.  Two
-    # orders less and it no longer reaches the cut.
+    # the sine product asked for through that cut fills its factors one
+    # order less, through F - 1.  Its factors filled two orders less no
+    # longer reach the cut.
     for a in (1, 2, 3):
         ctx = trig_context(a)
         i = field_for(a).imaginary_unit()
@@ -342,9 +342,9 @@ def test_sine_product_is_the_framing_zero_lam_part():
                     cut = {"lam": fill - len(mu)}
                     exp = Series.exp_monomial(ctx, {"lam": 1}, i * Fraction(d, 2), maxes={"lam": fill})
                     old = reduce(mul, [_den_factor_inverse(a, k, (-1) ** k, fill) for k in mu], exp)
-                    new = dt_vertex._sine_product(a, mu, fill - 1) * (-1) ** len(mu)
+                    new = dt_vertex._sine_product(a, mu, cut["lam"]) * (-1) ** len(mu)
                     assert new.restrict(maxes=cut).to_data() == old.restrict(maxes=cut).to_data(), (a, mu, fill)
-                    short = dt_vertex._sine_product(a, mu, fill - 2)
+                    short = reduce(mul, [dt_vertex._sine_product(a, (k,), fill - 2) for k in mu])
                     with pytest.raises(PrecisionError, match=f"reaches only {cut['lam'] - 1}, need {cut['lam']}"):
                         short.restrict(maxes=cut)
 
@@ -378,7 +378,7 @@ def test_change_of_vars_without_lam_dependence():
         (RationalForm(2, {(-1, 0): Fraction(1)}, {(1, 1): 1}), 4),
     )
     for rf, lam_max in cases:
-        closed = change_of_vars(rf, 2, 4, 2)
+        closed = _rational_form_image(rf, 2, 4, 2)
         assert closed.to_data() == change_of_vars_loop(rf, 2, 4, 2).to_data(), rf
         assert closed.terms and closed.maxes[0] == lam_max, rf
 
@@ -431,9 +431,3 @@ def test_framing_zero_with_a_cancelled_x_part():
         assert closed["terms"] == []
         assert closed == _framing_zero_loop(a, mu, lam_max, x_deg_max).to_data(), mu
 
-
-def test_a_framing_zero_form_takes_the_degree_of_its_profile():
-    # Its x part carries the token share |mu|, so no other degree is served.
-    with pytest.raises(ValueError):
-        change_of_vars(_FramingZeroForm(2, (2, 1)), 4, 3, 2)
-    assert change_of_vars(_FramingZeroForm(2, (2, 1)), 3, 3, 2).terms

@@ -103,23 +103,32 @@ def test_each_kernel_has_one_builder():
     assert not found, found
 
 
+def _names_in_dt_vertex_function(function: str) -> set:
+    # Every name and attribute that the dt_vertex function of that name
+    # reads.
+    for name, node in _nodes():
+        if name == "dt_vertex.py" and isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                inner.id if isinstance(inner, ast.Name) else inner.attr
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Name, ast.Attribute))
+            }
+    raise AssertionError(f"dt_vertex defines no {function}")
+
+
 def test_the_power_sum_image_does_not_expand_letters():
     # The framing-zero path has one route to each image: the closed
     # roots-of-unity filter, not the letter-by-letter expansion that the
-    # RationalForm branch of change_of_vars keeps.
-    found = []
-    for name, node in _nodes():
-        if name == "dt_vertex.py" and isinstance(node, ast.FunctionDef) and node.name == "_power_sum_image":
-            found = [
-                inner.lineno
-                for inner in ast.walk(node)
-                if isinstance(inner, ast.Name) and inner.id == "_x_images"
-                or isinstance(inner, ast.Attribute) and inner.attr == "_x_images"
-            ]
-            break
-    else:
-        raise AssertionError("dt_vertex defines no _power_sum_image")
-    assert not found, found
+    # literal route, _rational_form_image, keeps.
+    assert "_x_images" not in _names_in_dt_vertex_function("_power_sum_image")
+
+
+def test_change_of_vars_takes_the_closed_route_only():
+    # change_of_vars is the closed framing-zero image: it takes a profile,
+    # not a rational form, and reaches neither the letter-by-letter x
+    # images nor the denominator inverses of the literal route.
+    literal = {"_x_images", "_den_factor_inverse", "RationalForm"}
+    assert not literal & _names_in_dt_vertex_function("change_of_vars")
 
 
 def test_a_cold_pass_is_freed_by_reference_counting():
@@ -148,11 +157,22 @@ def test_a_cold_pass_is_freed_by_reference_counting():
         gc.enable()
 
 
-def test_the_cli_import_loads_neither_inspect_nor_dataclasses():
-    # Both cost import time on every launch; pytest loads them itself, so
-    # the import runs in a fresh interpreter.
-    code = "import orbivertex.cli, sys; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+def _loaded_by(statement: str, modules) -> str:
+    # Which of modules a fresh interpreter has loaded after the statement;
+    # pytest loads some of them itself.
+    code = f"{statement}; import sys; print(sorted({set(modules)!r} & set(sys.modules)))"
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_the_cli_import_loads_neither_inspect_nor_dataclasses():
+    # Both cost import time on every launch.
+    assert _loaded_by("import orbivertex.cli", ("inspect", "dataclasses")) == "[]"
+
+
+def test_the_package_import_loads_neither_verify_nor_the_cli():
+    # The verify suites and the command line load on demand, so a library
+    # launch does not pay for them.
+    assert _loaded_by("import orbivertex", ("orbivertex.verify", "orbivertex.cli")) == "[]"

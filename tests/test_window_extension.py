@@ -4,7 +4,7 @@ window claim outruns its fill disagrees with its wider self inside W."""
 
 import pytest
 
-from orbivertex.dt_vertex import r_bullet_zero
+from orbivertex.dt_vertex import _sine_product, r_bullet_zero
 from orbivertex.gw_vertex import (
     assemble_G0,
     cap_closed_form,
@@ -51,6 +51,19 @@ def test_profile_series_extend_their_windows():
                 for tau in (1, -2):
                     _extends(lambda l, xd: r_bullet_tau(a, mu, tau, l, xd).series, lam, x)
                     _extends(lambda l, xd: transport_back(a, mu, tau, l, xd), lam, x)
+
+
+def test_the_sine_product_reaches_the_window_it_is_asked_for():
+    # Asked for through lam^m, the product of len(mu) inverse sines starts
+    # at lam^-len(mu), claims lam^m as its top, and agrees there with a
+    # build asked for two orders further.
+    for a in MODULI:
+        for mu in (mu for d in range(1, 5) for mu in partitions_of(d)):
+            for m in range(-len(mu), 6):
+                narrow = _sine_product(a, mu, m)
+                assert (narrow.floors[0], narrow.maxes[0]) == (-len(mu), m), (a, mu, m)
+                cut = {"lam": m}
+                assert _sine_product(a, mu, m + 2).restrict(maxes=cut) == narrow.restrict(maxes=cut), (a, mu, m)
 
 
 def test_caps_and_G0_extend_their_windows():
